@@ -35,15 +35,18 @@ from .evaluation import (
     CvResult,
     SamplerSpec,
     SyntheticConfig,
-    apply_sampler,
-    fit_classifier,
+    fit_pipeline,
     gen_synthetic,
     run_experiment,
 )
 from .feature_selection import cfs_best_first, gain_ratio_rank
 from .metrics import METRIC_COLUMNS, format_report_row, report_values
-from .resampling import HIGH_GROUP, LOW_GROUP, apply_clustering_rus, plan_cluster_partition, suggest_threshold
 from .seeds import derive_seed
+
+# Not called here: the benchmark tracer (perfbench/tracer.py) patches these
+# names on this module as well as on crus.evaluation, which calls them.
+from .evaluation import fit_classifier  # noqa: F401
+from .resampling import apply_clustering_rus, plan_cluster_partition  # noqa: F401
 from .stats import ScoreMatrix, average_combined_loss, cd_diagram, compare_treatments, loss_vs_best
 from .trees import DecisionTree, export_rules, load_tree, save_tree
 
@@ -233,14 +236,6 @@ def load_run_config(path: Path, seed_override: int | None = None, alpha_override
     )
 
 
-def _evaluate_cell(payload: dict) -> CvResult:
-    """Worker entry point; must stay importable for process pools."""
-    d = load_csv(payload["dataset"], payload["schema"])
-    sampler = SamplerSpec(**payload["sampler"])
-    classifier = ClassifierSpec(**payload["classifier"])
-    return run_experiment(d, classifier, sampler, payload["k"], payload["seed"], payload["beta"])
-
-
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
@@ -343,7 +338,14 @@ def _loss_csv(metric: str, names, mean_values, losses) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _loss_markdown(metrics, names, means, losses) -> str:
+def _combined_losses(metrics, losses) -> list[float] | None:
+    """Per-treatment average of the first two metrics' losses, when both exist."""
+    if len(metrics) < 2 or not losses[metrics[0]] or not losses[metrics[1]]:
+        return None
+    return [average_combined_loss(a, b) for a, b in zip(losses[metrics[0]], losses[metrics[1]])]
+
+
+def _loss_markdown(metrics, names, means, losses, combined) -> str:
     parts = ["# Percent loss vs best (fold-mean metrics)", ""]
     for m in metrics:
         parts.append(f"## {m}")
@@ -354,15 +356,14 @@ def _loss_markdown(metrics, names, means, losses) -> str:
             loss = losses[m][t] if losses[m] else None
             parts.append(f"| {name} | {means[m][t]:.6f} | {'' if loss is None else f'{loss:.2f}'} |")
         parts.append("")
-    if len(metrics) >= 2 and losses[metrics[0]] and losses[metrics[1]]:
+    if combined:
         m1, m2 = metrics[0], metrics[1]
         parts.append(f"## combined ({m1} + {m2})")
         parts.append("")
         parts.append(f"| treatment | loss {m1} % | loss {m2} % | average |")
         parts.append("|---|---|---|---|")
         for t, name in enumerate(names):
-            avg = average_combined_loss(losses[m1][t], losses[m2][t])
-            parts.append(f"| {name} | {losses[m1][t]:.2f} | {losses[m2][t]:.2f} | {avg:.2f} |")
+            parts.append(f"| {name} | {losses[m1][t]:.2f} | {losses[m2][t]:.2f} | {combined[t]:.2f} |")
         parts.append("")
     return "\n".join(parts) + "\n"
 
@@ -376,29 +377,24 @@ def _save_model(model, path: Path) -> None:
 
 def _save_cell_models(d: Dataset, cell_name: str, sampler: SamplerSpec, classifier: ClassifierSpec,
                       seed: int, reports: _Reports) -> None:
-    """Refit on the full dataset and save deployable model files."""
+    """Refit the cell on the full dataset and save deployable model files.
+
+    The refit is the pipeline a fold runs, with derive_seed(seed, "final",
+    ...) seeds.  A plain sampler writes `{cell}.json`; clustering_rus
+    writes `{cell}.cluster.json` and one `{cell}.{group}.json` per group
+    that has a model.
+    """
+    seeds = (derive_seed(seed, "final", step) for step in ("sampler", "cluster", "classifier"))
+    pipe = fit_pipeline(d, classifier, sampler, *seeds)
     models_dir = reports.out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    if sampler.method == "clustering_rus":
-        threshold = sampler.threshold
-        if threshold is None:
-            threshold = suggest_threshold(imbalance_ratio(d), sampler.reduction_fraction)
-        partition = plan_cluster_partition(
-            d, sampler.cluster_k, threshold, derive_seed(seed, "final", "cluster"), sampler.policy
-        )
-        groups = apply_clustering_rus(d, partition, sampler.spread, derive_seed(seed, "final", "sampler"))
-        save_cluster_model(partition.model, models_dir / f"{cell_name}.cluster.json")
+    if pipe.partition is not None:
+        save_cluster_model(pipe.partition.model, models_dir / f"{cell_name}.cluster.json")
         reports.names.append(f"models/{cell_name}.cluster.json")
-        for g_name, g_train in ((LOW_GROUP, groups.low_group), (HIGH_GROUP, groups.high_group)):
-            if len(g_train) > 0:
-                model = fit_classifier(g_train, classifier, derive_seed(seed, "final", "classifier"))
-                _save_model(model, models_dir / f"{cell_name}.{g_name}.json")
-                reports.names.append(f"models/{cell_name}.{g_name}.json")
-    else:
-        train = apply_sampler(d, sampler, derive_seed(seed, "final", "sampler"))
-        model = fit_classifier(train, classifier, derive_seed(seed, "final", "classifier"))
-        _save_model(model, models_dir / f"{cell_name}.json")
-        reports.names.append(f"models/{cell_name}.json")
+    for name, group in pipe.groups.items():
+        file_name = f"{cell_name}.json" if pipe.partition is None else f"{cell_name}.{name}.json"
+        _save_model(group.model, models_dir / file_name)
+        reports.names.append(f"models/{file_name}")
 
 
 @click.group()
@@ -441,28 +437,17 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
         for c_name, c_spec in cfg.classifiers
     ]
     names = [f"{s}+{c}" for s, c, _, _ in cells]
-    payloads = [
-        {
-            "dataset": str(cfg.dataset_path),
-            "schema": str(cfg.schema_path),
-            "sampler": asdict(s_spec),
-            "classifier": asdict(c_spec),
-            "k": cfg.k_folds,
-            "seed": cfg.seed,
-            "beta": cfg.beta,
-        }
-        for _, _, s_spec, c_spec in cells
-    ]
+    args = [(c_spec, s_spec, cfg.k_folds, cfg.seed, cfg.beta) for _, _, s_spec, c_spec in cells]
     results: list[CvResult] = []
     if jobs == 1 or len(cells) == 1:
-        for name, payload in zip(names, payloads):
+        for name, a in zip(names, args):
             try:
-                results.append(_evaluate_cell(payload))
+                results.append(run_experiment(d, *a))
             except (DataError, ValueError) as exc:
                 raise click.ClickException(f"evaluation failed for cell {name}: {exc}")
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as ex:
-            futures = [ex.submit(_evaluate_cell, p) for p in payloads]
+            futures = [ex.submit(run_experiment, d, *a) for a in args]
             for name, fut in zip(names, futures):
                 try:
                     results.append(fut.result())
@@ -488,14 +473,14 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
             losses[m] = None
             run_warnings.append(f"loss_{m}: best mean value is not positive; losses omitted")
         reports.write(f"loss_{m}.csv", _loss_csv(m, names, means[m], losses[m]))
-    if len(cfg.metrics) >= 2 and losses[cfg.metrics[0]] and losses[cfg.metrics[1]]:
+    combined = _combined_losses(cfg.metrics, losses)
+    if combined:
         m1, m2 = cfg.metrics[0], cfg.metrics[1]
         lines = [f"treatment,loss_{m1},loss_{m2},average_combined_loss"]
         for t, name in enumerate(names):
-            avg = average_combined_loss(losses[m1][t], losses[m2][t])
-            lines.append(",".join([name, _fmt(losses[m1][t]), _fmt(losses[m2][t]), _fmt(avg)]))
+            lines.append(",".join([name, _fmt(losses[m1][t]), _fmt(losses[m2][t]), _fmt(combined[t])]))
         reports.write("loss_combined.csv", "\n".join(lines) + "\n")
-    reports.write("loss.md", _loss_markdown(list(cfg.metrics), names, means, losses))
+    reports.write("loss.md", _loss_markdown(list(cfg.metrics), names, means, losses, combined))
 
     tpr_lines = ["treatment,tpr,tnr"]
     for name, res in zip(names, results):

@@ -108,11 +108,6 @@ class ClusterModel:
         return np.argmin(d2, axis=1)
 
 
-def assign_cluster(values: np.ndarray, model: ClusterModel) -> int:
-    """Cluster index of one attribute-value row."""
-    return int(model.assign(np.atleast_2d(values))[0])
-
-
 def _update_centroids(
     norm_values: np.ndarray, assign: np.ndarray, k: int, numeric: np.ndarray
 ) -> np.ndarray:

@@ -88,10 +88,6 @@ class EnsembleModel:
     # boosting weight distributions per round (diagnostic, not serialized)
     weight_history: list[np.ndarray] = field(default_factory=list)
 
-    def predict(self, x: np.ndarray) -> tuple[int, float]:
-        labels, score = self.predict_batch(np.atleast_2d(x))
-        return int(labels[0]), float(score[0])
-
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(classes, scores); score is the weighted positive vote share for
         voting ensembles and the mean positive probability for averaging
@@ -240,10 +236,6 @@ def fit_random_committee(d: Dataset, cfg: EnsembleConfig = EnsembleConfig()) -> 
         )
         members.append(fit_tree(d, base))
     return EnsembleModel("random_committee", members, np.ones(n_members), "average", cfg.seed)
-
-
-def predict_ensemble(model: EnsembleModel, x: np.ndarray) -> tuple[int, float]:
-    return model.predict(x)
 
 
 def ensemble_to_doc(model: EnsembleModel) -> dict:

@@ -1,22 +1,26 @@
 """Cross-validated evaluation of sampler/classifier pipelines.
 
-Folds are always created before any resampling, and resampling is applied
-to each training split alone, so synthetic or dropped instances never
-touch a test fold.  The clustered variant re-fits the cluster partition
-inside every fold on the training split only, trains one model per cluster
-group, routes test instances by nearest centroid, and reports the
-test-count weighted average of the group performances.
+One pipeline fits every model: `fit_pipeline` resamples a training set and
+fits one model per group.  The plain samplers give the single group "n/a";
+cluster-aware undersampling fits the cluster partition on the training set
+alone, undersamples the flagged group and routes instances by nearest
+centroid.  `run_experiment` is the one fold loop: folds are created before
+any resampling and the pipeline sees only each training split, so
+synthetic or dropped instances never touch a test fold.  A fold's report
+is the test-count weighted average of its group reports.  The CLI's
+`--save-models` refit runs the same pipeline on the full dataset.
 
 Seed discipline: from one master seed, the fold split uses
 derive_seed(seed, "folds") and fold f uses derive_seed(seed, "sampler", f),
-derive_seed(seed, "cluster", f) and derive_seed(seed, "classifier", f).
-Group models inside a fold share the fold's classifier seed, so a
-partition that flags nothing reproduces the unclustered run exactly.
+derive_seed(seed, "cluster", f) and derive_seed(seed, "classifier", f);
+the refit uses derive_seed(seed, "final", "sampler" | "cluster" |
+"classifier").  Group models share the classifier seed, so a partition
+that flags nothing reproduces the unclustered run exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,6 +45,7 @@ from .metrics import MetricsReport, combine_reports, compute_report
 from .resampling import (
     HIGH_GROUP,
     LOW_GROUP,
+    ClusterPartition,
     apply_clustering_rus,
     plan_cluster_partition,
     rus_undersample,
@@ -134,7 +139,7 @@ def apply_sampler(train: Dataset, spec: SamplerSpec, seed: int) -> Dataset:
         return rus_undersample(train, spec.spread, seed)
     if spec.method == "smote":
         return smote_oversample(train, spec.percentage, spec.k_neighbors, seed)
-    raise ValueError("clustering_rus trains per-group models; use run_cv_clustered")
+    raise ValueError("clustering_rus trains per-group models; use fit_pipeline")
 
 
 @dataclass(frozen=True)
@@ -173,135 +178,80 @@ def _pooled_report(folds: list[FoldResult], beta: float) -> MetricsReport:
     return compute_report(truth, pred, scores, beta)
 
 
-def run_cv(
-    d: Dataset,
-    classifier: ClassifierSpec,
-    sampler: SamplerSpec = SamplerSpec(),
-    k: int = 10,
-    seed: int = 0,
-    beta: float = 1.0,
-) -> CvResult:
-    """Stratified k-fold evaluation with a single model per fold."""
-    if sampler.method == "clustering_rus":
-        raise ValueError("use run_cv_clustered (or run_experiment) for clustering_rus")
-    split = stratified_kfold(d, k, derive_seed(seed, "folds"))
-    folds: list[FoldResult] = []
-    for f in range(k):
-        train_idx = split.train_indices(f)
-        test_idx = split.test_indices(f)
-        train = apply_sampler(d.subset(train_idx), sampler, derive_seed(seed, "sampler", f))
-        model = fit_classifier(train, classifier, derive_seed(seed, "classifier", f))
-        predicted, scores = model.predict_batch(d.values[test_idx])
-        truth = np.asarray(d.labels[test_idx])
-        folds.append(
-            FoldResult(
-                fold=f,
-                group="n/a",
-                truth=truth,
-                predicted=predicted,
-                scores=scores,
-                test_indices=test_idx,
-                train_indices=train.row_ids[train.row_ids >= 0],
-                n_synthetic_train=int(train.synthetic.sum()),
-                report=compute_report(truth, predicted, scores, beta),
-            )
-        )
-    fold_reports = tuple(fr.report for fr in folds)
-    return CvResult(
-        folds=tuple(folds),
-        fold_reports=fold_reports,
-        pooled=_pooled_report(folds, beta),
-        mean=combine_reports(list(fold_reports)),
-    )
+PLAIN_GROUP = "n/a"
 
 
-def run_cv_clustered(
-    d: Dataset,
+@dataclass(frozen=True)
+class GroupModel:
+    """One group's fitted model and the training material behind it."""
+
+    model: DecisionTree | EnsembleModel
+    train_ids: np.ndarray  # original rows the model trained on
+    n_synthetic: int
+
+
+@dataclass(frozen=True)
+class PipelineModel:
+    """One model per non-empty group plus the router between them.
+
+    A plain sampler has no partition and the single group "n/a"; the
+    clustered sampler routes each row to the group of its nearest cluster.
+    """
+
+    groups: dict[str, GroupModel]
+    warnings: tuple[str, ...]
+    partition: ClusterPartition | None
+
+    def route(self, X: np.ndarray) -> list[tuple[str, str, np.ndarray]]:
+        """(group, group whose model scores it, row mask) for each group with rows in X.
+
+        A group without a model falls back to the other group's model.
+        """
+        if self.partition is None:
+            return [(PLAIN_GROUP, PLAIN_GROUP, np.ones(len(X), dtype=bool))]
+        flagged = np.array(self.partition.flagged, dtype=bool)[self.partition.model.assign(X)]
+        out = []
+        for name, other, mask in ((LOW_GROUP, HIGH_GROUP, ~flagged), (HIGH_GROUP, LOW_GROUP, flagged)):
+            if mask.any():
+                out.append((name, name if name in self.groups else other, mask))
+        return out
+
+
+def fit_pipeline(
+    train: Dataset,
     classifier: ClassifierSpec,
     sampler: SamplerSpec,
-    k: int = 10,
-    seed: int = 0,
-    beta: float = 1.0,
-) -> CvResult:
-    """Cluster-aware undersampling evaluation.
+    sampler_seed: int,
+    cluster_seed: int,
+    classifier_seed: int,
+) -> PipelineModel:
+    """Resample one training set and fit a model per group, all with one seed.
 
-    Per fold: fit the cluster partition on the training split, undersample
-    the flagged group, train one model per nonempty group, route each test
-    instance to its nearest cluster's group, and combine the group reports
-    weighted by their test counts.
+    clustering_rus resolves its threshold on this training set, plans the
+    cluster partition and undersamples the flagged group; other samplers
+    resample the whole set into the single group "n/a".
     """
-    if sampler.method != "clustering_rus":
-        raise ValueError(f"run_cv_clustered needs a clustering_rus sampler, got '{sampler.method}'")
-    split = stratified_kfold(d, k, derive_seed(seed, "folds"))
-    folds: list[FoldResult] = []
-    fold_reports: list[MetricsReport] = []
-    warnings: list[str] = []
-    for f in range(k):
-        train_idx = split.train_indices(f)
-        test_idx = split.test_indices(f)
-        train = d.subset(train_idx)
-        if sampler.threshold is not None:
-            threshold = sampler.threshold
-        else:
+    partition, warnings = None, ()
+    if sampler.method == "clustering_rus":
+        threshold = sampler.threshold
+        if threshold is None:
             threshold = suggest_threshold(imbalance_ratio(train), sampler.reduction_fraction)
-        partition = plan_cluster_partition(
-            train, sampler.cluster_k, threshold, derive_seed(seed, "cluster", f), sampler.policy
+        partition = plan_cluster_partition(train, sampler.cluster_k, threshold, cluster_seed, sampler.policy)
+        grouped = apply_clustering_rus(train, partition, sampler.spread, sampler_seed)
+        group_sets = {LOW_GROUP: grouped.low_group, HIGH_GROUP: grouped.high_group}
+        warnings = partition.warnings + grouped.warnings
+    else:
+        group_sets = {PLAIN_GROUP: apply_sampler(train, sampler, sampler_seed)}
+    groups = {
+        name: GroupModel(
+            fit_classifier(g, classifier, classifier_seed),
+            g.row_ids[g.row_ids >= 0],
+            int(g.synthetic.sum()),
         )
-        groups = apply_clustering_rus(
-            train, partition, sampler.spread, derive_seed(seed, "sampler", f)
-        )
-        for w in partition.warnings + groups.warnings:
-            warnings.append(f"fold {f}: {w}")
-        clf_seed = derive_seed(seed, "classifier", f)
-        models: dict[str, DecisionTree | EnsembleModel] = {}
-        train_ids: dict[str, np.ndarray] = {}
-        for name, group_train in ((LOW_GROUP, groups.low_group), (HIGH_GROUP, groups.high_group)):
-            if len(group_train) > 0:
-                models[name] = fit_classifier(group_train, classifier, clf_seed)
-                train_ids[name] = group_train.row_ids[group_train.row_ids >= 0]
-        test_clusters = partition.model.assign(d.values[test_idx])
-        flagged = np.array(partition.flagged, dtype=bool)[test_clusters]
-        group_reports: list[MetricsReport] = []
-        group_counts: list[int] = []
-        for name, mask in ((LOW_GROUP, ~flagged), (HIGH_GROUP, flagged)):
-            g_test = test_idx[mask]
-            if g_test.size == 0:
-                continue
-            model_name = name
-            if name not in models:
-                model_name = LOW_GROUP if name == HIGH_GROUP else HIGH_GROUP
-                warnings.append(
-                    f"fold {f}: no training data for {name}; "
-                    f"its {g_test.size} test instances use the {model_name} model"
-                )
-            model = models[model_name]
-            predicted, scores = model.predict_batch(d.values[g_test])
-            truth = np.asarray(d.labels[g_test])
-            report = compute_report(truth, predicted, scores, beta)
-            folds.append(
-                FoldResult(
-                    fold=f,
-                    group=name,
-                    truth=truth,
-                    predicted=predicted,
-                    scores=scores,
-                    test_indices=g_test,
-                    train_indices=train_ids.get(model_name, np.empty(0, dtype=np.int64)),
-                    n_synthetic_train=0,
-                    report=report,
-                )
-            )
-            group_reports.append(report)
-            group_counts.append(int(g_test.size))
-        fold_reports.append(combine_reports(group_reports, weights=[float(c) for c in group_counts]))
-    return CvResult(
-        folds=tuple(folds),
-        fold_reports=tuple(fold_reports),
-        pooled=_pooled_report(folds, beta),
-        mean=combine_reports(fold_reports),
-        clustered=True,
-        warnings=tuple(warnings),
-    )
+        for name, g in group_sets.items()
+        if len(g) > 0
+    }
+    return PipelineModel(groups, warnings, partition)
 
 
 def run_experiment(
@@ -312,10 +262,91 @@ def run_experiment(
     seed: int = 0,
     beta: float = 1.0,
 ) -> CvResult:
-    """Dispatch to the plain or clustered harness based on the sampler."""
+    """Stratified k-fold evaluation of one sampler/classifier cell.
+
+    Per fold: fit the pipeline on the training split, route each test
+    instance to its group's model, and combine the group reports weighted
+    by their test counts.
+    """
+    split = stratified_kfold(d, k, derive_seed(seed, "folds"))
+    folds: list[FoldResult] = []
+    fold_reports: list[MetricsReport] = []
+    warnings: list[str] = []
+    for f in range(k):
+        test_idx = split.test_indices(f)
+        pipe = fit_pipeline(
+            d.subset(split.train_indices(f)),
+            classifier,
+            sampler,
+            derive_seed(seed, "sampler", f),
+            derive_seed(seed, "cluster", f),
+            derive_seed(seed, "classifier", f),
+        )
+        warnings += [f"fold {f}: {w}" for w in pipe.warnings]
+        parts: list[FoldResult] = []
+        for group, model_group, mask in pipe.route(d.values[test_idx]):
+            g_test = test_idx[mask]
+            if model_group != group:
+                warnings.append(
+                    f"fold {f}: no training data for {group}; "
+                    f"its {g_test.size} test instances use the {model_group} model"
+                )
+            fit = pipe.groups[model_group]
+            predicted, scores = fit.model.predict_batch(d.values[g_test])
+            truth = np.asarray(d.labels[g_test])
+            parts.append(
+                FoldResult(
+                    fold=f,
+                    group=group,
+                    truth=truth,
+                    predicted=predicted,
+                    scores=scores,
+                    test_indices=g_test,
+                    train_indices=fit.train_ids,
+                    n_synthetic_train=fit.n_synthetic,
+                    report=compute_report(truth, predicted, scores, beta),
+                )
+            )
+        folds += parts
+        fold_reports.append(
+            combine_reports([p.report for p in parts], weights=[float(p.truth.size) for p in parts])
+        )
+    return CvResult(
+        folds=tuple(folds),
+        fold_reports=tuple(fold_reports),
+        pooled=_pooled_report(folds, beta),
+        mean=combine_reports(fold_reports),
+        clustered=sampler.method == "clustering_rus",
+        warnings=tuple(warnings),
+    )
+
+
+def run_cv(
+    d: Dataset,
+    classifier: ClassifierSpec,
+    sampler: SamplerSpec = SamplerSpec(),
+    k: int = 10,
+    seed: int = 0,
+    beta: float = 1.0,
+) -> CvResult:
+    """run_experiment restricted to the plain samplers (one model per fold)."""
     if sampler.method == "clustering_rus":
-        return run_cv_clustered(d, classifier, sampler, k, seed, beta)
-    return run_cv(d, classifier, sampler, k, seed, beta)
+        raise ValueError("use run_cv_clustered (or run_experiment) for clustering_rus")
+    return run_experiment(d, classifier, sampler, k, seed, beta)
+
+
+def run_cv_clustered(
+    d: Dataset,
+    classifier: ClassifierSpec,
+    sampler: SamplerSpec,
+    k: int = 10,
+    seed: int = 0,
+    beta: float = 1.0,
+) -> CvResult:
+    """run_experiment restricted to cluster-aware undersampling."""
+    if sampler.method != "clustering_rus":
+        raise ValueError(f"run_cv_clustered needs a clustering_rus sampler, got '{sampler.method}'")
+    return run_experiment(d, classifier, sampler, k, seed, beta)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stats import _average_ranks
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -114,12 +116,18 @@ def optimized_precision(accuracy: float, tpr: float, tnr: float) -> tuple[float,
     return accuracy - abs(tnr - tpr) / (tnr + tpr), False
 
 
-def _average_ranks(scores: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing their average rank."""
-    uniq, inv, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts + 1
-    return ((starts + ends) / 2.0)[inv]
+def _rank_auc(truth: np.ndarray, scores: np.ndarray) -> tuple[float, bool]:
+    """(area under the ROC curve, degenerate) by the rank statistic."""
+    t = np.asarray(truth)
+    s = np.asarray(scores, dtype=np.float64)
+    if t.shape != s.shape:
+        raise ValueError(f"truth and scores differ in length: {t.shape} vs {s.shape}")
+    n_pos = int(np.sum(t == 1))
+    n_neg = int(np.sum(t == 0))
+    if n_pos == 0 or n_neg == 0:
+        return 0.0, True
+    rank_sum = float(_average_ranks(s)[t == 1].sum())
+    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)), False
 
 
 def auc_roc(truth: np.ndarray, scores: np.ndarray) -> tuple[float, list[tuple[float, float]], bool]:
@@ -131,17 +139,13 @@ def auc_roc(truth: np.ndarray, scores: np.ndarray) -> tuple[float, list[tuple[fl
     equals the rank statistic.  Returns (auc, curve, degenerate); a truth
     vector with a single class yields auc 0 and degenerate True.
     """
+    auc, degenerate = _rank_auc(truth, scores)
+    if degenerate:
+        return auc, [(0.0, 0.0), (1.0, 1.0)], True
     t = np.asarray(truth)
     s = np.asarray(scores, dtype=np.float64)
-    if t.shape != s.shape:
-        raise ValueError(f"truth and scores differ in length: {t.shape} vs {s.shape}")
     n_pos = int(np.sum(t == 1))
     n_neg = int(np.sum(t == 0))
-    if n_pos == 0 or n_neg == 0:
-        return 0.0, [(0.0, 0.0), (1.0, 1.0)], True
-    ranks = _average_ranks(s)
-    rank_sum = float(ranks[t == 1].sum())
-    auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
     curve = [(0.0, 0.0)]
     order = np.argsort(-s, kind="stable")
     st, tt = s[order], t[order]
@@ -156,7 +160,7 @@ def auc_roc(truth: np.ndarray, scores: np.ndarray) -> tuple[float, list[tuple[fl
             j += 1
         curve.append((fp / n_neg, tp / n_pos))
         i = j
-    return float(auc), curve, False
+    return auc, curve, False
 
 
 def weighted_class_average(value_pos: float, value_neg: float, n_pos: float, n_neg: float) -> float:
@@ -205,7 +209,7 @@ def compute_report(
     if scores is None:
         auc, auc_degenerate = 0.0, True
     else:
-        auc, _, auc_degenerate = auc_roc(truth, scores)
+        auc, auc_degenerate = _rank_auc(truth, scores)
     if auc_degenerate:
         flags.append("auc")
     n_pos, n_neg = cm.n_positive, cm.n_negative

@@ -98,18 +98,6 @@ class DecisionTree:
     def n_leaves(self) -> int:
         return self.root.n_leaves()
 
-    def predict(self, x: np.ndarray) -> tuple[int, float]:
-        """(class, probability of positive) for one attribute-value row."""
-        node = self.root
-        x = np.asarray(x, dtype=np.float64)
-        while not node.is_leaf:
-            if node.threshold is not None:
-                node = node.left if x[node.attribute] <= node.threshold else node.right
-            else:
-                cat = int(x[node.attribute])
-                node = node.children.get(cat) or node.children[node.fallback]
-        return node.leaf_label(), node.leaf_probability()
-
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(classes, positive probabilities) for a matrix of rows."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))

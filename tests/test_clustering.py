@@ -8,7 +8,6 @@ import pytest
 from crus.clustering import (
     ClusterModel,
     FeatureScaler,
-    assign_cluster,
     cluster_model_from_text,
     cluster_model_to_text,
     kmeans_fit,
@@ -188,9 +187,7 @@ def test_assign_cluster_tie_breaks_to_lowest_index():
         scaler=scaler,
         seed=0,
     )
-    assert assign_cluster(np.array([5.0]), model) == 0
-    assert assign_cluster(np.array([0.0]), model) == 0
-    assert assign_cluster(np.array([10.0]), model) == 1
+    assert model.assign(np.array([[5.0], [0.0], [10.0]])).tolist() == [0, 0, 1]
 
 
 def test_cluster_model_roundtrip():

@@ -21,7 +21,6 @@ from crus.ensembles import (
     fit_random_forest,
     load_ensemble,
     majority_vote,
-    predict_ensemble,
     save_ensemble,
     theoretical_ensemble_accuracy,
 )
@@ -247,17 +246,17 @@ def test_random_committee_seeds_and_average():
 def test_committee_mean_probability_fixture():
     members = [leaf_tree(SCHEMA_1D, 1.0, 9.0), leaf_tree(SCHEMA_1D, 8.0, 2.0)]
     model = EnsembleModel("random_committee", members, np.ones(2), "average", 0)
-    label, score = model.predict(np.array([0.0]))
-    assert score == pytest.approx(0.55)
-    assert label == 1
+    labels, scores = model.predict_batch(np.array([[0.0]]))
+    assert scores[0] == pytest.approx(0.55)
+    assert labels[0] == 1
 
 
 def test_predict_ensemble_vote_fixtures():
     agree = EnsembleModel(
         "bagging", [leaf_tree(SCHEMA_1D, 0.0, 5.0)] * 3, np.ones(3), "vote", 0
     )
-    label, score = predict_ensemble(agree, np.array([1.0]))
-    assert (label, score) == (1, 1.0)
+    labels, scores = agree.predict_batch(np.array([[1.0]]))
+    assert (labels[0], scores[0]) == (1, 1.0)
 
     mixed = EnsembleModel(
         "bagging",
@@ -266,8 +265,8 @@ def test_predict_ensemble_vote_fixtures():
         "vote",
         0,
     )
-    label, score = predict_ensemble(mixed, np.array([1.0]))
-    assert label == 1 and score == pytest.approx(2 / 3)
+    labels, scores = mixed.predict_batch(np.array([[1.0]]))
+    assert labels[0] == 1 and scores[0] == pytest.approx(2 / 3)
 
     boosted = EnsembleModel(
         "adaboost",
@@ -276,8 +275,8 @@ def test_predict_ensemble_vote_fixtures():
         "vote",
         0,
     )
-    label, score = predict_ensemble(boosted, np.array([1.0]))
-    assert label == 1 and score == pytest.approx(1.1 / 1.9)
+    labels, scores = boosted.predict_batch(np.array([[1.0]]))
+    assert labels[0] == 1 and scores[0] == pytest.approx(1.1 / 1.9)
 
 
 def test_ensemble_score_tie_elects_negative():
@@ -288,8 +287,8 @@ def test_ensemble_score_tie_elects_negative():
         "vote",
         0,
     )
-    label, score = model.predict(np.array([1.0]))
-    assert score == 0.5 and label == 0
+    labels, scores = model.predict_batch(np.array([[1.0]]))
+    assert scores[0] == 0.5 and labels[0] == 0
 
 
 def test_ensemble_serialization_roundtrip(tmp_path):

@@ -11,6 +11,7 @@ from crus.evaluation import (
     SyntheticConfig,
     apply_sampler,
     fit_classifier,
+    fit_pipeline,
     gen_synthetic,
     run_cv,
     run_cv_clustered,
@@ -213,6 +214,53 @@ def test_clustered_fold_report_is_test_count_weighted():
         accs = np.array([p.report.accuracy for p in parts])
         expected = float((accs * counts).sum() / counts.sum())
         assert res.fold_reports[fold_id].accuracy == pytest.approx(expected, abs=1e-12)
+
+
+def pure_negative_blob_dataset(rng):
+    """A mixed blob near the origin and a far blob without any minority."""
+    schema = DatasetSchema(
+        (AttributeSpec("f0", NUMERIC), AttributeSpec("f1", NUMERIC)), "y", "neg", "pos"
+    )
+    values = np.vstack([rng.normal(0.0, 1.0, (100, 2)), rng.normal(50.0, 1.0, (60, 2))])
+    labels = np.concatenate([(np.arange(100) < 40).astype(np.int8), np.zeros(60, dtype=np.int8)])
+    return Dataset(schema, values, labels)
+
+
+def test_group_without_model_falls_back_to_other_group():
+    """The pure-negative cluster is flagged (infinite ratio), then dropped for
+    lack of minority; its test rows are scored by the low group's model."""
+    d = pure_negative_blob_dataset(np.random.default_rng(8))
+    sampler = SamplerSpec("clustering_rus", threshold=5.0, cluster_k=2)
+    res = run_cv_clustered(d, ClassifierSpec("tree"), sampler, k=4, seed=3)
+    for f in range(4):
+        parts = {fr.group: fr for fr in res.folds if fr.fold == f}
+        assert set(parts) == {"low_IR_group", "high_IR_group"}
+        high, low = parts["high_IR_group"], parts["low_IR_group"]
+        assert np.all(d.labels[high.test_indices] == 0) and high.test_indices.size > 0
+        assert (
+            f"fold {f}: flagged clusters contain no minority instances; "
+            "undersampling keeps nothing and the group is dropped"
+        ) in res.warnings
+        assert (
+            f"fold {f}: no training data for high_IR_group; "
+            f"its {high.test_indices.size} test instances use the low_IR_group model"
+        ) in res.warnings
+        assert np.array_equal(high.train_indices, low.train_indices)
+    rows = np.concatenate([fr.test_indices for fr in res.folds])
+    assert np.array_equal(np.sort(rows), np.arange(len(d)))
+    scores = np.concatenate([fr.scores for fr in res.folds])
+    assert scores.size == len(d) and np.all((scores >= 0) & (scores <= 1))
+
+
+def test_fit_pipeline_plain_sampler_is_one_group():
+    d = small_imbalanced_dataset(np.random.default_rng(10))
+    pipe = fit_pipeline(d, ClassifierSpec("tree"), SamplerSpec("smote", percentage=100.0), 1, 2, 3)
+    assert pipe.partition is None and list(pipe.groups) == ["n/a"]
+    group = pipe.groups["n/a"]
+    assert group.n_synthetic == int(d.n_positive)
+    assert np.array_equal(group.train_ids, np.arange(len(d)))
+    [(name, model_group, mask)] = pipe.route(d.values[:7])
+    assert (name, model_group) == ("n/a", "n/a") and mask.all() and mask.size == 7
 
 
 def test_weighted_group_combination_fixture():

@@ -106,9 +106,9 @@ def test_leaf_tie_predicts_negative():
     d = make_dataset([[1.0, 1.0]], [NUMERIC], [1, 0])
     tree = fit_tree(d, TreeConfig(use_pruning=False))
     assert tree.root.is_leaf
-    label, prob = tree.predict(np.array([1.0]))
-    assert label == 0
-    assert prob == pytest.approx(0.5)
+    labels, probs = tree.predict_batch(np.array([[1.0]]))
+    assert labels[0] == 0
+    assert probs[0] == pytest.approx(0.5)
 
 
 def test_xor_learned_exactly():
@@ -183,7 +183,7 @@ def test_nominal_unseen_category_uses_fallback():
     assert not tree.root.is_leaf
     assert sorted(tree.root.children) == [0, 1]  # only observed categories
     # category c (index 2) was never seen; routed to the heaviest child (a)
-    assert tree.predict(np.array([2.0]))[0] == 1
+    assert tree.predict_batch(np.array([[2.0]]))[0][0] == 1
 
 
 def test_export_rules_shapes():
@@ -198,13 +198,25 @@ def test_export_rules_shapes():
     assert rules[1] == "IF f0 > 2.5 THEN y = pos"
 
 
+def scalar_predict(tree: DecisionTree, x: np.ndarray) -> tuple[int, float]:
+    """Reference walk: (class, probability of positive) for one row."""
+    node = tree.root
+    while not node.is_leaf:
+        if node.threshold is not None:
+            node = node.left if x[node.attribute] <= node.threshold else node.right
+        else:
+            cat = int(x[node.attribute])
+            node = node.children.get(cat) or node.children[node.fallback]
+    return node.leaf_label(), node.leaf_probability()
+
+
 def test_predict_batch_matches_scalar_predict():
     rng = np.random.default_rng(12)
     d = random_consistent_dataset(rng, n=100)
     tree = fit_tree(d, TreeConfig(min_leaf_weight=2.0, use_pruning=True))
     labels, scores = tree.predict_batch(d.values)
     for i in range(len(d)):
-        label, prob = tree.predict(d.values[i])
+        label, prob = scalar_predict(tree, d.values[i])
         assert labels[i] == label
         assert scores[i] == pytest.approx(prob)
     assert np.all((scores >= 0) & (scores <= 1))
