@@ -190,6 +190,8 @@ def load_run_config(path: Path, seed_override: int | None = None, alpha_override
     if k_folds < 2:
         _fail(f"config: k_folds must be at least 2, got {k_folds}")
     seed = seed_override if seed_override is not None else _as_int(doc, "seed", 0, "config")
+    if seed < 0:
+        _fail(f"config: 'seed' must be nonnegative, got {seed}")
     beta = _as_float(doc, "beta", 1.0, "config")
     comparison = doc.get("comparison", {})
     if not isinstance(comparison, dict):
@@ -409,7 +411,7 @@ def main() -> None:
               help="YAML run config.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False, path_type=Path), default=None,
               help="Output directory (overrides the config's 'output').")
-@click.option("--seed", type=int, default=None, help="Override the config seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the config seed.")
 @click.option("--alpha", type=float, default=None, help="Override the comparison alpha.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Worker processes for grid cells.")
@@ -540,7 +542,8 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
               help="Schema path (default: CSV path with .schema.yaml).")
 @click.option("--blob-out", type=click.Path(dir_okay=False, path_type=Path), default=None,
               help="Optional CSV mapping row index to ground-truth blob.")
-@click.option("--seed", type=int, default=None, help="Override the generator seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=None,
+              help="Override the generator seed.")
 def gen_synth(config_path: Path | None, out: Path, schema_out: Path | None,
               blob_out: Path | None, seed: int | None) -> None:
     """Write a synthetic imbalanced dataset and its schema."""

@@ -237,6 +237,13 @@ def load_csv(data_path: str | Path, schema: DatasetSchema | str | Path) -> Datas
         else:
             raise DataError(f"row {row_no}: unknown class label '{cls}'")
     values = np.array(rows, dtype=np.float64) if rows else np.empty((0, schema.n_attributes))
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(
+            f"row {r + 2}: {values[r, c]} is not a finite number for attribute "
+            f"'{schema.attributes[c].name}'"
+        )
     return Dataset(schema, values, np.array(labels, dtype=np.int8))
 
 

@@ -380,6 +380,8 @@ class SyntheticConfig:
             raise ValueError("noise must be nonnegative")
         if not 0.0 <= self.category_bias <= 1.0:
             raise ValueError("category_bias must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -122,6 +122,9 @@ def _rank_auc(truth: np.ndarray, scores: np.ndarray) -> tuple[float, bool]:
     s = np.asarray(scores, dtype=np.float64)
     if t.shape != s.shape:
         raise ValueError(f"truth and scores differ in length: {t.shape} vs {s.shape}")
+    bad = np.flatnonzero(~np.isfinite(s))
+    if bad.size:
+        raise ValueError(f"score {s[bad[0]]} at index {bad[0]} is not finite")
     n_pos = int(np.sum(t == 1))
     n_neg = int(np.sum(t == 0))
     if n_pos == 0 or n_neg == 0:
@@ -137,7 +140,8 @@ def auc_roc(truth: np.ndarray, scores: np.ndarray) -> tuple[float, list[tuple[fl
     between classes as one half.  The returned curve is the threshold sweep
     over distinct scores, anchored at (0,0) and (1,1); its trapezoidal area
     equals the rank statistic.  Returns (auc, curve, degenerate); a truth
-    vector with a single class yields auc 0 and degenerate True.
+    vector with a single class yields auc 0 and degenerate True.  A score
+    that is NaN or infinite raises ValueError.
     """
     auc, degenerate = _rank_auc(truth, scores)
     if degenerate:

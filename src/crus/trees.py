@@ -7,6 +7,22 @@ adjacent distinct sorted values.  Ties in gain ratio are broken by lowest
 attribute index, then lowest threshold.  Instance weights flow through
 entropies, leaf distributions and the error estimates used by pruning, so
 the same grower serves boosting and bootstrap replicates.
+
+Split search scores all numeric candidate attributes of a node together,
+like SPRINT's all-attributes scan (Shafer, Agrawal & Mehta 1996) over
+C4.5's criterion, but sorting at each node.  The node's values form an
+(attributes x instances) block.  Each row is sorted, and cumulative class
+weights along it give the gain and split information of every cut; the
+first maximum of a row is its lowest best threshold.  A block holds at most
+_BLOCK_CELLS values, which bounds the temporaries at a large root.
+Nominal attributes are scored one at a time.  The first maximum over all
+candidates in attribute order is the split.  Feature selection scores a
+single attribute as a one-row block.
+
+Growing, pruning, routing and node counts walk the tree with explicit
+stacks in pre-order, so deep trees do not reach Python's recursion limit
+and random-subspace draws follow the node order.  Rule and JSON export
+still recurse.
 """
 
 from __future__ import annotations
@@ -14,7 +30,8 @@ from __future__ import annotations
 import json
 import math
 import statistics
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -69,13 +86,19 @@ class TreeNode:
             return [self.left, self.right]
         return [self.children[c] for c in sorted(self.children)]
 
+    def walk(self) -> Iterator[TreeNode]:
+        """Every node of this subtree in pre-order, without recursion."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.child_nodes()))
+
     def n_nodes(self) -> int:
-        return 1 + sum(c.n_nodes() for c in self.child_nodes())
+        return sum(1 for _ in self.walk())
 
     def n_leaves(self) -> int:
-        if self.is_leaf:
-            return 1
-        return sum(c.n_leaves() for c in self.child_nodes())
+        return sum(1 for node in self.walk() if node.is_leaf)
 
     def leaf_label(self) -> int:
         # strict majority; exact tie goes to the negative class
@@ -103,25 +126,24 @@ class DecisionTree:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         labels = np.zeros(X.shape[0], dtype=np.int8)
         probs = np.zeros(X.shape[0], dtype=np.float64)
-        self._route(self.root, X, np.arange(X.shape[0]), labels, probs)
+        stack = [(self.root, np.arange(X.shape[0]))]
+        while stack:
+            node, idx = stack.pop()
+            if idx.size == 0:
+                continue
+            if node.is_leaf:
+                labels[idx] = node.leaf_label()
+                probs[idx] = node.leaf_probability()
+                continue
+            col = X[idx, node.attribute]
+            if node.threshold is not None:
+                mask = col <= node.threshold
+                stack += [(node.left, idx[mask]), (node.right, idx[~mask])]
+            else:
+                for cat in np.unique(col):
+                    child = node.children.get(int(cat)) or node.children[node.fallback]
+                    stack.append((child, idx[col == cat]))
         return labels, probs
-
-    def _route(self, node: TreeNode, X, idx, labels, probs) -> None:
-        if idx.size == 0:
-            return
-        if node.is_leaf:
-            labels[idx] = node.leaf_label()
-            probs[idx] = node.leaf_probability()
-            return
-        col = X[idx, node.attribute]
-        if node.threshold is not None:
-            mask = col <= node.threshold
-            self._route(node.left, X, idx[mask], labels, probs)
-            self._route(node.right, X, idx[~mask], labels, probs)
-        else:
-            for cat in np.unique(col):
-                child = node.children.get(int(cat)) or node.children[node.fallback]
-                self._route(child, X, idx[col == cat], labels, probs)
 
 
 def _entropy(weights: np.ndarray) -> float:
@@ -132,46 +154,70 @@ def _entropy(weights: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+# Most values scored in one numeric block: about ten float arrays of this
+# size live at once, which keeps a large root's temporaries small.
+_BLOCK_CELLS = 8192
+
+
+def _fraction(part: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """part / total elementwise, 0 where total is not positive."""
+    return np.divide(part, total, out=np.zeros(np.shape(part)), where=total > 0)
+
+
+def _plogp(frac: np.ndarray) -> np.ndarray:
+    """frac * log2(frac) elementwise, 0 where frac is not positive."""
+    f = np.where(frac > 0, frac, 1.0)
+    return f * np.log2(f)
+
+
 def _binary_entropy(w_pos: np.ndarray, w_tot: np.ndarray) -> np.ndarray:
-    """Vectorized two-class entropy in bits for weight totals w_tot."""
-    out = np.zeros_like(np.asarray(w_tot, dtype=np.float64))
-    for part in (np.asarray(w_pos, dtype=np.float64), w_tot - w_pos):
-        frac = np.divide(part, w_tot, out=np.zeros_like(out), where=w_tot > 0)
-        mask = frac > 0
-        out[mask] -= frac[mask] * np.log2(frac[mask])
-    return out
+    """Elementwise two-class entropy in bits for weight totals w_tot."""
+    w_pos = np.asarray(w_pos, dtype=np.float64)
+    w_tot = np.asarray(w_tot, dtype=np.float64)
+    return (0.0 - _plogp(_fraction(w_pos, w_tot))) - _plogp(_fraction(w_tot - w_pos, w_tot))
+
+
+def _numeric_block(
+    V: np.ndarray, w_pos: np.ndarray, w: np.ndarray, min_leaf: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Score every cut of each row of V (attributes x instances).
+
+    w_pos is w restricted to the positive instances.  Returns the rows
+    sorted, and per cut between sorted positions c and c+1 (one column
+    fewer) its gain, its split information and whether it is admissible:
+    the values differ and both sides reach min_leaf and positive weight.
+    Cuts that are not admissible get finite but meaningless scores.
+
+    The results equal those of scoring each row alone: the weight arrays
+    are C-contiguous, so each row sum is numpy's pairwise sum of that row,
+    cumsum is sequential and every other step is elementwise.
+    """
+    order = np.argsort(V, axis=1, kind="stable")
+    v = V[np.arange(V.shape[0])[:, np.newaxis], order]
+    ww, wp = w[order], w_pos[order]
+    total = ww.sum(axis=1, keepdims=True)
+    total_pos = wp.sum(axis=1, keepdims=True)
+    left_w = np.cumsum(ww, axis=1)[:, :-1]
+    left_pos = np.cumsum(wp, axis=1)[:, :-1]
+    right_w, right_pos = total - left_w, total_pos - left_pos
+    smaller = np.minimum(left_w, right_w)
+    admissible = (v[:, 1:] > v[:, :-1]) & (smaller >= min_leaf) & (smaller > 0)
+    h_class = _binary_entropy(total_pos, total)
+    h_cond = (
+        left_w * _binary_entropy(left_pos, left_w)
+        + right_w * _binary_entropy(right_pos, right_w)
+    ) / total
+    split_info = -(_plogp(_fraction(left_w, total)) + _plogp(_fraction(right_w, total)))
+    return v, h_class - h_cond, split_info, admissible
 
 
 def _numeric_candidates(
     vals: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Admissible midpoint thresholds with their gains and split infos."""
-    order = np.argsort(vals, kind="stable")
-    v, yy, ww = vals[order], y[order], w[order]
-    total = ww.sum()
-    total_pos = (ww * (yy == 1)).sum()
-    cum_w = np.cumsum(ww)
-    cum_pos = np.cumsum(ww * (yy == 1))
-    cut = np.flatnonzero(v[1:] > v[:-1])
-    if cut.size == 0:
-        return np.empty(0), np.empty(0), np.empty(0)
-    left_w, left_pos = cum_w[cut], cum_pos[cut]
-    right_w, right_pos = total - left_w, total_pos - left_pos
-    ok = (left_w >= min_leaf) & (right_w >= min_leaf) & (left_w > 0) & (right_w > 0)
-    if not np.any(ok):
-        return np.empty(0), np.empty(0), np.empty(0)
-    left_w, left_pos = left_w[ok], left_pos[ok]
-    right_w, right_pos = right_w[ok], right_pos[ok]
-    thresholds = (v[cut[ok]] + v[cut[ok] + 1]) / 2.0
-    h_class = _binary_entropy(np.array([total_pos]), np.array([total]))[0]
-    h_cond = (
-        left_w * _binary_entropy(left_pos, left_w)
-        + right_w * _binary_entropy(right_pos, right_w)
-    ) / total
-    frac_l, frac_r = left_w / total, right_w / total
-    split_info = -(frac_l * np.log2(frac_l) + frac_r * np.log2(frac_r))
-    gains = h_class - h_cond
-    return thresholds, gains, split_info
+    v, gains, infos, ok = _numeric_block(vals[np.newaxis], w * (y == 1), w, min_leaf)
+    v, ok = v[0], ok[0]
+    return (v[:-1][ok] + v[1:][ok]) / 2.0, gains[0][ok], infos[0][ok]
 
 
 def _nominal_stats(
@@ -243,32 +289,49 @@ class _Grower:
     cfg: TreeConfig
     rng: np.random.Generator | None
 
-    def grow(self, idx: np.ndarray, w: np.ndarray) -> TreeNode:
+    def __post_init__(self) -> None:
+        # one contiguous row per attribute, so a block gathers contiguously
+        self.columns = np.ascontiguousarray(self.d.values.T)
+        self.numeric = self.d.numeric_mask()
+
+    def _node(self, idx: np.ndarray, w: np.ndarray) -> TreeNode:
         y = self.d.labels[idx]
-        cw = np.array([w[y == 0].sum(), w[y == 1].sum()])
-        node = TreeNode(class_weights=cw)
-        if cw[0] == 0 or cw[1] == 0:
-            return node
-        best = self._best_split(idx, w)
-        if best is None:
-            return node
-        attr, threshold = best
-        vals = self.d.values[idx, attr]
-        if threshold is not None:
-            node.attribute, node.threshold = attr, threshold
-            mask = vals <= threshold
-            node.left = self.grow(idx[mask], w[mask])
-            node.right = self.grow(idx[~mask], w[~mask])
-        else:
-            node.attribute = attr
-            node.children = {}
-            cats = vals.astype(np.int64)
-            w_tot = np.bincount(cats, weights=w)
-            for cat in np.flatnonzero(w_tot > 0):
-                mask = cats == cat
-                node.children[int(cat)] = self.grow(idx[mask], w[mask])
-            node.fallback = int(np.argmax(w_tot))
-        return node
+        return TreeNode(class_weights=np.array([w[y == 0].sum(), w[y == 1].sum()]))
+
+    def grow(self, idx: np.ndarray, w: np.ndarray) -> TreeNode:
+        """Grow depth-first in pre-order: a node splits before its children."""
+        root = self._node(idx, w)
+        stack = [(root, idx, w)]
+        while stack:
+            node, idx, w = stack.pop()
+            cw = node.class_weights
+            if cw[0] == 0 or cw[1] == 0:
+                continue
+            best = self._best_split(idx, w)
+            if best is None:
+                continue
+            node.attribute, node.threshold = best
+            vals = self.columns[node.attribute, idx]
+            if node.threshold is not None:
+                left = vals <= node.threshold
+                masks = [left, ~left]
+            else:
+                cats = vals.astype(np.int64)
+                w_tot = np.bincount(cats, weights=w)
+                observed = np.flatnonzero(w_tot > 0)
+                masks = [cats == cat for cat in observed]
+                node.fallback = int(np.argmax(w_tot))
+            children = []
+            for m in masks:
+                child_idx, child_w = idx[m], w[m]
+                children.append((self._node(child_idx, child_w), child_idx, child_w))
+            nodes = [child for child, _, _ in children]
+            if node.threshold is not None:
+                node.left, node.right = nodes
+            else:
+                node.children = dict(zip(observed.tolist(), nodes))
+            stack.extend(reversed(children))  # the first child is grown next
+        return root
 
     def _candidate_attributes(self, n_attrs: int) -> np.ndarray:
         size = self.cfg.random_subspace_size
@@ -278,35 +341,40 @@ class _Grower:
         return np.sort(self.rng.choice(n_attrs, size=size, replace=False))
 
     def _best_split(self, idx: np.ndarray, w: np.ndarray) -> tuple[int, float | None] | None:
+        """(attribute, threshold or None) of the best split, or None.
+
+        Only called on nodes with weight in both classes, so idx holds at
+        least two instances and every block has at least one cut.
+        """
         y = self.d.labels[idx]
         min_leaf = self.cfg.min_leaf_weight
-        best_ratio = -np.inf
-        best: tuple[int, float | None] | None = None
-        for attr in self._candidate_attributes(self.d.schema.n_attributes):
-            spec = self.d.schema.attributes[attr]
-            vals = self.d.values[idx, attr]
-            if spec.kind == NUMERIC:
-                thresholds, gains, infos = _numeric_candidates(vals, y, w, min_leaf)
-                usable = infos > 0
-                if not np.any(usable):
-                    continue
-                ratios = np.where(usable, gains / np.where(usable, infos, 1.0), -np.inf)
-                j = int(np.argmax(ratios))  # first max: lowest threshold on ties
-                if ratios[j] > best_ratio:
-                    best_ratio = float(ratios[j])
-                    best = (int(attr), float(thresholds[j]))
-            else:
-                stats = _nominal_stats(vals, y, w, len(spec.categories), min_leaf)
-                if stats is None:
-                    continue
-                gain, split_info, _ = stats
-                if split_info <= 0:
-                    continue
-                ratio = gain / split_info
-                if ratio > best_ratio:
-                    best_ratio = float(ratio)
-                    best = (int(attr), None)
-        return best
+        attrs = self._candidate_attributes(self.d.schema.n_attributes)
+        is_numeric = self.numeric[attrs]
+        ratios = np.full(attrs.size, -np.inf)
+        thresholds = np.zeros(attrs.size)
+        numeric = np.flatnonzero(is_numeric)
+        w_pos = w * (y == 1)
+        step = max(1, _BLOCK_CELLS // idx.size)
+        for lo in range(0, numeric.size, step):
+            rows = numeric[lo:lo + step]
+            V = self.columns[attrs[rows, np.newaxis], idx]
+            v, gains, infos, ok = _numeric_block(V, w_pos, w, min_leaf)
+            usable = ok & (infos > 0)
+            r = np.where(usable, gains / np.where(usable, infos, 1.0), -np.inf)
+            j = np.argmax(r, axis=1)  # first max: lowest threshold on ties
+            k = np.arange(rows.size)
+            ratios[rows] = r[k, j]
+            thresholds[rows] = (v[k, j] + v[k, j + 1]) / 2.0
+        for i in np.flatnonzero(~is_numeric):
+            attr = attrs[i]
+            n_categories = len(self.d.schema.attributes[attr].categories)
+            stats = _nominal_stats(self.columns[attr, idx], y, w, n_categories, min_leaf)
+            if stats is not None and stats[1] > 0:
+                ratios[i] = stats[0] / stats[1]
+        best = int(np.argmax(ratios))  # first max: lowest attribute on ties
+        if ratios[best] == -np.inf:
+            return None
+        return int(attrs[best]), float(thresholds[best]) if is_numeric[best] else None
 
 
 def fit_tree(
@@ -359,20 +427,23 @@ def _estimated_errors(node: TreeNode, z: float) -> float:
     return upper * n
 
 
-def _prune(node: TreeNode, z: float) -> float:
-    """Bottom-up subtree replacement; returns the subtree's error estimate."""
-    if node.is_leaf:
-        return _estimated_errors(node, z)
-    subtree = sum(_prune(c, z) for c in node.child_nodes())
-    as_leaf = _estimated_errors(node, z)
-    if as_leaf <= subtree:
-        node.attribute = None
-        node.threshold = None
-        node.left = node.right = None
-        node.children = None
-        node.fallback = None
-        return as_leaf
-    return subtree
+def _prune(root: TreeNode, z: float) -> float:
+    """Bottom-up subtree replacement; returns the tree's error estimate."""
+    errors: dict[int, float] = {}
+    for node in reversed(list(root.walk())):  # children before parents
+        error = _estimated_errors(node, z)
+        if not node.is_leaf:
+            subtree = sum(errors[id(c)] for c in node.child_nodes())
+            if error <= subtree:
+                node.attribute = None
+                node.threshold = None
+                node.left = node.right = None
+                node.children = None
+                node.fallback = None
+            else:
+                error = subtree
+        errors[id(node)] = error
+    return errors[id(root)]
 
 
 def export_rules(tree: DecisionTree) -> list[str]:

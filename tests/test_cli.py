@@ -151,6 +151,30 @@ def test_run_unknown_config_key_rejected(tmp_path, runner):
     assert "typo_key" in result.output
 
 
+def test_negative_seed_rejected_up_front(tmp_path, runner):
+    write_dataset(tmp_path)
+    cfg = write_run_config(tmp_path)
+    out = ["--out", str(tmp_path / "out")]
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--seed", "-1"] + out)
+    assert result.exit_code == 2
+    assert "'--seed': -1 is not in the range x>=0" in result.output
+    cfg = write_run_config(tmp_path, seed=-2)
+    result = runner.invoke(main, ["run", "--config", str(cfg)] + out)
+    assert result.exit_code == 2
+    assert "config: 'seed' must be nonnegative, got -2" in result.output
+    assert not (tmp_path / "out").exists()
+    csv_out = ["--out", str(tmp_path / "d.csv")]
+    result = runner.invoke(main, ["gen-synth", "--seed", "-3"] + csv_out)
+    assert result.exit_code == 2
+    assert "'--seed': -3 is not in the range x>=0" in result.output
+    gen = tmp_path / "gen.yaml"
+    gen.write_text(yaml.safe_dump({"seed": -4}), encoding="utf-8")
+    result = runner.invoke(main, ["gen-synth", "--config", str(gen)] + csv_out)
+    assert result.exit_code == 2
+    assert "generator config: seed must be nonnegative, got -4" in result.output
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_run_bad_grid_entry_names_the_cell(tmp_path, runner):
     write_dataset(tmp_path)
     cfg = write_run_config(

@@ -155,6 +155,17 @@ def test_load_csv_errors(tmp_path):
         load_csv(p, schema_path)
 
 
+@pytest.mark.parametrize("cell,shown", [("nan", "nan"), ("inf", "inf"), ("-Infinity", "-inf")])
+def test_load_csv_rejects_non_finite_numbers(tmp_path, cell, shown):
+    schema_path = tmp_path / "schema.yaml"
+    save_schema(small_schema(), schema_path)
+    p = tmp_path / "bad.csv"
+    p.write_text(f"age,unit,outcome\n1.0,icu,no\n{cell},ward,yes\n", encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_csv(p, schema_path)
+    assert str(err.value) == f"row 3: {shown} is not a finite number for attribute 'age'"
+
+
 def test_stratified_kfold_balanced_counts():
     d = small_dataset(n_pos=7, n_neg=23, seed=3)
     split = stratified_kfold(d, 5, seed=11)

@@ -144,6 +144,16 @@ def test_auc_perfect_and_reversed():
     assert auc_rev == 0.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_score_is_rejected_with_its_index(bad):
+    truth = np.array([0, 1, 0, 1])
+    scores = np.array([0.2, bad, 0.5, 0.9])
+    with pytest.raises(ValueError, match="at index 1 is not finite"):
+        auc_roc(truth, scores)
+    with pytest.raises(ValueError, match="at index 1 is not finite"):
+        compute_report(truth, np.array([0, 1, 0, 1]), scores=scores)
+
+
 def test_compute_report_consistency():
     truth = np.array([1, 1, 1, 0, 0, 0, 0, 0])
     pred = np.array([1, 0, 1, 0, 0, 1, 0, 0])

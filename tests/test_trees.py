@@ -6,9 +6,16 @@ import numpy as np
 import pytest
 
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, DataError, Dataset, DatasetSchema
+from crus import trees
 from crus.trees import (
     DecisionTree,
     TreeConfig,
+    TreeNode,
+    _Grower,
+    _estimated_errors,
+    _nominal_stats,
+    _prune,
+    _pruning_z,
     default_subspace_size,
     export_rules,
     fit_random_tree,
@@ -16,6 +23,7 @@ from crus.trees import (
     gain_ratio,
     load_tree,
     save_tree,
+    tree_to_doc,
 )
 
 
@@ -266,3 +274,226 @@ def test_tree_serialization_roundtrip(tmp_path):
     assert np.allclose(s1, s2)
     save_tree(loaded, tmp_path / "tree2.json")
     assert (tmp_path / "tree.json").read_bytes() == (tmp_path / "tree2.json").read_bytes()
+
+
+# Reference split search: the per-attribute scorer, recursive grower and
+# recursive pruner that numeric blocks and explicit stacks replaced.  The
+# block scorer must reproduce its trees bit for bit.
+
+def _reference_binary_entropy(w_pos, w_tot):
+    out = np.zeros_like(np.asarray(w_tot, dtype=np.float64))
+    for part in (np.asarray(w_pos, dtype=np.float64), w_tot - w_pos):
+        frac = np.divide(part, w_tot, out=np.zeros_like(out), where=w_tot > 0)
+        mask = frac > 0
+        out[mask] -= frac[mask] * np.log2(frac[mask])
+    return out
+
+
+def _reference_numeric_candidates(vals, y, w, min_leaf):
+    order = np.argsort(vals, kind="stable")
+    v, yy, ww = vals[order], y[order], w[order]
+    total = ww.sum()
+    total_pos = (ww * (yy == 1)).sum()
+    cum_w = np.cumsum(ww)
+    cum_pos = np.cumsum(ww * (yy == 1))
+    cut = np.flatnonzero(v[1:] > v[:-1])
+    if cut.size == 0:
+        return np.empty(0), np.empty(0), np.empty(0)
+    left_w, left_pos = cum_w[cut], cum_pos[cut]
+    right_w, right_pos = total - left_w, total_pos - left_pos
+    ok = (left_w >= min_leaf) & (right_w >= min_leaf) & (left_w > 0) & (right_w > 0)
+    if not np.any(ok):
+        return np.empty(0), np.empty(0), np.empty(0)
+    left_w, left_pos = left_w[ok], left_pos[ok]
+    right_w, right_pos = right_w[ok], right_pos[ok]
+    thresholds = (v[cut[ok]] + v[cut[ok] + 1]) / 2.0
+    h_class = _reference_binary_entropy(np.array([total_pos]), np.array([total]))[0]
+    h_cond = (
+        left_w * _reference_binary_entropy(left_pos, left_w)
+        + right_w * _reference_binary_entropy(right_pos, right_w)
+    ) / total
+    frac_l, frac_r = left_w / total, right_w / total
+    split_info = -(frac_l * np.log2(frac_l) + frac_r * np.log2(frac_r))
+    return thresholds, h_class - h_cond, split_info
+
+
+class _ReferenceGrower(_Grower):
+    def grow(self, idx, w):
+        y = self.d.labels[idx]
+        cw = np.array([w[y == 0].sum(), w[y == 1].sum()])
+        node = TreeNode(class_weights=cw)
+        if cw[0] == 0 or cw[1] == 0:
+            return node
+        best = self._best_split(idx, w)
+        if best is None:
+            return node
+        attr, threshold = best
+        vals = self.d.values[idx, attr]
+        node.attribute = attr
+        if threshold is not None:
+            node.threshold = threshold
+            mask = vals <= threshold
+            node.left = self.grow(idx[mask], w[mask])
+            node.right = self.grow(idx[~mask], w[~mask])
+        else:
+            node.children = {}
+            cats = vals.astype(np.int64)
+            w_tot = np.bincount(cats, weights=w)
+            for cat in np.flatnonzero(w_tot > 0):
+                mask = cats == cat
+                node.children[int(cat)] = self.grow(idx[mask], w[mask])
+            node.fallback = int(np.argmax(w_tot))
+        return node
+
+    def _best_split(self, idx, w):
+        y = self.d.labels[idx]
+        min_leaf = self.cfg.min_leaf_weight
+        best_ratio = -np.inf
+        best = None
+        for attr in self._candidate_attributes(self.d.schema.n_attributes):
+            spec = self.d.schema.attributes[attr]
+            vals = self.d.values[idx, attr]
+            if spec.kind == NUMERIC:
+                thresholds, gains, infos = _reference_numeric_candidates(vals, y, w, min_leaf)
+                usable = infos > 0
+                if not np.any(usable):
+                    continue
+                ratios = np.where(usable, gains / np.where(usable, infos, 1.0), -np.inf)
+                j = int(np.argmax(ratios))
+                if ratios[j] > best_ratio:
+                    best_ratio = float(ratios[j])
+                    best = (int(attr), float(thresholds[j]))
+            else:
+                stats = _nominal_stats(vals, y, w, len(spec.categories), min_leaf)
+                if stats is None:
+                    continue
+                gain, split_info, _ = stats
+                if split_info <= 0:
+                    continue
+                ratio = gain / split_info
+                if ratio > best_ratio:
+                    best_ratio = float(ratio)
+                    best = (int(attr), None)
+        return best
+
+
+def _reference_prune(node, z):
+    if node.is_leaf:
+        return _estimated_errors(node, z)
+    subtree = sum(_reference_prune(c, z) for c in node.child_nodes())
+    as_leaf = _estimated_errors(node, z)
+    if as_leaf <= subtree:
+        node.attribute = node.threshold = node.left = node.right = None
+        node.children = node.fallback = None
+        return as_leaf
+    return subtree
+
+
+def reference_fit_tree(d, cfg, weights=None):
+    w = np.ones(len(d)) if weights is None else np.asarray(weights, dtype=np.float64)
+    rng = None if cfg.random_subspace_size is None else np.random.default_rng(cfg.seed)
+    root = _ReferenceGrower(d, cfg, rng).grow(np.arange(len(d)), w)
+    if cfg.use_pruning:
+        _reference_prune(root, _pruning_z(cfg.confidence_factor))
+    return DecisionTree(d.schema, root, cfg)
+
+
+def equivalence_case(seed):
+    """A seeded dataset, weights and config for the split-search comparison.
+
+    Covers mixed kinds, tied and constant columns, fractional AdaBoost-like
+    weights summing to n, zero weights, random subspaces and pruning.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([4, 12, 40, 90, 200, 400]))
+    n_numeric = int(rng.integers(0, 6))
+    n_nominal = int(rng.integers(0 if n_numeric else 1, 3))
+    cols, kinds, cats = [], [], {}
+    for _ in range(n_numeric):
+        style = rng.integers(4)
+        if style == 0:
+            col = rng.normal(0, 1, n)
+        elif style == 1:  # heavy ties
+            col = rng.integers(0, 4, n).astype(float)
+        elif style == 2:  # constant
+            col = np.full(n, 2.5)
+        else:  # a few values at wide scales
+            col = np.round(rng.exponential(1e3, n), 1)
+        cols.append(col)
+        kinds.append(NUMERIC)
+    for _ in range(n_nominal):
+        k = int(rng.integers(1, 5))
+        cats[len(cols)] = tuple(f"c{c}" for c in range(k))
+        cols.append(rng.integers(0, k, n).astype(float))
+        kinds.append(NOMINAL)
+    signal = cols[0] if kinds[0] == NUMERIC else cols[0] * 0.7
+    labels = (signal + rng.normal(0, 1.5, n) > np.median(signal) + 0.8).astype(np.int8)
+    d = make_dataset(cols, kinds, labels, categories=cats or None)
+    style = rng.integers(4)
+    if style == 0:
+        w = None
+    elif style == 1:  # AdaBoost-like: a distribution scaled to sum n
+        dist = rng.dirichlet(np.full(n, 0.7))
+        w = dist * n
+    elif style == 2:  # fractional with zeros
+        w = rng.exponential(1.0, n) * (rng.random(n) > 0.3)
+    else:  # bootstrap counts
+        w = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+    n_attrs = n_numeric + n_nominal
+    cfg = TreeConfig(
+        min_leaf_weight=float(rng.choice([0.5, 1.0, 2.0, 5.0])),
+        use_pruning=bool(rng.integers(2)),
+        random_subspace_size=None if rng.integers(2) else int(rng.integers(1, n_attrs + 1)),
+        seed=seed,
+    )
+    return d, w, cfg
+
+
+@pytest.mark.parametrize("block_cells", [8192, 16])
+def test_block_split_search_matches_per_attribute_reference(monkeypatch, block_cells):
+    # 16 cells per block puts each numeric attribute of a node in its own
+    # block (or several in one at tiny nodes), the default mostly one block
+    monkeypatch.setattr(trees, "_BLOCK_CELLS", block_cells)
+    split_nodes = 0
+    for seed in range(120):
+        d, w, cfg = equivalence_case(seed)
+        got = fit_tree(d, cfg, weights=w)
+        want = reference_fit_tree(d, cfg, weights=w)
+        assert tree_to_doc(got) == tree_to_doc(want), seed
+        probe = np.vstack([d.values, d.values[::-1] + 0.25])
+        for a, b in zip(got.predict_batch(probe), want.predict_batch(probe)):
+            assert np.array_equal(a, b), seed
+        split_nodes += got.n_nodes() - got.n_leaves()
+    assert split_nodes > 1000
+
+
+def test_block_split_search_matches_reference_across_blocks():
+    # 3,000 rows x 6 numeric attributes: the root is scored in three blocks
+    rng = np.random.default_rng(5)
+    n = 3000
+    cols = [rng.normal(0, 1, n) for _ in range(5)] + [rng.integers(0, 9, n).astype(float)]
+    labels = (cols[1] - cols[2] + rng.normal(0, 1, n) > 1.2).astype(np.int8)
+    d = make_dataset(cols, [NUMERIC] * 6, labels)
+    w = rng.dirichlet(np.ones(n)) * n
+    for cfg in (TreeConfig(min_leaf_weight=2.0), TreeConfig(use_pruning=False, seed=3,
+                                                            random_subspace_size=3)):
+        assert tree_to_doc(fit_tree(d, cfg, weights=w)) == tree_to_doc(reference_fit_tree(d, cfg, w))
+
+
+def test_deep_noisy_tree_fits_prunes_predicts_and_counts():
+    # two attributes of pure label noise grow a chain thousands of nodes
+    # deep, far past Python's recursion limit; it is grown once and then
+    # pruned in place, as fit_tree does with pruning on
+    rng = np.random.default_rng(0)
+    n = 20_000
+    d = make_dataset([rng.uniform(0, 1, n), rng.uniform(0, 1, n)], [NUMERIC, NUMERIC],
+                     rng.integers(0, 2, n))
+    tree = fit_tree(d, TreeConfig(use_pruning=False))
+    grown = tree.n_nodes()
+    assert grown == 2 * tree.n_leaves() - 1 > 2000
+    labels, probs = tree.predict_batch(d.values)
+    assert np.array_equal(labels, (probs > 0.5).astype(labels.dtype))
+    _prune(tree.root, _pruning_z(tree.config.confidence_factor))
+    assert tree.n_nodes() == 2 * tree.n_leaves() - 1 < grown
+    labels, probs = tree.predict_batch(d.values)
+    assert labels.shape == probs.shape == (n,)
