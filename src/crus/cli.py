@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import click
@@ -65,37 +65,9 @@ _RUN_KEYS = {
     "classifiers",
 }
 _COMPARISON_KEYS = {"alpha", "blocks"}
-_SAMPLER_KEYS = {
-    "name",
-    "method",
-    "spread",
-    "percentage",
-    "k_neighbors",
-    "cluster_k",
-    "threshold",
-    "reduction_fraction",
-    "policy",
-}
-_CLASSIFIER_KEYS = {
-    "name",
-    "method",
-    "n_members",
-    "min_leaf_weight",
-    "use_pruning",
-    "confidence_factor",
-    "subspace_size",
-}
-_GEN_KEYS = {
-    "blob_sizes",
-    "blob_irs",
-    "n_numeric",
-    "n_nominal",
-    "n_categories",
-    "noise",
-    "category_bias",
-    "blob_spacing",
-    "seed",
-}
+_SAMPLER_KEYS = {"name"} | {f.name for f in fields(SamplerSpec)}
+_CLASSIFIER_KEYS = {"name"} | {f.name for f in fields(ClassifierSpec)}
+_GEN_KEYS = {f.name for f in fields(SyntheticConfig)}
 _FEATSEL_KEYS = {"dataset", "schema", "max_stale"}
 
 

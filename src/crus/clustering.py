@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, DatasetSchema, NOMINAL, NUMERIC
+from .dataset import Dataset, DatasetSchema, _schema_from_doc, _schema_to_doc
 
 
 @dataclass(frozen=True)
@@ -231,25 +231,3 @@ def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
 
 def load_cluster_model(path: str | Path) -> ClusterModel:
     return cluster_model_from_text(Path(path).read_text(encoding="utf-8"))
-
-
-def _schema_to_doc(schema: DatasetSchema) -> dict:
-    return {
-        "class_attribute": schema.class_name,
-        "negative_label": schema.negative_label,
-        "positive_label": schema.positive_label,
-        "attributes": [
-            {"name": a.name, "kind": a.kind, "categories": list(a.categories)}
-            for a in schema.attributes
-        ],
-    }
-
-
-def _schema_from_doc(doc: dict) -> DatasetSchema:
-    from .dataset import AttributeSpec
-
-    attrs = tuple(
-        AttributeSpec(e["name"], e["kind"], tuple(e.get("categories", ())))
-        for e in doc["attributes"]
-    )
-    return DatasetSchema(attrs, doc["class_attribute"], doc["negative_label"], doc["positive_label"])

@@ -59,12 +59,6 @@ class DatasetSchema:
     def n_attributes(self) -> int:
         return len(self.attributes)
 
-    def attribute_index(self, name: str) -> int:
-        for i, a in enumerate(self.attributes):
-            if a.name == name:
-                return i
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -180,6 +174,27 @@ def save_schema(schema: DatasetSchema, path: str | Path) -> None:
         ],
     }
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+
+
+def _schema_to_doc(schema: DatasetSchema) -> dict:
+    """The schema as embedded in JSON model files (trees, cluster models)."""
+    return {
+        "class_attribute": schema.class_name,
+        "negative_label": schema.negative_label,
+        "positive_label": schema.positive_label,
+        "attributes": [
+            {"name": a.name, "kind": a.kind, "categories": list(a.categories)}
+            for a in schema.attributes
+        ],
+    }
+
+
+def _schema_from_doc(doc: dict) -> DatasetSchema:
+    attrs = tuple(
+        AttributeSpec(e["name"], e["kind"], tuple(e.get("categories", ())))
+        for e in doc["attributes"]
+    )
+    return DatasetSchema(attrs, doc["class_attribute"], doc["negative_label"], doc["positive_label"])
 
 
 def _parse_cell(cell: str, attr: AttributeSpec, row_no: int) -> float:

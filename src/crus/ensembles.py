@@ -15,11 +15,12 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Dataset
-from .seeds import derive_seed
+from .seeds import derive_seed, rng_for
 from .trees import (
     DecisionTree,
     TreeConfig,
-    default_subspace_size,
+    _model_json,
+    fit_random_tree,
     fit_tree,
     tree_from_doc,
     tree_to_doc,
@@ -120,8 +121,7 @@ def fit_bagging(d: Dataset, cfg: EnsembleConfig = EnsembleConfig()) -> EnsembleM
     n_members = cfg.resolve_members(default=10)
     members = []
     for i in range(n_members):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "bootstrap", i))
-        idx = _bootstrap_indices(len(d), rng)
+        idx = _bootstrap_indices(len(d), rng_for(cfg.seed, "bootstrap", i))
         base = replace(cfg.base, seed=derive_seed(cfg.seed, "tree", i))
         members.append(fit_tree(d.subset(idx), base))
     return EnsembleModel("bagging", members, np.ones(n_members), "vote", cfg.seed)
@@ -130,23 +130,13 @@ def fit_bagging(d: Dataset, cfg: EnsembleConfig = EnsembleConfig()) -> EnsembleM
 def fit_random_forest(d: Dataset, cfg: EnsembleConfig = EnsembleConfig()) -> EnsembleModel:
     """Bagged unpruned random trees with out-of-bag error tracking."""
     n_members = cfg.resolve_members(default=100)
-    subspace = cfg.base.random_subspace_size
-    if subspace is None:
-        subspace = default_subspace_size(d.schema.n_attributes)
     members = []
     n = len(d)
     oob_pos = np.zeros(n)
     oob_all = np.zeros(n)
     for i in range(n_members):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "bootstrap", i))
-        idx = _bootstrap_indices(n, rng)
-        base = replace(
-            cfg.base,
-            use_pruning=False,
-            random_subspace_size=subspace,
-            seed=derive_seed(cfg.seed, "tree", i),
-        )
-        tree = fit_tree(d.subset(idx), base)
+        idx = _bootstrap_indices(n, rng_for(cfg.seed, "bootstrap", i))
+        tree = fit_random_tree(d.subset(idx), derive_seed(cfg.seed, "tree", i), cfg.base)
         members.append(tree)
         out_mask = np.ones(n, dtype=bool)
         out_mask[idx] = False
@@ -226,15 +216,7 @@ def fit_random_committee(d: Dataset, cfg: EnsembleConfig = EnsembleConfig()) -> 
     """Random trees on the full training set with seeds seed+i; the committee
     averages the members' class probability estimates."""
     n_members = cfg.resolve_members(default=10)
-    subspace = cfg.base.random_subspace_size
-    if subspace is None:
-        subspace = default_subspace_size(d.schema.n_attributes)
-    members = []
-    for i in range(n_members):
-        base = replace(
-            cfg.base, use_pruning=False, random_subspace_size=subspace, seed=cfg.seed + i
-        )
-        members.append(fit_tree(d, base))
+    members = [fit_random_tree(d, cfg.seed + i, cfg.base) for i in range(n_members)]
     return EnsembleModel("random_committee", members, np.ones(n_members), "average", cfg.seed)
 
 
@@ -272,7 +254,7 @@ def ensemble_from_doc(doc: dict) -> EnsembleModel:
 
 
 def save_ensemble(model: EnsembleModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(ensemble_to_doc(model), indent=1, sort_keys=True), encoding="utf-8")
+    Path(path).write_text(_model_json(ensemble_to_doc(model), model.members), encoding="utf-8")
 
 
 def load_ensemble(path: str | Path) -> EnsembleModel:

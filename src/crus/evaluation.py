@@ -20,6 +20,7 @@ that flags nothing reproduces the unclustered run exactly.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -66,6 +67,18 @@ CLASSIFIER_METHODS = (
 SAMPLER_METHODS = ("none", "rus", "smote", "clustering_rus")
 
 
+def _check_numbers(spec: object, reals: tuple[str, ...], integers: tuple[str, ...]) -> None:
+    """Reject a field of spec that is not a number (an integer for `integers`).
+
+    None passes: it is the default of every optional numeric field.
+    """
+    for names, kind, what in ((reals, numbers.Real, "a number"), (integers, numbers.Integral, "an integer")):
+        for name in names:
+            v = getattr(spec, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, kind)):
+                raise ValueError(f"'{name}' must be {what}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class ClassifierSpec:
     method: str = "tree"
@@ -80,6 +93,17 @@ class ClassifierSpec:
             raise ValueError(
                 f"unknown classifier method '{self.method}' (expected one of {CLASSIFIER_METHODS})"
             )
+        _check_numbers(self, ("min_leaf_weight", "confidence_factor"), ("n_members", "subspace_size"))
+        if not isinstance(self.use_pruning, bool):
+            raise ValueError(f"'use_pruning' must be true or false, got {self.use_pruning!r}")
+        # built once, so TreeConfig's range checks run when the spec is made
+        tree = TreeConfig(
+            min_leaf_weight=self.min_leaf_weight,
+            use_pruning=self.use_pruning,
+            confidence_factor=self.confidence_factor,
+            random_subspace_size=self.subspace_size,
+        )
+        object.__setattr__(self, "tree_config", tree)
 
 
 @dataclass(frozen=True)
@@ -98,6 +122,9 @@ class SamplerSpec:
             raise ValueError(
                 f"unknown sampler method '{self.method}' (expected one of {SAMPLER_METHODS})"
             )
+        _check_numbers(
+            self, ("spread", "percentage", "threshold", "reduction_fraction"), ("k_neighbors", "cluster_k")
+        )
         if self.method == "clustering_rus":
             if self.threshold is None and self.reduction_fraction is None:
                 raise ValueError("clustering_rus needs either threshold or reduction_fraction")
@@ -105,18 +132,8 @@ class SamplerSpec:
                 raise ValueError("give either threshold or reduction_fraction, not both")
 
 
-def _tree_config(spec: ClassifierSpec, seed: int) -> TreeConfig:
-    return TreeConfig(
-        min_leaf_weight=spec.min_leaf_weight,
-        use_pruning=spec.use_pruning,
-        confidence_factor=spec.confidence_factor,
-        random_subspace_size=spec.subspace_size,
-        seed=seed,
-    )
-
-
 def fit_classifier(train: Dataset, spec: ClassifierSpec, seed: int) -> DecisionTree | EnsembleModel:
-    base = _tree_config(spec, seed)
+    base = replace(spec.tree_config, seed=seed)
     if spec.method == "tree":
         return fit_tree(train, replace(base, random_subspace_size=None))
     if spec.method == "random_tree":
@@ -163,12 +180,6 @@ class CvResult:
     mean: MetricsReport
     clustered: bool = False
     warnings: tuple[str, ...] = ()
-
-    def pooled_records(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        truth = np.concatenate([f.truth for f in self.folds])
-        pred = np.concatenate([f.predicted for f in self.folds])
-        scores = np.concatenate([f.scores for f in self.folds])
-        return truth, pred, scores
 
 
 def _pooled_report(folds: list[FoldResult], beta: float) -> MetricsReport:

@@ -17,12 +17,18 @@ first maximum of a row is its lowest best threshold.  A block holds at most
 _BLOCK_CELLS values, which bounds the temporaries at a large root.
 Nominal attributes are scored one at a time.  The first maximum over all
 candidates in attribute order is the split.  Feature selection scores a
-single attribute as a one-row block.
+single attribute, and `gain_ratio` a single cut, as a one-row block.
 
-Growing, pruning, routing and node counts walk the tree with explicit
-stacks in pre-order, so deep trees do not reach Python's recursion limit
-and random-subspace draws follow the node order.  Rule and JSON export
-still recurse.
+A node holds its split attribute, either a numeric threshold or the
+nominal categories observed at it (ascending, one child each) plus a
+fallback category for values without a child, and an ordered list of
+children that is empty for a leaf.  `TreeNode.child_index` maps attribute
+values to child positions; growing partitions training rows with it and
+prediction routes test rows with it.  Growing, pruning, routing, counting,
+rule export and both JSON converters walk the tree with explicit stacks in
+pre-order, so nothing here recurses and random-subspace draws follow the
+node order.  Writing a model file still recurses in the JSON encoder, once
+per level; a tree too deep for it fails with an error naming its depth.
 """
 
 from __future__ import annotations
@@ -31,12 +37,12 @@ import json
 import math
 import statistics
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, DatasetSchema, NOMINAL, NUMERIC
+from .dataset import Dataset, DatasetSchema, NUMERIC, _schema_from_doc, _schema_to_doc
 
 
 @dataclass(frozen=True)
@@ -69,22 +75,27 @@ def default_subspace_size(n_attributes: int) -> int:
 class TreeNode:
     class_weights: np.ndarray  # (2,) [negative, positive] training weight
     attribute: int | None = None
-    threshold: float | None = None          # set for numeric splits
-    left: "TreeNode | None" = None          # numeric: value <= threshold
-    right: "TreeNode | None" = None
-    children: "dict[int, TreeNode] | None" = None  # nominal: category -> child
-    fallback: int | None = None             # nominal: largest-weight category
+    threshold: float | None = None     # numeric split: children <= and > it
+    categories: tuple[int, ...] = ()   # nominal split: one child per category
+    fallback: int | None = None        # nominal: largest-weight category
+    children: list[TreeNode] = field(default_factory=list)  # empty for a leaf
 
     @property
     def is_leaf(self) -> bool:
         return self.attribute is None
 
-    def child_nodes(self) -> list["TreeNode"]:
-        if self.is_leaf:
-            return []
+    def child_index(self, col: np.ndarray, unseen: int | None = None) -> np.ndarray:
+        """Position in `children` of the child each value of the split
+        attribute goes to.  A nominal value without a child of its own goes
+        to the fallback category's child, or to `unseen` when given."""
         if self.threshold is not None:
-            return [self.left, self.right]
-        return [self.children[c] for c in sorted(self.children)]
+            return np.where(col <= self.threshold, 0, 1)
+        cats = np.array(self.categories)
+        codes = col.astype(np.int64)
+        pos = np.minimum(np.searchsorted(cats, codes), cats.size - 1)
+        if unseen is None:
+            unseen = self.categories.index(self.fallback)
+        return np.where(cats[pos] == codes, pos, unseen)
 
     def walk(self) -> Iterator[TreeNode]:
         """Every node of this subtree in pre-order, without recursion."""
@@ -92,7 +103,16 @@ class TreeNode:
         while stack:
             node = stack.pop()
             yield node
-            stack.extend(reversed(node.child_nodes()))
+            stack.extend(reversed(node.children))
+
+    def depth(self) -> int:
+        """Edges on the longest path from this node down to a leaf."""
+        deepest, stack = 0, [(self, 0)]
+        while stack:
+            node, level = stack.pop()
+            deepest = max(deepest, level)
+            stack.extend((child, level + 1) for child in node.children)
+        return deepest
 
     def n_nodes(self) -> int:
         return sum(1 for _ in self.walk())
@@ -135,14 +155,8 @@ class DecisionTree:
                 labels[idx] = node.leaf_label()
                 probs[idx] = node.leaf_probability()
                 continue
-            col = X[idx, node.attribute]
-            if node.threshold is not None:
-                mask = col <= node.threshold
-                stack += [(node.left, idx[mask]), (node.right, idx[~mask])]
-            else:
-                for cat in np.unique(col):
-                    child = node.children.get(int(cat)) or node.children[node.fallback]
-                    stack.append((child, idx[col == cat]))
+            to = node.child_index(X[idx, node.attribute])
+            stack.extend((child, idx[to == k]) for k, child in enumerate(node.children))
         return labels, probs
 
 
@@ -260,18 +274,15 @@ def gain_ratio(
     if spec.kind == NUMERIC:
         if threshold is None:
             raise ValueError(f"numeric attribute '{spec.name}' needs a threshold")
+        # the 0/1 row "goes right" has one cut: after the last row <= threshold
         left = vals <= threshold
-        left_w, right_w = w[left].sum(), w[~left].sum()
-        total = left_w + right_w
-        if left_w <= 0 or right_w <= 0:
+        cut = int(left.sum()) - 1
+        if not 0 <= cut < len(vals) - 1:
             return None
-        h_class = _binary_entropy(np.array([(w * (y == 1)).sum()]), np.array([total]))[0]
-        h_left = _binary_entropy(np.array([(w[left] * (y[left] == 1)).sum()]), np.array([left_w]))[0]
-        h_right = _binary_entropy(np.array([(w[~left] * (y[~left] == 1)).sum()]), np.array([right_w]))[0]
-        h_cond = (left_w * h_left + right_w * h_right) / total
-        fl, fr = left_w / total, right_w / total
-        split_info = float(-(fl * np.log2(fl) + fr * np.log2(fr)))
-        return float((h_class - h_cond) / split_info)
+        _, gains, infos, ok = _numeric_block((~left).astype(np.float64)[np.newaxis], w * (y == 1), w, 0.0)
+        if not ok[0, cut] or infos[0, cut] <= 0:
+            return None
+        return float(gains[0, cut] / infos[0, cut])
     if threshold is not None:
         raise ValueError(f"nominal attribute '{spec.name}' takes no threshold")
     stats = _nominal_stats(vals, y, w, len(spec.categories), min_leaf=0.0)
@@ -312,24 +323,19 @@ class _Grower:
                 continue
             node.attribute, node.threshold = best
             vals = self.columns[node.attribute, idx]
-            if node.threshold is not None:
-                left = vals <= node.threshold
-                masks = [left, ~left]
-            else:
-                cats = vals.astype(np.int64)
-                w_tot = np.bincount(cats, weights=w)
-                observed = np.flatnonzero(w_tot > 0)
-                masks = [cats == cat for cat in observed]
+            n_children = 2
+            if node.threshold is None:
+                w_tot = np.bincount(vals.astype(np.int64), weights=w)
+                node.categories = tuple(np.flatnonzero(w_tot > 0).tolist())
                 node.fallback = int(np.argmax(w_tot))
+                n_children = len(node.categories)
+            # rows of a category without weight at this node reach no child
+            to = node.child_index(vals, unseen=-1)
             children = []
-            for m in masks:
-                child_idx, child_w = idx[m], w[m]
-                children.append((self._node(child_idx, child_w), child_idx, child_w))
-            nodes = [child for child, _, _ in children]
-            if node.threshold is not None:
-                node.left, node.right = nodes
-            else:
-                node.children = dict(zip(observed.tolist(), nodes))
+            for k in range(n_children):
+                m = to == k
+                children.append((self._node(idx[m], w[m]), idx[m], w[m]))
+            node.children = [child for child, _, _ in children]
             stack.extend(reversed(children))  # the first child is grown next
         return root
 
@@ -433,13 +439,10 @@ def _prune(root: TreeNode, z: float) -> float:
     for node in reversed(list(root.walk())):  # children before parents
         error = _estimated_errors(node, z)
         if not node.is_leaf:
-            subtree = sum(errors[id(c)] for c in node.child_nodes())
+            subtree = sum(errors[id(c)] for c in node.children)
             if error <= subtree:
-                node.attribute = None
-                node.threshold = None
-                node.left = node.right = None
-                node.children = None
-                node.fallback = None
+                node.attribute = node.threshold = node.fallback = None
+                node.categories, node.children = (), []
             else:
                 error = subtree
         errors[id(node)] = error
@@ -449,62 +452,69 @@ def _prune(root: TreeNode, z: float) -> float:
 def export_rules(tree: DecisionTree) -> list[str]:
     """One conjunctive IF/THEN rule per leaf, in left-to-right leaf order."""
     schema = tree.schema
+    names = {1: schema.positive_label, 0: schema.negative_label}
     rules: list[str] = []
-
-    def describe(label: int) -> str:
-        name = schema.positive_label if label == 1 else schema.negative_label
-        return f"{schema.class_name} = {name}"
-
-    def walk(node: TreeNode, conds: list[str]) -> None:
+    stack: list[tuple[TreeNode, list[str]]] = [(tree.root, [])]
+    while stack:
+        node, conds = stack.pop()
         if node.is_leaf:
             body = " AND ".join(conds) if conds else "TRUE"
-            rules.append(f"IF {body} THEN {describe(node.leaf_label())}")
-            return
+            rules.append(f"IF {body} THEN {schema.class_name} = {names[node.leaf_label()]}")
+            continue
         attr = schema.attributes[node.attribute]
         if node.threshold is not None:
-            walk(node.left, conds + [f"{attr.name} <= {node.threshold:g}"])
-            walk(node.right, conds + [f"{attr.name} > {node.threshold:g}"])
+            tests = [f"{attr.name} <= {node.threshold:g}", f"{attr.name} > {node.threshold:g}"]
         else:
-            for cat in sorted(node.children):
-                walk(node.children[cat], conds + [f"{attr.name} = {attr.categories[cat]}"])
-
-    walk(tree.root, [])
+            tests = [f"{attr.name} = {attr.categories[c]}" for c in node.categories]
+        stack.extend(reversed([(c, conds + [t]) for c, t in zip(node.children, tests)]))
     return rules
 
 
-def _node_to_doc(node: TreeNode) -> dict:
-    doc: dict = {"weights": [float(node.class_weights[0]), float(node.class_weights[1])]}
-    if node.is_leaf:
-        return doc
-    doc["attribute"] = node.attribute
-    if node.threshold is not None:
-        doc["threshold"] = node.threshold
-        doc["left"] = _node_to_doc(node.left)
-        doc["right"] = _node_to_doc(node.right)
-    else:
-        doc["children"] = {str(c): _node_to_doc(n) for c, n in sorted(node.children.items())}
-        doc["fallback"] = node.fallback
-    return doc
+def _node_to_doc(root: TreeNode) -> dict:
+    top: dict = {}
+    stack = [(root, top)]
+    while stack:
+        node, doc = stack.pop()
+        doc["weights"] = [float(node.class_weights[0]), float(node.class_weights[1])]
+        if node.is_leaf:
+            continue
+        doc["attribute"] = node.attribute
+        kids: list[dict] = [{} for _ in node.children]
+        if node.threshold is not None:
+            doc["threshold"] = node.threshold
+            doc["left"], doc["right"] = kids
+        else:
+            doc["children"] = {str(c): kid for c, kid in zip(node.categories, kids)}
+            doc["fallback"] = node.fallback
+        stack.extend(reversed(list(zip(node.children, kids))))
+    return top
 
 
-def _node_from_doc(doc: dict) -> TreeNode:
-    node = TreeNode(class_weights=np.array(doc["weights"], dtype=np.float64))
-    if "attribute" not in doc:
-        return node
-    node.attribute = int(doc["attribute"])
-    if "threshold" in doc:
-        node.threshold = float(doc["threshold"])
-        node.left = _node_from_doc(doc["left"])
-        node.right = _node_from_doc(doc["right"])
-    else:
-        node.children = {int(c): _node_from_doc(n) for c, n in doc["children"].items()}
-        node.fallback = int(doc["fallback"])
-    return node
+def _node_from_doc(top: dict) -> TreeNode:
+    def leaf(doc: dict) -> TreeNode:
+        return TreeNode(class_weights=np.array(doc["weights"], dtype=np.float64))
+
+    root = leaf(top)
+    stack = [(root, top)]
+    while stack:
+        node, doc = stack.pop()
+        if "attribute" not in doc:
+            continue
+        node.attribute = int(doc["attribute"])
+        if "threshold" in doc:
+            node.threshold = float(doc["threshold"])
+            kids = [doc["left"], doc["right"]]
+        else:
+            by_category = sorted(doc["children"].items(), key=lambda item: int(item[0]))
+            node.categories = tuple(int(c) for c, _ in by_category)
+            node.fallback = int(doc["fallback"])
+            kids = [kid for _, kid in by_category]
+        node.children = [leaf(kid) for kid in kids]
+        stack.extend(reversed(list(zip(node.children, kids))))
+    return root
 
 
 def tree_to_doc(tree: DecisionTree) -> dict:
-    from .clustering import _schema_to_doc
-
     return {
         "kind": "tree",
         "schema": _schema_to_doc(tree.schema),
@@ -520,16 +530,30 @@ def tree_to_doc(tree: DecisionTree) -> dict:
 
 
 def tree_from_doc(doc: dict) -> DecisionTree:
-    from .clustering import _schema_from_doc
-
     if doc.get("kind") != "tree":
         raise ValueError(f"not a tree document (kind={doc.get('kind')!r})")
     cfg = TreeConfig(**doc["config"])
     return DecisionTree(_schema_from_doc(doc["schema"]), _node_from_doc(doc["root"]), cfg)
 
 
+def _model_json(doc: dict, trees: list[DecisionTree]) -> str:
+    """The model file text of doc, whose nodes come from trees.
+
+    The encoder recurses once per nesting level, so a tree deeper than the
+    interpreter's recursion limit cannot be written; that is reported as a
+    ValueError naming the depth.
+    """
+    try:
+        return json.dumps(doc, indent=1, sort_keys=True)
+    except RecursionError:
+        depth = max(t.root.depth() for t in trees)
+        raise ValueError(
+            f"a tree {depth} levels deep is too deep to write as a JSON model file"
+        ) from None
+
+
 def save_tree(tree: DecisionTree, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(tree_to_doc(tree), indent=1, sort_keys=True), encoding="utf-8")
+    Path(path).write_text(_model_json(tree_to_doc(tree), [tree]), encoding="utf-8")
 
 
 def load_tree(path: str | Path) -> DecisionTree:

@@ -185,6 +185,27 @@ def test_run_bad_grid_entry_names_the_cell(tmp_path, runner):
     assert "bad" in result.output and "perceptron" in result.output
 
 
+@pytest.mark.parametrize(
+    "key, entry, message",
+    [
+        ("classifiers", {"min_leaf_weight": "abc"}, "'min_leaf_weight' must be a number, got 'abc'"),
+        ("classifiers", {"method": "bagging", "n_members": "x"}, "'n_members' must be an integer, got 'x'"),
+        ("classifiers", {"confidence_factor": [1]}, "'confidence_factor' must be a number, got [1]"),
+        ("classifiers", {"confidence_factor": 0.7}, "confidence factor must be in (0, 0.5)"),
+        ("classifiers", {"use_pruning": "no"}, "'use_pruning' must be true or false, got 'no'"),
+        ("samplers", {"method": "rus", "spread": "abc"}, "'spread' must be a number, got 'abc'"),
+    ],
+    ids=["min_leaf_weight", "n_members", "confidence_factor", "confidence_range", "use_pruning", "spread"],
+)
+def test_run_wrongly_typed_grid_value_rejected_at_load(tmp_path, runner, key, entry, message):
+    write_dataset(tmp_path)
+    cfg = write_run_config(tmp_path, **{key: [{"name": "t", **entry}]})
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert f"config: {key}[0] ('t'): {message}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_gen_synth_deterministic_and_reports_ir(tmp_path, runner):
     args = ["gen-synth", "--out", str(tmp_path / "a.csv"), "--seed", "0"]
     a = runner.invoke(main, args)

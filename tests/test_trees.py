@@ -23,6 +23,7 @@ from crus.trees import (
     gain_ratio,
     load_tree,
     save_tree,
+    tree_from_doc,
     tree_to_doc,
 )
 
@@ -189,9 +190,25 @@ def test_nominal_unseen_category_uses_fallback():
     )
     tree = fit_tree(d, TreeConfig(min_leaf_weight=1.0, use_pruning=False))
     assert not tree.root.is_leaf
-    assert sorted(tree.root.children) == [0, 1]  # only observed categories
+    assert tree.root.categories == (0, 1)  # only observed categories
     # category c (index 2) was never seen; routed to the heaviest child (a)
     assert tree.predict_batch(np.array([[2.0]]))[0][0] == 1
+
+
+def test_zero_weight_rows_of_unobserved_category_reach_no_child():
+    # category c (index 2) holds only a zero-weight row, so the root's
+    # nominal split has no child for it.  That row must not join the
+    # fallback child (a), where its value 2 would add a cut and move the
+    # lowest best threshold from 2.0 to 1.5.
+    d = make_dataset(
+        [[0, 0, 0, 0, 1, 1, 1, 1, 2], [1, 1, 3, 3, 1, 1, 3, 3, 2]],
+        [NOMINAL, NUMERIC],
+        [0, 0, 1, 1, 1, 1, 1, 1, 0],
+    )
+    w = np.array([1.0] * 8 + [0.0])
+    tree = fit_tree(d, TreeConfig(min_leaf_weight=1.0, use_pruning=False), weights=w)
+    assert (tree.root.attribute, tree.root.categories, tree.root.fallback) == (0, (0, 1), 0)
+    assert tree.root.children[0].threshold == 2.0
 
 
 def test_export_rules_shapes():
@@ -211,10 +228,11 @@ def scalar_predict(tree: DecisionTree, x: np.ndarray) -> tuple[int, float]:
     node = tree.root
     while not node.is_leaf:
         if node.threshold is not None:
-            node = node.left if x[node.attribute] <= node.threshold else node.right
+            node = node.children[0 if x[node.attribute] <= node.threshold else 1]
         else:
             cat = int(x[node.attribute])
-            node = node.children.get(cat) or node.children[node.fallback]
+            cat = cat if cat in node.categories else node.fallback
+            node = node.children[node.categories.index(cat)]
     return node.leaf_label(), node.leaf_probability()
 
 
@@ -333,15 +351,14 @@ class _ReferenceGrower(_Grower):
         if threshold is not None:
             node.threshold = threshold
             mask = vals <= threshold
-            node.left = self.grow(idx[mask], w[mask])
-            node.right = self.grow(idx[~mask], w[~mask])
+            node.children = [self.grow(idx[mask], w[mask]), self.grow(idx[~mask], w[~mask])]
         else:
-            node.children = {}
             cats = vals.astype(np.int64)
             w_tot = np.bincount(cats, weights=w)
             for cat in np.flatnonzero(w_tot > 0):
                 mask = cats == cat
-                node.children[int(cat)] = self.grow(idx[mask], w[mask])
+                node.categories += (int(cat),)
+                node.children.append(self.grow(idx[mask], w[mask]))
             node.fallback = int(np.argmax(w_tot))
         return node
 
@@ -380,11 +397,11 @@ class _ReferenceGrower(_Grower):
 def _reference_prune(node, z):
     if node.is_leaf:
         return _estimated_errors(node, z)
-    subtree = sum(_reference_prune(c, z) for c in node.child_nodes())
+    subtree = sum(_reference_prune(c, z) for c in node.children)
     as_leaf = _estimated_errors(node, z)
     if as_leaf <= subtree:
-        node.attribute = node.threshold = node.left = node.right = None
-        node.children = node.fallback = None
+        node.attribute = node.threshold = node.fallback = None
+        node.categories, node.children = (), []
         return as_leaf
     return subtree
 
@@ -497,3 +514,38 @@ def test_deep_noisy_tree_fits_prunes_predicts_and_counts():
     assert tree.n_nodes() == 2 * tree.n_leaves() - 1 < grown
     labels, probs = tree.predict_batch(d.values)
     assert labels.shape == probs.shape == (n,)
+
+
+def hand_built_chain(depth):
+    """Node i sends f0 <= i + 0.5 to a leaf and the rest one level down."""
+    schema = make_dataset([[0.0]], [NUMERIC], [0]).schema
+    root = node = TreeNode(class_weights=np.array([1.0, 1.0]))
+    for i in range(depth):
+        node.attribute, node.threshold = 0, i + 0.5
+        node.children = [TreeNode(class_weights=np.array([1.0, float(i % 3)])),
+                         TreeNode(class_weights=np.array([1.0, 1.0]))]
+        node = node.children[1]
+    return DecisionTree(schema, root, TreeConfig())
+
+
+def test_deep_chain_exports_converts_predicts_and_fails_to_save_clearly(tmp_path):
+    from crus.ensembles import EnsembleModel, save_ensemble
+
+    tree = hand_built_chain(3000)
+    assert tree.root.depth() == 3000
+    rules = export_rules(tree)
+    assert len(rules) == 3001
+    assert rules[0] == "IF f0 <= 0.5 THEN y = neg"
+    assert rules[-1].startswith("IF f0 > 0.5 AND f0 > 1.5 AND") and rules[-1].count(" AND ") == 2999
+    # the nested docs are not compared with ==, which recurses too
+    back = tree_from_doc(tree_to_doc(tree))
+    X = np.arange(-1.0, 3002.0)[:, np.newaxis]
+    for got, want in zip(back.predict_batch(X), tree.predict_batch(X)):
+        assert np.array_equal(got, want)
+    assert np.unique(tree.predict_batch(X)[1]).size == 3
+    with pytest.raises(ValueError, match="a tree 3000 levels deep is too deep"):
+        save_tree(tree, tmp_path / "tree.json")
+    model = EnsembleModel("bagging", [hand_built_chain(2), tree], np.ones(2), "vote", 0)
+    with pytest.raises(ValueError, match="a tree 3000 levels deep is too deep"):
+        save_ensemble(model, tmp_path / "ensemble.json")
+    assert not list(tmp_path.iterdir())
