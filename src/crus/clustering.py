@@ -5,6 +5,10 @@ the fitted (training) data; nominal attributes contribute 0/1 mismatch.
 Centroids live in the normalized space: per numeric attribute the mean of
 normalized member values, per nominal attribute the mode (lowest category
 index on ties).
+
+One kernel, `_sq_distances`, computes this distance for every caller:
+k-means, `ClusterModel.assign`, `mixed_distance` and the nearest-neighbour
+search of SMOTE (`resampling.smote_oversample`).
 """
 
 from __future__ import annotations
@@ -45,12 +49,37 @@ class FeatureScaler:
         """
         v = np.atleast_2d(np.asarray(values, dtype=np.float64)).copy()
         span = self.maxs - self.mins
-        for j in np.flatnonzero(self.numeric):
-            if span[j] > 0:
-                v[:, j] = np.clip((v[:, j] - self.mins[j]) / span[j], 0.0, 1.0)
-            else:
-                v[:, j] = 0.0
+        scaled = self.numeric & (span > 0)
+        v[:, scaled] = np.clip((v[:, scaled] - self.mins[scaled]) / span[scaled], 0.0, 1.0)
+        v[:, self.numeric & ~scaled] = 0.0
         return v if np.asarray(values).ndim == 2 else v[0]
+
+
+# Row pairs per block of `_sq_distances` and of SMOTE's neighbour search.
+_BLOCK_PAIRS = 1 << 16
+
+
+def _sq_distances(A: np.ndarray, B: np.ndarray, numeric: np.ndarray) -> np.ndarray:
+    """Squared mixed distances from every normalized row of A to every row of B.
+
+    Returns a (len(A), len(B)) array.  A pair's numeric squared differences
+    are added one attribute at a time, then its count of nominal mismatches
+    once; cluster model files hold values summed in this order.  A is scored
+    in (len(B), rows) blocks of at most _BLOCK_PAIRS pairs.
+    """
+    out = np.empty((len(B), len(A)))
+    step = max(1, _BLOCK_PAIRS // len(B))
+    for lo in range(0, len(A), step):
+        a = A[lo:lo + step].T
+        sq = np.zeros((len(B), a.shape[1]))
+        for j in np.flatnonzero(numeric):
+            diff = B[:, j, None] - a[j]
+            sq += diff * diff
+        mismatches = np.zeros(sq.shape, dtype=np.int64)
+        for j in np.flatnonzero(~numeric):
+            mismatches += B[:, j, None] != a[j]
+        out[:, lo:lo + step] = sq + mismatches
+    return out.T
 
 
 def mixed_distance(a: np.ndarray, b: np.ndarray, scaler: FeatureScaler) -> float:
@@ -64,27 +93,8 @@ def mixed_distance(a: np.ndarray, b: np.ndarray, scaler: FeatureScaler) -> float
     d = scaler.numeric.shape[0]
     if a.shape != (d,) or b.shape != (d,):
         raise ValueError(f"rows must both have {d} attributes, got {a.shape} and {b.shape}")
-    num = scaler.numeric
-    na = scaler.transform(a)
-    nb = scaler.transform(b)
-    diff_num = na[num] - nb[num]
-    mismatch = (a[~num] != b[~num]).astype(np.float64)
-    return float(np.sqrt(np.sum(diff_num * diff_num) + np.sum(mismatch)))
-
-
-def _distance_matrix(norm_values: np.ndarray, centroids: np.ndarray, numeric: np.ndarray) -> np.ndarray:
-    """Squared distances from every normalized row to every centroid."""
-    n, k = norm_values.shape[0], centroids.shape[0]
-    out = np.zeros((n, k))
-    num = np.flatnonzero(numeric)
-    nom = np.flatnonzero(~numeric)
-    for c in range(k):
-        if num.size:
-            diff = norm_values[:, num] - centroids[c, num]
-            out[:, c] += np.sum(diff * diff, axis=1)
-        if nom.size:
-            out[:, c] += np.sum(norm_values[:, nom] != centroids[c, nom], axis=1)
-    return out
+    pair = _sq_distances(scaler.transform(a[None]), scaler.transform(b[None]), scaler.numeric)
+    return float(np.sqrt(pair[0, 0]))
 
 
 @dataclass(frozen=True)
@@ -102,9 +112,8 @@ class ClusterModel:
 
     def assign(self, values: np.ndarray) -> np.ndarray:
         """Nearest-centroid index per row (lowest index on ties)."""
-        v = np.atleast_2d(np.asarray(values, dtype=np.float64))
-        norm = self.scaler.transform(v)
-        d2 = _distance_matrix(norm, self.centroids, self.scaler.numeric)
+        norm = self.scaler.transform(np.atleast_2d(values))
+        d2 = _sq_distances(norm, self.centroids, self.scaler.numeric)
         return np.argmin(d2, axis=1)
 
 
@@ -160,29 +169,21 @@ def _kmeans_single(d: Dataset, k: int, seed: int, max_iter: int) -> ClusterModel
     repairs = 0
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        d2 = _distance_matrix(norm, centroids, numeric)
+        d2 = _sq_distances(norm, centroids, numeric)
         new_assign = np.argmin(d2, axis=1)
         for c in range(k):
             if not np.any(new_assign == c):
                 far = int(np.argmax(d2[:, c]))
                 centroids[c] = norm[far]
                 repairs += 1
-                d2 = _distance_matrix(norm, centroids, numeric)
+                d2 = _sq_distances(norm, centroids, numeric)
                 new_assign = np.argmin(d2, axis=1)
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
         centroids = _update_centroids(norm, assign, k, numeric)
-    d2 = _distance_matrix(norm, centroids, numeric)
-    objective = float(d2[np.arange(n), np.argmin(d2, axis=1)].sum())
+    objective = float(_sq_distances(norm, centroids, numeric).min(axis=1).sum())
     return ClusterModel(d.schema, k, centroids, scaler, seed, n_iter, repairs, objective)
-
-
-def kmeans_objective(model: ClusterModel, d: Dataset) -> float:
-    """Sum of squared mixed distances from each instance to its centroid."""
-    norm = model.scaler.transform(d.values)
-    d2 = _distance_matrix(norm, model.centroids, model.scaler.numeric)
-    return float(d2[np.arange(len(d)), np.argmin(d2, axis=1)].sum())
 
 
 def cluster_model_to_text(model: ClusterModel) -> str:

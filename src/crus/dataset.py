@@ -60,15 +60,6 @@ class DatasetSchema:
         return len(self.attributes)
 
 
-@dataclass(frozen=True)
-class Instance:
-    """One row: attribute values (numeric value or category index) plus label."""
-
-    values: tuple[float, ...]
-    class_label: str
-    synthetic: bool = False
-
-
 @dataclass
 class Dataset:
     """Immutable matrix-backed dataset; label 1 is the positive class."""
@@ -109,10 +100,6 @@ class Dataset:
     @property
     def n_negative(self) -> int:
         return int(np.count_nonzero(self.labels == 0))
-
-    def instance(self, i: int) -> Instance:
-        label = self.schema.positive_label if self.labels[i] == 1 else self.schema.negative_label
-        return Instance(tuple(self.values[i]), label, bool(self.synthetic[i]))
 
     def subset(self, indices: np.ndarray | list[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)

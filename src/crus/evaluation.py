@@ -21,7 +21,7 @@ that flags nothing reproduces the unclustered run exactly.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .resampling import (
     HIGH_GROUP,
     LOW_GROUP,
     ClusterPartition,
+    _check_policy,
     apply_clustering_rus,
     plan_cluster_partition,
     rus_undersample,
@@ -67,15 +68,20 @@ CLASSIFIER_METHODS = (
 SAMPLER_METHODS = ("none", "rus", "smote", "clustering_rus")
 
 
+def _is_a(v: object, kind: type) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
 def _check_numbers(spec: object, reals: tuple[str, ...], integers: tuple[str, ...]) -> None:
     """Reject a field of spec that is not a number (an integer for `integers`).
 
-    None passes: it is the default of every optional numeric field.
+    None passes where it is the field's default, as for optional fields.
     """
+    defaults = {f.name: f.default for f in fields(spec)}
     for names, kind, what in ((reals, numbers.Real, "a number"), (integers, numbers.Integral, "an integer")):
         for name in names:
             v = getattr(spec, name)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, kind)):
+            if not _is_a(v, kind) and not (v is None and defaults[name] is None):
                 raise ValueError(f"'{name}' must be {what}, got {v!r}")
 
 
@@ -125,6 +131,7 @@ class SamplerSpec:
         _check_numbers(
             self, ("spread", "percentage", "threshold", "reduction_fraction"), ("k_neighbors", "cluster_k")
         )
+        _check_policy(self.policy)
         if self.method == "clustering_rus":
             if self.threshold is None and self.reduction_fraction is None:
                 raise ValueError("clustering_rus needs either threshold or reduction_fraction")
@@ -377,6 +384,13 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_numbers(
+            self, ("noise", "category_bias", "blob_spacing"), ("n_numeric", "n_nominal", "n_categories", "seed")
+        )
+        if not all(_is_a(v, numbers.Integral) for v in self.blob_sizes):
+            raise ValueError(f"'blob_sizes' must be a list of integers, got {list(self.blob_sizes)!r}")
+        if not all(_is_a(v, numbers.Real) for v in self.blob_irs):
+            raise ValueError(f"'blob_irs' must be a list of numbers, got {list(self.blob_irs)!r}")
         if len(self.blob_sizes) != len(self.blob_irs) or not self.blob_sizes:
             raise ValueError("need matching, non-empty blob_sizes and blob_irs")
         if any(s < 2 for s in self.blob_sizes):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterModel, FeatureScaler, kmeans_fit
+from .clustering import _BLOCK_PAIRS, ClusterModel, FeatureScaler, _sq_distances, kmeans_fit
 from .dataset import Dataset, DataError, imbalance_ratio
 
 LOW_GROUP = "low_IR_group"
@@ -48,22 +48,19 @@ def rus_undersample(d: Dataset, spread: float = 4.0, seed: int = 0) -> Dataset:
     return d.subset(keep)
 
 
-def _minority_distances(d: Dataset, scaler: FeatureScaler) -> np.ndarray:
-    """Pairwise squared mixed distances among the minority instances."""
-    idx = np.flatnonzero(d.labels == 1)
-    norm = scaler.transform(d.values[idx])
-    raw = d.values[idx]
-    numeric = scaler.numeric
-    m = idx.size
-    out = np.zeros((m, m))
-    num = np.flatnonzero(numeric)
-    nom = np.flatnonzero(~numeric)
-    for j in num:
-        diff = norm[:, j][:, None] - norm[:, j][None, :]
-        out += diff * diff
-    for j in nom:
-        out += (raw[:, j][:, None] != raw[:, j][None, :]).astype(np.float64)
-    return out
+def _minority_neighbors(norm: np.ndarray, numeric: np.ndarray, k: int) -> np.ndarray:
+    """The k nearest other rows of each normalized row, nearest first and
+    ties to the lower index; searched in blocks of at most _BLOCK_PAIRS pairs."""
+    m = norm.shape[0]
+    nn = np.empty((m, k), dtype=np.int64)
+    step = max(1, _BLOCK_PAIRS // m)
+    for lo in range(0, m, step):
+        rows = np.arange(lo, min(lo + step, m))
+        # the distance is symmetric; this way round the kernel's inner loops span all m rows
+        d2 = _sq_distances(norm, norm[rows], numeric).T
+        d2[np.arange(rows.size), rows] = np.inf
+        nn[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nn
 
 
 def smote_oversample(
@@ -76,7 +73,9 @@ def smote_oversample(
     minority neighbors (mixed distance, ties by index), then numeric
     attributes interpolate base + delta * (neighbor - base) with a single
     delta ~ U[0,1] per synthetic; nominal attributes copy the base.
-    Synthetic rows are appended after the originals and flagged.
+    Synthetic rows are appended after the originals and flagged.  The
+    neighbour search runs in blocks of minority rows, so its memory grows
+    linearly with the minority count.
     """
     if percentage < 0:
         raise ValueError(f"percentage must be nonnegative, got {percentage}")
@@ -93,10 +92,7 @@ def smote_oversample(
         return d
     rng = np.random.default_rng(seed)
     scaler = FeatureScaler.fit(d)
-    d2 = _minority_distances(d, scaler)
-    np.fill_diagonal(d2, np.inf)
-    # k nearest per row; stable sort keeps lowest-index ordering on ties
-    nn = np.argsort(d2, axis=1, kind="stable")[:, :k_neighbors]
+    nn = _minority_neighbors(scaler.transform(d.values[minority]), scaler.numeric, k_neighbors)
     order = rng.permutation(minority.size)
     numeric = d.numeric_mask()
     new_rows = np.empty((n_new, d.schema.n_attributes))
@@ -142,8 +138,10 @@ class ClusterPartition:
     def groups(self) -> tuple[str, ...]:
         return tuple(HIGH_GROUP if f else LOW_GROUP for f in self.flagged)
 
-    def group_of_cluster(self, cluster: int) -> str:
-        return HIGH_GROUP if self.flagged[cluster] else LOW_GROUP
+
+def _check_policy(policy: str) -> None:
+    if policy not in ("above", "invert"):
+        raise ValueError(f"unknown policy '{policy}' (expected 'above' or 'invert')")
 
 
 def plan_cluster_partition(
@@ -164,8 +162,7 @@ def plan_cluster_partition(
     k-means runs, which makes the plan far less sensitive to a poor draw
     of initial centroids.
     """
-    if policy not in ("above", "invert"):
-        raise ValueError(f"unknown policy '{policy}' (expected 'above' or 'invert')")
+    _check_policy(policy)
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
     model = kmeans_fit(d, k, seed, n_restarts=n_restarts)

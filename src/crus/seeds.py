@@ -19,7 +19,11 @@ def _encode(part: object) -> int:
     if isinstance(part, str):
         # stable mapping of path labels to integers
         if part not in _LABELS:
-            _LABELS[part] = int.from_bytes(part.encode("utf-8")[:8], "little")
+            code = int.from_bytes(part.encode("utf-8")[:8], "little")
+            clash = [other for other, c in _LABELS.items() if c == code]
+            if clash:
+                raise ValueError(f"seed labels {clash[0]!r} and {part!r} encode to the same integer (first 8 bytes)")
+            _LABELS[part] = code
         return _LABELS[part]
     raise TypeError(f"seed path parts must be int or str, got {type(part).__name__}")
 

@@ -194,8 +194,13 @@ def test_run_bad_grid_entry_names_the_cell(tmp_path, runner):
         ("classifiers", {"confidence_factor": 0.7}, "confidence factor must be in (0, 0.5)"),
         ("classifiers", {"use_pruning": "no"}, "'use_pruning' must be true or false, got 'no'"),
         ("samplers", {"method": "rus", "spread": "abc"}, "'spread' must be a number, got 'abc'"),
+        (
+            "samplers",
+            {"method": "clustering_rus", "threshold": 10, "policy": "bogus"},
+            "unknown policy 'bogus' (expected 'above' or 'invert')",
+        ),
     ],
-    ids=["min_leaf_weight", "n_members", "confidence_factor", "confidence_range", "use_pruning", "spread"],
+    ids=["min_leaf_weight", "n_members", "confidence_factor", "confidence_range", "use_pruning", "spread", "policy"],
 )
 def test_run_wrongly_typed_grid_value_rejected_at_load(tmp_path, runner, key, entry, message):
     write_dataset(tmp_path)
@@ -204,6 +209,24 @@ def test_run_wrongly_typed_grid_value_rejected_at_load(tmp_path, runner, key, en
     assert result.exit_code == 2
     assert f"config: {key}[0] ('t'): {message}" in result.output
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"n_numeric": 2.5}, "'n_numeric' must be an integer, got 2.5"),
+        ({"blob_sizes": [40.5, 60]}, "'blob_sizes' must be a list of integers, got [40.5, 60]"),
+        ({"noise": "abc"}, "'noise' must be a number, got 'abc'"),
+    ],
+    ids=["n_numeric", "blob_sizes", "noise"],
+)
+def test_gen_synth_wrongly_typed_config_value_rejected(tmp_path, runner, doc, message):
+    gen = tmp_path / "gen.yaml"
+    gen.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    result = runner.invoke(main, ["gen-synth", "--config", str(gen), "--out", str(tmp_path / "d.csv")])
+    assert result.exit_code == 2
+    assert f"generator config: {message}" in result.output
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_gen_synth_deterministic_and_reports_ir(tmp_path, runner):

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from crus import clustering
 from crus.clustering import (
     ClusterModel,
     FeatureScaler,
+    _sq_distances,
     cluster_model_from_text,
     cluster_model_to_text,
     kmeans_fit,
-    kmeans_objective,
     load_cluster_model,
     mixed_distance,
     save_cluster_model,
@@ -100,6 +101,70 @@ def test_mixed_distance_shape_mismatch():
         mixed_distance(np.array([1.0, 2.0]), np.array([1.0]), scaler)
 
 
+def reference_distance_matrix(norm_values, centroids, numeric):
+    """The k-means distance matrix as it was written before the shared kernel."""
+    n, k = norm_values.shape[0], centroids.shape[0]
+    out = np.zeros((n, k))
+    num = np.flatnonzero(numeric)
+    nom = np.flatnonzero(~numeric)
+    for c in range(k):
+        if num.size:
+            diff = norm_values[:, num] - centroids[c, num]
+            out[:, c] += np.sum(diff * diff, axis=1)
+        if nom.size:
+            out[:, c] += np.sum(norm_values[:, nom] != centroids[c, nom], axis=1)
+    return out
+
+
+def mixed_columns(rng, n, n_numeric, n_nominal):
+    """Continuous, integer-valued (tied) and constant numeric columns plus
+    nominal category indices, in a shuffled attribute order."""
+    cols, kinds = [], []
+    for _ in range(n_numeric):
+        shape = rng.integers(3)
+        if shape == 0:
+            cols.append(rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 10), n))
+        elif shape == 1:
+            cols.append(rng.integers(0, rng.integers(2, 6), n).astype(float))
+        else:
+            cols.append(np.full(n, rng.uniform(-3, 3)))
+        kinds.append(NUMERIC)
+    for _ in range(n_nominal):
+        cols.append(rng.integers(0, 3, n).astype(float))
+        kinds.append(NOMINAL)
+    order = rng.permutation(len(cols))
+    return [cols[i] for i in order], [kinds[i] for i in order]
+
+
+@pytest.mark.parametrize("block_pairs", [clustering._BLOCK_PAIRS, 37])
+def test_kernel_matches_kmeans_reference(monkeypatch, block_pairs):
+    monkeypatch.setattr(clustering, "_BLOCK_PAIRS", block_pairs)
+    crossed = 0
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        n_numeric, n_nominal = int(rng.integers(0, 21)), int(rng.integers(0, 5))
+        if n_numeric + n_nominal == 0:
+            n_nominal = 1
+        # from two rows on, the reference's column-major gather adds the
+        # attributes one at a time; for a single row np.sum adds 8 or more
+        # of them pairwise, which the kernel deliberately does not follow
+        n = int(rng.integers(2, 500))
+        cols, kinds = mixed_columns(rng, n, n_numeric, n_nominal)
+        d = make_dataset(cols, kinds)
+        scaler = FeatureScaler.fit(d)
+        norm = scaler.transform(d.values)
+        # centroid-like rows: some data rows (zero distances), some means/modes
+        k = int(rng.integers(1, 300))
+        centroids = norm[rng.integers(0, n, k)].copy()
+        fresh = rng.random(k) < 0.5
+        centroids[np.ix_(fresh, scaler.numeric)] = rng.uniform(0, 1, (fresh.sum(), n_numeric))
+        centroids[np.ix_(fresh, ~scaler.numeric)] = rng.integers(0, 3, (fresh.sum(), n_nominal))
+        crossed += n * k > block_pairs
+        got = _sq_distances(norm, centroids, scaler.numeric)
+        assert np.array_equal(got, reference_distance_matrix(norm, centroids, scaler.numeric)), seed
+    assert crossed >= 10
+
+
 def test_kmeans_k1_centroid_is_mean_and_mode():
     d = make_dataset([[0.0, 5.0, 10.0], [0, 0, 1]], [NUMERIC, NOMINAL])
     model = kmeans_fit(d, k=1, seed=0)
@@ -141,7 +206,7 @@ def test_kmeans_more_iterations_never_worse():
     d, _ = two_blob_dataset(rng, n_per=40)
     early = kmeans_fit(d, k=4, seed=9, max_iter=1)
     late = kmeans_fit(d, k=4, seed=9, max_iter=100)
-    assert kmeans_objective(late, d) <= kmeans_objective(early, d) + 1e-9
+    assert late.objective <= early.objective + 1e-9
 
 
 def test_kmeans_empty_cluster_repair():

@@ -74,9 +74,8 @@ def test_dataset_basics():
     assert d.n_negative == 12
     assert not d.values.flags.writeable
     assert not d.labels.flags.writeable
-    inst = d.instance(0)
-    assert inst.class_label == "yes"  # human-readable label, not the code
-    assert not inst.synthetic
+    assert d.labels[0] == 1 and d.schema.positive_label == "yes"  # code 1 is the positive label
+    assert not d.synthetic[0]
     assert d.row_ids.tolist() == list(range(16))
 
 

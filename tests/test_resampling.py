@@ -3,6 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import tracemalloc
+
+from crus import clustering, resampling
 from crus.clustering import FeatureScaler
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, DataError, Dataset, DatasetSchema
 from crus.resampling import (
@@ -95,17 +98,28 @@ def smote_fixture(rng, n_neg=60, n_pos=50):
     return make_dataset(cols, [NUMERIC, NUMERIC, NOMINAL], labels)
 
 
-def minority_knn(d, k):
-    """Independent k-nearest-minority-neighbor table (mixed distance)."""
-    from crus.clustering import mixed_distance
-
-    scaler = FeatureScaler.fit(d)
+def reference_minority_distances(d, scaler):
+    """SMOTE's full m x m distance matrix as it was written before the shared kernel."""
     idx = np.flatnonzero(d.labels == 1)
+    norm = scaler.transform(d.values[idx])
+    raw = d.values[idx]
+    numeric = scaler.numeric
     m = idx.size
-    dist = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            dist[i, j] = mixed_distance(d.values[idx[i]], d.values[idx[j]], scaler)
+    out = np.zeros((m, m))
+    num = np.flatnonzero(numeric)
+    nom = np.flatnonzero(~numeric)
+    for j in num:
+        diff = norm[:, j][:, None] - norm[:, j][None, :]
+        out += diff * diff
+    for j in nom:
+        out += (raw[:, j][:, None] != raw[:, j][None, :]).astype(np.float64)
+    return out
+
+
+def minority_knn(d, k):
+    """Independent k-nearest-minority-neighbor table (reference distances)."""
+    idx = np.flatnonzero(d.labels == 1)
+    dist = reference_minority_distances(d, FeatureScaler.fit(d))
     np.fill_diagonal(dist, np.inf)
     return idx, np.argsort(dist, axis=1, kind="stable")[:, :k]
 
@@ -168,6 +182,60 @@ def test_smote_synthetics_lie_on_neighbor_segments():
         assert ok, f"synthetic row {s} not on any base-neighbor segment"
 
 
+@pytest.mark.parametrize("block_pairs", [clustering._BLOCK_PAIRS, 211])
+def test_smote_neighbor_table_matches_reference(monkeypatch, block_pairs):
+    monkeypatch.setattr(resampling, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(clustering, "_BLOCK_PAIRS", block_pairs)
+    crossed = 0
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        n_numeric, n_nominal = int(rng.integers(0, 21)), int(rng.integers(0, 5))
+        if n_numeric + n_nominal == 0:
+            n_numeric = 1
+        k = int(rng.integers(1, 8))
+        m = int(rng.integers(k + 1, 320))
+        n = m + int(rng.integers(0, 60))
+        cols, kinds = [], []
+        for _ in range(n_numeric):
+            shape = rng.integers(3)
+            if shape == 0:
+                cols.append(rng.normal(rng.uniform(-5, 5), rng.uniform(0.1, 10), n))
+            elif shape == 1:  # integer-valued, so many distances tie
+                cols.append(rng.integers(0, rng.integers(2, 6), n).astype(float))
+            else:
+                cols.append(np.full(n, rng.uniform(-3, 3)))
+            kinds.append(NUMERIC)
+        for _ in range(n_nominal):
+            cols.append(rng.integers(0, 3, n).astype(float))
+            kinds.append(NOMINAL)
+        labels = rng.permutation(np.arange(n) < m).astype(np.int8)
+        d = make_dataset(cols, kinds, labels)
+        scaler = FeatureScaler.fit(d)
+        minority = np.flatnonzero(d.labels == 1)
+        crossed += m * m > block_pairs
+        nn = resampling._minority_neighbors(scaler.transform(d.values[minority]), scaler.numeric, k)
+        assert np.array_equal(nn, minority_knn(d, k)[1]), seed
+    assert crossed >= 10
+
+
+def test_smote_memory_grows_linearly_with_minority():
+    rng = np.random.default_rng(21)
+    m = 3000
+    cols = [rng.normal(0, 1, 2 * m) for _ in range(6)]
+    cols += [rng.integers(0, 3, 2 * m).astype(float) for _ in range(2)]
+    labels = np.repeat(np.array([0, 1], dtype=np.int8), m)
+    d = make_dataset(cols, [NUMERIC] * 6 + [NOMINAL] * 2, labels)
+    tracemalloc.start()
+    try:
+        out = smote_oversample(d, percentage=100.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 3 * m
+    # a full m x m float64 distance matrix alone would take 72 MB
+    assert peak < 16 * 2**20
+
+
 def test_smote_deterministic():
     rng = np.random.default_rng(9)
     d = smote_fixture(rng)
@@ -222,7 +290,7 @@ def test_partition_recovers_region_ratios_and_flags():
     assert sum(part.flagged) == 1
     flagged_cluster = part.flagged.index(True)
     assert part.cluster_ir[flagged_cluster] == irs[1]
-    assert part.group_of_cluster(flagged_cluster) == HIGH_GROUP
+    assert part.groups[flagged_cluster] == HIGH_GROUP
     assert part.groups.count(LOW_GROUP) == 1
 
 
