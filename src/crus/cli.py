@@ -4,22 +4,27 @@ Subcommands:
 
 * ``run``: evaluate a grid of (sampler, classifier) cells on one dataset
   with shared stratified folds and write a fixed set of report files.
+  The work runs as one task per (sampler, fold), plus one refit task per
+  sampler under ``--save-models``; a task resamples its training set once
+  and every classifier of the sampler trains on that resampled set.
 * ``gen-synth``: write a synthetic imbalanced dataset (CSV plus schema).
 * ``featsel``: emit a gain-ratio ranking and a CFS subset report.
 * ``rules``: print the rule list of a saved tree or ensemble model.
 
 Every command is deterministic given its config and seed: reruns produce
-byte-identical files, whatever ``--jobs`` is.  Grid cells may run in
-parallel worker processes; all report writing happens afterwards, single
-threaded, in a fixed order.
+byte-identical files, whatever ``--jobs`` is.  Tasks may run in parallel
+worker processes; all report and model writing happens afterwards, single
+threaded, in grid order.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import click
@@ -27,17 +32,29 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .clustering import save_cluster_model
-from .dataset import DataError, Dataset, imbalance_ratio, load_csv, save_schema, stratified_kfold, write_csv
-from .ensembles import load_ensemble, save_ensemble
+from .clustering import cluster_model_to_text
+from .dataset import (
+    DataError,
+    Dataset,
+    FoldSplit,
+    imbalance_ratio,
+    load_csv,
+    save_schema,
+    stratified_kfold,
+    write_csv,
+)
+from .ensembles import ensemble_to_doc, load_ensemble
 from .evaluation import (
     ClassifierSpec,
     CvResult,
+    PipelineModel,
     SamplerSpec,
     SyntheticConfig,
-    fit_pipeline,
+    _outcome,
+    cv_result,
+    fit_pipelines,
     gen_synthetic,
-    run_experiment,
+    run_fold,
 )
 from .feature_selection import cfs_best_first, gain_ratio_rank
 from .metrics import METRIC_COLUMNS, format_report_row, report_values
@@ -45,10 +62,10 @@ from .seeds import derive_seed
 
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches these
 # names on this module as well as on crus.evaluation, which calls them.
-from .evaluation import fit_classifier  # noqa: F401
+from .evaluation import fit_classifier, run_experiment  # noqa: F401
 from .resampling import apply_clustering_rus, plan_cluster_partition  # noqa: F401
 from .stats import ScoreMatrix, average_combined_loss, cd_diagram, compare_treatments, loss_vs_best
-from .trees import DecisionTree, export_rules, load_tree, save_tree
+from .trees import DecisionTree, _model_json, export_rules, load_tree, tree_to_doc
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
@@ -342,33 +359,86 @@ def _loss_markdown(metrics, names, means, losses, combined) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _save_model(model, path: Path) -> None:
+def _model_text(model) -> str:
     if isinstance(model, DecisionTree):
-        save_tree(model, path)
-    else:
-        save_ensemble(model, path)
+        return _model_json(tree_to_doc(model), [model])
+    return _model_json(ensemble_to_doc(model), model.members)
 
 
-def _save_cell_models(d: Dataset, cell_name: str, sampler: SamplerSpec, classifier: ClassifierSpec,
-                      seed: int, reports: _Reports) -> None:
-    """Refit the cell on the full dataset and save deployable model files.
+def _model_files(cell_name: str, pipe: PipelineModel) -> list[tuple[str, str]]:
+    """(file name, text) of each model file of one refit cell.
+
+    A plain sampler gives `{cell}.json`; clustering_rus gives
+    `{cell}.cluster.json` and one `{cell}.{group}.json` per group that has
+    a model.
+    """
+    if pipe.partition is None:
+        return [(f"{cell_name}.json", _model_text(group.model)) for group in pipe.groups.values()]
+    files = [(f"{cell_name}.cluster.json", cluster_model_to_text(pipe.partition.model))]
+    files += [(f"{cell_name}.{name}.json", _model_text(group.model)) for name, group in pipe.groups.items()]
+    return files
+
+
+def _save_cell_models(d: Dataset, sampler_name: str, sampler: SamplerSpec,
+                      classifiers: tuple[tuple[str, ClassifierSpec], ...], seed: int) -> list:
+    """Refit every cell of one sampler on the full dataset; return its model files.
 
     The refit is the pipeline a fold runs, with derive_seed(seed, "final",
-    ...) seeds.  A plain sampler writes `{cell}.json`; clustering_rus
-    writes `{cell}.cluster.json` and one `{cell}.{group}.json` per group
-    that has a model.
+    ...) seeds, so the dataset is resampled once for all the classifiers.
+    Each classifier's entry is the list of (file name, text) of its cell's
+    model files, or the DataError or ValueError that stopped its refit.
+    The texts are made here, so a worker process returns strings rather
+    than model objects, and the caller only writes them.
     """
     seeds = (derive_seed(seed, "final", step) for step in ("sampler", "cluster", "classifier"))
-    pipe = fit_pipeline(d, classifier, sampler, *seeds)
-    models_dir = reports.out_dir / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
-    if pipe.partition is not None:
-        save_cluster_model(pipe.partition.model, models_dir / f"{cell_name}.cluster.json")
-        reports.names.append(f"models/{cell_name}.cluster.json")
-    for name, group in pipe.groups.items():
-        file_name = f"{cell_name}.json" if pipe.partition is None else f"{cell_name}.{name}.json"
-        _save_model(group.model, models_dir / file_name)
-        reports.names.append(f"models/{file_name}")
+    try:
+        pipes = fit_pipelines(d, [spec for _, spec in classifiers], sampler, *seeds)
+    except ValueError as exc:
+        return [exc] * len(classifiers)
+    return [
+        pipe if isinstance(pipe, ValueError) else _outcome(_model_files, f"{sampler_name}+{c_name}", pipe)
+        for (c_name, _), pipe in zip(classifiers, pipes)
+    ]
+
+
+def _run_task(d: Dataset, split: FoldSplit, cfg: RunConfig, task: tuple[int, int | None]) -> list:
+    """Run one task, (sampler index, fold), with fold None for the refit.
+
+    Returns one entry per classifier: see run_fold and _save_cell_models.
+    """
+    s, fold = task
+    s_name, sampler = cfg.samplers[s]
+    if fold is None:
+        return _save_cell_models(d, s_name, sampler, cfg.classifiers, cfg.seed)
+    return run_fold(d, split, fold, [spec for _, spec in cfg.classifiers], sampler, cfg.seed, cfg.beta)
+
+
+_worker_args: tuple = ()  # (dataset, split, config), set in each pool worker by _init_worker
+
+
+def _init_worker(*args) -> None:
+    global _worker_args
+    _worker_args = args
+
+
+def _pool_task(task: tuple[int, int | None]) -> list:
+    return _run_task(*_worker_args, task)
+
+
+def _worker_count(jobs: int, n_tasks: int) -> int:
+    """Worker processes to start: no more than asked for, than there are
+    tasks, or than the cores this process may run on."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(jobs, n_tasks, cores)
+
+
+def _run_tasks(d: Dataset, split: FoldSplit, cfg: RunConfig, tasks: list, jobs: int) -> list:
+    """Each task's result, in task order; in this process when one worker suffices."""
+    workers = _worker_count(jobs, len(tasks))
+    if workers == 1:
+        return list(map(partial(_run_task, d, split, cfg), tasks))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(d, split, cfg)) as ex:
+        return list(ex.map(_pool_task, tasks))
 
 
 @click.group()
@@ -386,7 +456,8 @@ def main() -> None:
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the config seed.")
 @click.option("--alpha", type=float, default=None, help="Override the comparison alpha.")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes for grid cells.")
+              help="Worker processes for the (sampler, fold) and refit tasks; every "
+                   "classifier of a sampler shares the sampler's resampled set.")
 @click.option("--save-models", is_flag=True,
               help="Also refit each cell on the full dataset and save the model files.")
 def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float | None,
@@ -401,7 +472,7 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
         out_dir = config_path.parent / cfg.output
     try:
         d = load_csv(cfg.dataset_path, cfg.schema_path)
-        stratified_kfold(d, cfg.k_folds, derive_seed(cfg.seed, "folds"))
+        split = stratified_kfold(d, cfg.k_folds, derive_seed(cfg.seed, "folds"))
     except (DataError, ValueError, OSError) as exc:
         _fail(f"cannot evaluate {cfg.dataset}: {exc}")
 
@@ -411,22 +482,21 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
         for c_name, c_spec in cfg.classifiers
     ]
     names = [f"{s}+{c}" for s, c, _, _ in cells]
-    args = [(c_spec, s_spec, cfg.k_folds, cfg.seed, cfg.beta) for _, _, s_spec, c_spec in cells]
+    # refits first: they train on the most rows, so a pool finishes sooner
+    samplers = range(len(cfg.samplers))
+    tasks = [(s, None) for s in samplers if save_models]
+    tasks += [(s, f) for s in samplers for f in range(cfg.k_folds)]
+    outcomes = dict(zip(tasks, _run_tasks(d, split, cfg, tasks, jobs)))
+
+    # cell i is (sampler s, classifier c) in grid order
+    where = [divmod(i, len(cfg.classifiers)) for i in range(len(cells))]
     results: list[CvResult] = []
-    if jobs == 1 or len(cells) == 1:
-        for name, a in zip(names, args):
-            try:
-                results.append(run_experiment(d, *a))
-            except (DataError, ValueError) as exc:
-                raise click.ClickException(f"evaluation failed for cell {name}: {exc}")
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as ex:
-            futures = [ex.submit(run_experiment, d, *a) for a in args]
-            for name, fut in zip(names, futures):
-                try:
-                    results.append(fut.result())
-                except (DataError, ValueError) as exc:
-                    raise click.ClickException(f"evaluation failed for cell {name}: {exc}")
+    for name, (s, c), (_, _, s_spec, _) in zip(names, where, cells):
+        runs = [outcomes[s, f][c] for f in range(cfg.k_folds)]
+        for f, run in enumerate(runs):
+            if isinstance(run, ValueError):
+                raise click.ClickException(f"evaluation failed for cell {name}, fold {f}: {run}")
+        results.append(cv_result(runs, s_spec, cfg.beta))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = _Reports(out_dir)
@@ -478,11 +548,12 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
         comparisons = "skipped (fewer than 2 treatments)"
 
     if save_models:
-        for (s_name, c_name, s_spec, c_spec), name in zip(cells, names):
-            try:
-                _save_cell_models(d, name, s_spec, c_spec, cfg.seed, reports)
-            except (DataError, ValueError) as exc:
-                raise click.ClickException(f"model refit failed for cell {name}: {exc}")
+        for name, (s, c) in zip(names, where):
+            files = outcomes[s, None][c]
+            if isinstance(files, ValueError):
+                raise click.ClickException(f"model refit failed for cell {name}: {files}")
+            for file_name, text in files:
+                reports.write(f"models/{file_name}", text)
 
     reports.write("warnings.txt", "".join(w + "\n" for w in run_warnings))
     manifest = {

@@ -1,11 +1,14 @@
 """Cross-validated evaluation of sampler/classifier pipelines.
 
-One pipeline fits every model: `fit_pipeline` resamples a training set and
-fits one model per group.  The plain samplers give the single group "n/a";
+One pipeline fits every model: `fit_pipelines` resamples a training set
+once and fits one model per group for each classifier, so every classifier
+of a sampler trains on the same resampled set; `fit_pipeline` is its
+one-classifier case.  The plain samplers give the single group "n/a";
 cluster-aware undersampling fits the cluster partition on the training set
 alone, undersamples the flagged group and routes instances by nearest
-centroid.  `run_experiment` is the one fold loop: folds are created before
-any resampling and the pipeline sees only each training split, so
+centroid.  `run_fold` is the one fold step and `cv_result` assembles a
+cell's folds; `run_experiment` runs them for one cell.  Folds are created
+before any resampling and the pipeline sees only each training split, so
 synthetic or dropped instances never touch a test fold.  A fold's report
 is the test-count weighted average of its group reports.  The CLI's
 `--save-models` refit runs the same pipeline on the full dataset.
@@ -21,6 +24,7 @@ that flags nothing reproduces the unclustered run exactly.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -29,6 +33,7 @@ from .dataset import (
     AttributeSpec,
     Dataset,
     DatasetSchema,
+    FoldSplit,
     NOMINAL,
     NUMERIC,
     imbalance_ratio,
@@ -235,19 +240,31 @@ class PipelineModel:
         return out
 
 
-def fit_pipeline(
+def _outcome(fit, *args):
+    """fit(*args), or the DataError or ValueError it raised."""
+    try:
+        return fit(*args)
+    except ValueError as exc:
+        return exc
+
+
+def fit_pipelines(
     train: Dataset,
-    classifier: ClassifierSpec,
+    classifiers: Sequence[ClassifierSpec],
     sampler: SamplerSpec,
     sampler_seed: int,
     cluster_seed: int,
     classifier_seed: int,
-) -> PipelineModel:
-    """Resample one training set and fit a model per group, all with one seed.
+) -> list[PipelineModel | ValueError]:
+    """Resample one training set once and fit every classifier on it, all with one seed.
 
     clustering_rus resolves its threshold on this training set, plans the
     cluster partition and undersamples the flagged group; other samplers
-    resample the whole set into the single group "n/a".
+    resample the whole set into the single group "n/a".  Every classifier
+    trains on the same group sets, so its models equal those of a run with
+    that classifier alone.  A DataError or ValueError raised while fitting
+    one classifier is returned in its place; one raised while resampling
+    concerns every classifier and propagates.
     """
     partition, warnings = None, ()
     if sampler.method == "clustering_rus":
@@ -260,16 +277,114 @@ def fit_pipeline(
         warnings = partition.warnings + grouped.warnings
     else:
         group_sets = {PLAIN_GROUP: apply_sampler(train, sampler, sampler_seed)}
-    groups = {
-        name: GroupModel(
-            fit_classifier(g, classifier, classifier_seed),
-            g.row_ids[g.row_ids >= 0],
-            int(g.synthetic.sum()),
+
+    def fit(classifier: ClassifierSpec) -> PipelineModel:
+        groups = {
+            name: GroupModel(
+                fit_classifier(g, classifier, classifier_seed),
+                g.row_ids[g.row_ids >= 0],
+                int(g.synthetic.sum()),
+            )
+            for name, g in group_sets.items()
+            if len(g) > 0
+        }
+        return PipelineModel(groups, warnings, partition)
+
+    return [_outcome(fit, c) for c in classifiers]
+
+
+def fit_pipeline(
+    train: Dataset,
+    classifier: ClassifierSpec,
+    sampler: SamplerSpec,
+    sampler_seed: int,
+    cluster_seed: int,
+    classifier_seed: int,
+) -> PipelineModel:
+    """fit_pipelines for one classifier; its failure is raised."""
+    (pipe,) = fit_pipelines(train, [classifier], sampler, sampler_seed, cluster_seed, classifier_seed)
+    if isinstance(pipe, ValueError):
+        raise pipe
+    return pipe
+
+
+@dataclass(frozen=True)
+class FoldRun:
+    """One classifier's results on one fold."""
+
+    parts: tuple[FoldResult, ...]  # one per group with test instances
+    report: MetricsReport  # the parts' reports weighted by their test counts
+    warnings: tuple[str, ...]
+
+
+def _score_fold(d: Dataset, test_idx: np.ndarray, f: int, pipe: PipelineModel, beta: float) -> FoldRun:
+    """Route each test instance of fold f to its group's model and score the groups."""
+    warnings = [f"fold {f}: {w}" for w in pipe.warnings]
+    parts: list[FoldResult] = []
+    for group, model_group, mask in pipe.route(d.values[test_idx]):
+        g_test = test_idx[mask]
+        if model_group != group:
+            warnings.append(
+                f"fold {f}: no training data for {group}; "
+                f"its {g_test.size} test instances use the {model_group} model"
+            )
+        fit = pipe.groups[model_group]
+        predicted, scores = fit.model.predict_batch(d.values[g_test])
+        truth = np.asarray(d.labels[g_test])
+        parts.append(
+            FoldResult(
+                fold=f,
+                group=group,
+                truth=truth,
+                predicted=predicted,
+                scores=scores,
+                test_indices=g_test,
+                train_indices=fit.train_ids,
+                n_synthetic_train=fit.n_synthetic,
+                report=compute_report(truth, predicted, scores, beta),
+            )
         )
-        for name, g in group_sets.items()
-        if len(g) > 0
-    }
-    return PipelineModel(groups, warnings, partition)
+    report = combine_reports([p.report for p in parts], weights=[float(p.truth.size) for p in parts])
+    return FoldRun(tuple(parts), report, tuple(warnings))
+
+
+def run_fold(
+    d: Dataset,
+    split: FoldSplit,
+    f: int,
+    classifiers: Sequence[ClassifierSpec],
+    sampler: SamplerSpec,
+    seed: int = 0,
+    beta: float = 1.0,
+) -> list[FoldRun | ValueError]:
+    """Fold f of every classifier of one sampler: resample the training split
+    once, fit each classifier on it and score it on the test split.
+
+    Returns one entry per classifier: its FoldRun, or the DataError or
+    ValueError that stopped it.  A failure while resampling is every
+    classifier's entry.
+    """
+    seeds = (derive_seed(seed, step, f) for step in ("sampler", "cluster", "classifier"))
+    try:
+        pipes = fit_pipelines(d.subset(split.train_indices(f)), classifiers, sampler, *seeds)
+    except ValueError as exc:
+        return [exc] * len(classifiers)
+    test_idx = split.test_indices(f)
+    return [p if isinstance(p, ValueError) else _outcome(_score_fold, d, test_idx, f, p, beta) for p in pipes]
+
+
+def cv_result(runs: Sequence[FoldRun], sampler: SamplerSpec, beta: float = 1.0) -> CvResult:
+    """The CvResult of one cell from its fold runs, in fold order."""
+    folds = [part for run in runs for part in run.parts]
+    fold_reports = [run.report for run in runs]
+    return CvResult(
+        folds=tuple(folds),
+        fold_reports=tuple(fold_reports),
+        pooled=_pooled_report(folds, beta),
+        mean=combine_reports(fold_reports),
+        clustered=sampler.method == "clustering_rus",
+        warnings=tuple(w for run in runs for w in run.warnings),
+    )
 
 
 def run_experiment(
@@ -284,59 +399,16 @@ def run_experiment(
 
     Per fold: fit the pipeline on the training split, route each test
     instance to its group's model, and combine the group reports weighted
-    by their test counts.
+    by their test counts.  The first fold's failure is raised.
     """
     split = stratified_kfold(d, k, derive_seed(seed, "folds"))
-    folds: list[FoldResult] = []
-    fold_reports: list[MetricsReport] = []
-    warnings: list[str] = []
+    runs: list[FoldRun] = []
     for f in range(k):
-        test_idx = split.test_indices(f)
-        pipe = fit_pipeline(
-            d.subset(split.train_indices(f)),
-            classifier,
-            sampler,
-            derive_seed(seed, "sampler", f),
-            derive_seed(seed, "cluster", f),
-            derive_seed(seed, "classifier", f),
-        )
-        warnings += [f"fold {f}: {w}" for w in pipe.warnings]
-        parts: list[FoldResult] = []
-        for group, model_group, mask in pipe.route(d.values[test_idx]):
-            g_test = test_idx[mask]
-            if model_group != group:
-                warnings.append(
-                    f"fold {f}: no training data for {group}; "
-                    f"its {g_test.size} test instances use the {model_group} model"
-                )
-            fit = pipe.groups[model_group]
-            predicted, scores = fit.model.predict_batch(d.values[g_test])
-            truth = np.asarray(d.labels[g_test])
-            parts.append(
-                FoldResult(
-                    fold=f,
-                    group=group,
-                    truth=truth,
-                    predicted=predicted,
-                    scores=scores,
-                    test_indices=g_test,
-                    train_indices=fit.train_ids,
-                    n_synthetic_train=fit.n_synthetic,
-                    report=compute_report(truth, predicted, scores, beta),
-                )
-            )
-        folds += parts
-        fold_reports.append(
-            combine_reports([p.report for p in parts], weights=[float(p.truth.size) for p in parts])
-        )
-    return CvResult(
-        folds=tuple(folds),
-        fold_reports=tuple(fold_reports),
-        pooled=_pooled_report(folds, beta),
-        mean=combine_reports(fold_reports),
-        clustered=sampler.method == "clustering_rus",
-        warnings=tuple(warnings),
-    )
+        (run,) = run_fold(d, split, f, [classifier], sampler, seed, beta)
+        if isinstance(run, ValueError):
+            raise run
+        runs.append(run)
+    return cv_result(runs, sampler, beta)
 
 
 def run_cv(

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from crus.cli import main
+import crus.resampling as resampling
+from crus.cli import _worker_count, main
 from crus.dataset import (
     NOMINAL,
     NUMERIC,
@@ -17,7 +20,7 @@ from crus.dataset import (
 )
 from crus.ensembles import EnsembleConfig, fit_bagging, save_ensemble
 from crus.evaluation import SyntheticConfig, gen_synthetic
-from crus.trees import TreeConfig, fit_tree, save_tree
+from crus.trees import DecisionTree, TreeConfig, fit_tree, save_tree
 
 
 @pytest.fixture
@@ -132,6 +135,111 @@ def test_run_save_models_emits_model_files(tmp_path, runner):
     assert (models / "crus+tree.cluster.json").is_file()
     group_files = sorted(p.name for p in models.glob("crus+tree.*_IR_group.json"))
     assert group_files
+
+
+def test_run_clusters_each_fold_once_for_all_classifiers(tmp_path, runner, monkeypatch):
+    """Every classifier of a sampler shares its fold partitions and its refit partition."""
+    calls = []
+    real = resampling.kmeans_fit
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(resampling, "kmeans_fit", counted)
+    write_dataset(tmp_path)
+    cfg = write_run_config(
+        tmp_path,
+        samplers=[
+            {"name": "none", "method": "none"},
+            {"name": "crus", "method": "clustering_rus", "threshold": 3.0, "cluster_k": 2},
+            {"name": "crus_inv", "method": "clustering_rus", "threshold": 3.0, "policy": "invert"},
+        ],
+        classifiers=[
+            {"name": "tree", "method": "tree"},
+            {"name": "bag", "method": "bagging", "n_members": 3},
+            {"name": "forest", "method": "random_forest", "n_members": 3},
+        ],
+    )
+    args = ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--jobs", "1", "--save-models"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    k_folds = 3
+    assert len(calls) == 2 * (k_folds + 1)
+    assert sorted(len(d) for d in calls[:2]) == [150, 150]  # the two refits run first
+
+
+def test_run_failure_names_cell_and_fold_at_any_jobs(tmp_path, runner):
+    """SMOTE with more neighbours than a training fold has minority rows fails
+    in every fold; the first failing cell in grid order is named, at fold 0."""
+    write_dataset(tmp_path)
+    cfg = write_run_config(
+        tmp_path,
+        samplers=[
+            {"name": "none", "method": "none"},
+            {"name": "smote", "method": "smote", "percentage": 100.0, "k_neighbors": 30},
+        ],
+    )
+    messages = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        result = runner.invoke(
+            main, ["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs, "--save-models"]
+        )
+        assert result.exit_code == 1
+        assert not out.exists()
+        messages.append(result.output)
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(
+        "Error: evaluation failed for cell smote+tree, fold 0: "
+        "SMOTE needs more than k_neighbors=30 minority instances, found "
+    )
+
+
+def test_run_failure_of_one_classifier_names_its_cell(tmp_path, runner, monkeypatch):
+    import crus.evaluation as evaluation
+
+    real = evaluation.fit_classifier
+
+    def fit(train, spec, seed):
+        if spec.method == "bagging":
+            raise ValueError("bagging refused")
+        return real(train, spec, seed)
+
+    monkeypatch.setattr(evaluation, "fit_classifier", fit)
+    write_dataset(tmp_path)
+    cfg = write_run_config(tmp_path)
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.output == "Error: evaluation failed for cell none+bag, fold 0: bagging refused\n"
+
+
+def test_run_refit_failure_names_its_cell_after_the_reports(tmp_path, runner, monkeypatch):
+    import crus.cli as cli
+
+    real = cli._model_text
+
+    def text(model):
+        if not isinstance(model, DecisionTree):
+            raise ValueError("ensemble refused")
+        return real(model)
+
+    monkeypatch.setattr(cli, "_model_text", text)
+    write_dataset(tmp_path)
+    cfg = write_run_config(tmp_path)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out), "--save-models"])
+    assert result.exit_code == 1
+    assert result.output == "Error: model refit failed for cell none+bag: ensemble refused\n"
+    assert (out / "summary.csv").is_file() and (out / "models" / "none+tree.json").is_file()
+    assert not (out / "manifest.yaml").exists()
+
+
+def test_worker_count_is_capped_by_tasks_and_cores():
+    cores = len(os.sched_getaffinity(0))
+    assert _worker_count(1000, 24) == min(24, cores)
+    assert _worker_count(1000, 1) == 1
+    assert _worker_count(1, 24) == 1
 
 
 def test_run_missing_schema_fails_with_path(tmp_path, runner):

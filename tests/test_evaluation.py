@@ -5,6 +5,7 @@ import pytest
 
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema, imbalance_ratio
 from crus.clustering import kmeans_fit
+from crus.ensembles import ensemble_to_doc
 from crus.evaluation import (
     ClassifierSpec,
     SamplerSpec,
@@ -12,12 +13,14 @@ from crus.evaluation import (
     apply_sampler,
     fit_classifier,
     fit_pipeline,
+    fit_pipelines,
     gen_synthetic,
     run_cv,
     run_cv_clustered,
     run_experiment,
 )
 from crus.metrics import combine_reports, compute_report
+from crus.trees import DecisionTree, tree_to_doc
 
 
 def constant_attribute_dataset(n_pos=10, n_neg=90):
@@ -261,6 +264,69 @@ def test_fit_pipeline_plain_sampler_is_one_group():
     assert np.array_equal(group.train_ids, np.arange(len(d)))
     [(name, model_group, mask)] = pipe.route(d.values[:7])
     assert (name, model_group) == ("n/a", "n/a") and mask.all() and mask.size == 7
+
+
+def _model_doc(model):
+    return tree_to_doc(model) if isinstance(model, DecisionTree) else ensemble_to_doc(model)
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        SamplerSpec("smote", percentage=200.0, k_neighbors=3),
+        SamplerSpec("rus", spread=2.0),
+        SamplerSpec("clustering_rus", threshold=10.0, cluster_k=2),
+    ],
+    ids=lambda s: s.method,
+)
+def test_fit_pipelines_equals_one_fit_pipeline_per_classifier(sampler):
+    """Fitting every classifier on one resampled set gives the models that
+    resampling again for each classifier gives."""
+    d = gen_synthetic(SyntheticConfig(blob_sizes=(100, 300), blob_irs=(2.0, 20.0), seed=4)).dataset
+    classifiers = [
+        ClassifierSpec("tree"),
+        ClassifierSpec("random_forest", n_members=3),
+        ClassifierSpec("adaboost", n_members=3),
+    ]
+    shared = fit_pipelines(d, classifiers, sampler, 11, 12, 13)
+    assert len(shared) == len(classifiers)
+    for classifier, pipe in zip(classifiers, shared):
+        alone = fit_pipeline(d, classifier, sampler, 11, 12, 13)
+        assert pipe.warnings == alone.warnings
+        assert list(pipe.groups) == list(alone.groups)
+        for name, group in pipe.groups.items():
+            other = alone.groups[name]
+            assert _model_doc(group.model) == _model_doc(other.model)
+            assert np.array_equal(group.train_ids, other.train_ids)
+            assert group.n_synthetic == other.n_synthetic
+        if sampler.method == "clustering_rus":
+            assert np.array_equal(pipe.partition.model.centroids, alone.partition.model.centroids)
+            assert pipe.partition.flagged == alone.partition.flagged
+            assert any(pipe.partition.flagged)
+        else:
+            assert pipe.partition is None and alone.partition is None
+    if sampler.method == "smote":
+        assert shared[0].groups["n/a"].n_synthetic == 2 * d.n_positive
+
+
+def test_fit_pipelines_returns_a_classifier_failure_in_its_place(monkeypatch):
+    import crus.evaluation as evaluation
+
+    real = evaluation.fit_classifier
+
+    def fit(train, spec, seed):
+        if spec.method == "bagging":
+            raise ValueError("bagging refused")
+        return real(train, spec, seed)
+
+    monkeypatch.setattr(evaluation, "fit_classifier", fit)
+    d = small_imbalanced_dataset(np.random.default_rng(10))
+    classifiers = [ClassifierSpec("tree"), ClassifierSpec("bagging", n_members=3), ClassifierSpec("tree")]
+    tree, bag, tree_again = fit_pipelines(d, classifiers, SamplerSpec("rus"), 1, 2, 3)
+    assert isinstance(bag, ValueError) and str(bag) == "bagging refused"
+    assert _model_doc(tree.groups["n/a"].model) == _model_doc(tree_again.groups["n/a"].model)
+    with pytest.raises(ValueError, match="bagging refused"):
+        fit_pipeline(d, classifiers[1], SamplerSpec("rus"), 1, 2, 3)
 
 
 def test_weighted_group_combination_fixture():
