@@ -43,7 +43,7 @@ from .dataset import (
     stratified_kfold,
     write_csv,
 )
-from .ensembles import ensemble_to_doc, load_ensemble
+from .ensembles import ensemble_from_doc, ensemble_to_doc
 from .evaluation import (
     ClassifierSpec,
     CvResult,
@@ -65,7 +65,7 @@ from .seeds import derive_seed
 from .evaluation import fit_classifier, run_experiment  # noqa: F401
 from .resampling import apply_clustering_rus, plan_cluster_partition  # noqa: F401
 from .stats import ScoreMatrix, average_combined_loss, cd_diagram, compare_treatments, loss_vs_best
-from .trees import DecisionTree, _model_json, export_rules, load_tree, tree_to_doc
+from .trees import DecisionTree, _model_json, export_rules, tree_from_doc, tree_to_doc
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
@@ -667,22 +667,25 @@ def featsel(config_path: Path, out_dir: Path) -> None:
               help="Write the rules here instead of stdout.")
 def rules(model_path: Path, out_path: Path | None) -> None:
     """Print the decision rules of a saved model."""
+    readers = {"tree": tree_from_doc, "ensemble": ensemble_from_doc}
     try:
         doc = json.loads(model_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        kind = doc.get("kind") if isinstance(doc, dict) else None
+        if kind not in readers:
+            _fail(f"{model_path} is not a saved tree or ensemble model")
+        model = readers[kind](doc)
+    except KeyError as exc:
+        _fail(f"cannot read model {model_path}: missing key {exc}")
+    except (OSError, TypeError, ValueError) as exc:
         _fail(f"cannot read model {model_path}: {exc}")
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind == "tree":
-        text = "\n".join(export_rules(load_tree(model_path))) + "\n"
-    elif kind == "ensemble":
-        model = load_ensemble(model_path)
+    if isinstance(model, DecisionTree):
+        text = "\n".join(export_rules(model)) + "\n"
+    else:
         parts = []
         for i, (member, w) in enumerate(zip(model.members, model.member_weights)):
             parts.append(f"member {i} (weight {w:g}):")
             parts += ["  " + r for r in export_rules(member)]
         text = "\n".join(parts) + "\n"
-    else:
-        _fail(f"{model_path} is not a saved tree or ensemble model")
     if out_path is not None:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         out_path.write_text(text, encoding="utf-8")

@@ -134,7 +134,13 @@ def load_schema(path: str | Path) -> DatasetSchema:
     for key in ("class_attribute", "class_labels", "positive_label", "attributes"):
         if key not in raw:
             raise DataError(f"schema file {path}: missing key '{key}'")
-    labels = [str(v) for v in raw["class_labels"]]
+
+    def listed(value: object, key: str) -> list:
+        if not isinstance(value, list):
+            raise DataError(f"schema file {path}: '{key}' must be a list, got {value!r}")
+        return value
+
+    labels = [str(v) for v in listed(raw["class_labels"], "class_labels")]
     if len(labels) != 2:
         raise DataError(f"schema file {path}: class_labels must list exactly two labels")
     positive = str(raw["positive_label"])
@@ -142,10 +148,10 @@ def load_schema(path: str | Path) -> DatasetSchema:
         raise DataError(f"schema file {path}: positive_label '{positive}' not in class_labels")
     negative = labels[0] if labels[1] == positive else labels[1]
     attrs = []
-    for entry in raw["attributes"]:
+    for entry in listed(raw["attributes"], "attributes"):
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise DataError(f"schema file {path}: each attribute needs 'name' and 'kind'")
-        cats = tuple(str(c) for c in entry.get("categories", ()) or ())
+        cats = tuple(str(c) for c in listed(entry.get("categories") or [], "categories"))
         attrs.append(AttributeSpec(str(entry["name"]), str(entry["kind"]), cats))
     return DatasetSchema(tuple(attrs), str(raw["class_attribute"]), negative, positive)
 

@@ -30,23 +30,6 @@ from .trees import (
 PERFECT_MEMBER_WEIGHT = math.log(1e10)
 
 
-def majority_vote(votes: list[int] | np.ndarray, weights: list[float] | np.ndarray | None = None) -> int:
-    """Weighted plurality over 0/1 votes; an exact tie elects the negative class."""
-    v = np.asarray(votes)
-    if v.size == 0:
-        raise ValueError("no votes to combine")
-    if not np.all((v == 0) | (v == 1)):
-        raise ValueError("votes must be 0/1 class labels")
-    w = np.ones(v.size) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != v.shape:
-        raise ValueError("weights must match votes")
-    if np.any(w < 0):
-        raise ValueError("vote weights must be nonnegative")
-    pos = float(w[v == 1].sum())
-    neg = float(w[v == 0].sum())
-    return 1 if pos > neg else 0
-
-
 def theoretical_ensemble_accuracy(p: float, n_members: int) -> float:
     """Probability that a majority of n_members independent voters, each
     correct with probability p, is correct.  Requires an odd member count."""

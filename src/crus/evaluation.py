@@ -2,16 +2,16 @@
 
 One pipeline fits every model: `fit_pipelines` resamples a training set
 once and fits one model per group for each classifier, so every classifier
-of a sampler trains on the same resampled set; `fit_pipeline` is its
-one-classifier case.  The plain samplers give the single group "n/a";
-cluster-aware undersampling fits the cluster partition on the training set
-alone, undersamples the flagged group and routes instances by nearest
-centroid.  `run_fold` is the one fold step and `cv_result` assembles a
-cell's folds; `run_experiment` runs them for one cell.  Folds are created
-before any resampling and the pipeline sees only each training split, so
-synthetic or dropped instances never touch a test fold.  A fold's report
-is the test-count weighted average of its group reports.  The CLI's
-`--save-models` refit runs the same pipeline on the full dataset.
+of a sampler trains on the same resampled set.  The plain samplers give
+the single group "n/a"; cluster-aware undersampling fits the cluster
+partition on the training set alone, undersamples the flagged group and
+routes instances by nearest centroid.  `run_fold` is the one fold step
+and `cv_result` assembles a cell's folds; `run_experiment` runs them for
+one cell.  Folds are created before any resampling and the pipeline sees
+only each training split, so synthetic or dropped instances never touch a
+test fold.  A fold's report is the test-count weighted average of its
+group reports.  The CLI runs `run_fold` per (sampler, fold), and its
+`--save-models` refit runs `fit_pipelines` on the full dataset.
 
 Seed discipline: from one master seed, the fold split uses
 derive_seed(seed, "folds") and fold f uses derive_seed(seed, "sampler", f),
@@ -168,7 +168,7 @@ def apply_sampler(train: Dataset, spec: SamplerSpec, seed: int) -> Dataset:
         return rus_undersample(train, spec.spread, seed)
     if spec.method == "smote":
         return smote_oversample(train, spec.percentage, spec.k_neighbors, seed)
-    raise ValueError("clustering_rus trains per-group models; use fit_pipeline")
+    raise ValueError("clustering_rus trains per-group models; use fit_pipelines")
 
 
 @dataclass(frozen=True)
@@ -291,21 +291,6 @@ def fit_pipelines(
         return PipelineModel(groups, warnings, partition)
 
     return [_outcome(fit, c) for c in classifiers]
-
-
-def fit_pipeline(
-    train: Dataset,
-    classifier: ClassifierSpec,
-    sampler: SamplerSpec,
-    sampler_seed: int,
-    cluster_seed: int,
-    classifier_seed: int,
-) -> PipelineModel:
-    """fit_pipelines for one classifier; its failure is raised."""
-    (pipe,) = fit_pipelines(train, [classifier], sampler, sampler_seed, cluster_seed, classifier_seed)
-    if isinstance(pipe, ValueError):
-        raise pipe
-    return pipe
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Attribute ranking and correlation-based subset selection.
 
-Gain-ratio ranking scores each attribute alone against the class (numeric
-attributes at their best binary split).  Subset selection uses the
-correlation-based merit k*rcf / sqrt(k + k(k-1)*rff) where both the
-attribute-class correlation rcf and the attribute-attribute correlation
-rff are symmetrical uncertainties over discretized attributes, explored
-with a best-first forward search.
+Gain-ratio ranking scores each attribute alone against the class with the
+tree grower's split scorer (numeric attributes at their best binary
+split).  Subset selection uses the correlation-based merit
+k*rcf / sqrt(k + k(k-1)*rff) of Hall's CFS, where both the attribute-class
+correlation rcf and the attribute-attribute correlation rff are
+symmetrical uncertainties over discretized attributes, explored with a
+best-first forward search.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, NUMERIC
-from .trees import _entropy, _nominal_stats, _numeric_candidates
+from .trees import _entropy, _gain_ratios, _numeric_candidates
 
 
 @dataclass(frozen=True)
@@ -26,39 +27,25 @@ class AttributeRank:
     score: float
 
 
-def _best_numeric_ratio(vals: np.ndarray, y: np.ndarray) -> float:
-    w = np.ones(vals.size)
-    thresholds, gains, infos = _numeric_candidates(vals, y, w, min_leaf=0.0)
-    usable = infos > 0
-    if not np.any(usable):
-        return 0.0
-    ratios = gains[usable] / infos[usable]
-    return float(ratios.max())
-
-
 def gain_ratio_rank(d: Dataset) -> list[AttributeRank]:
     """Attributes sorted by standalone gain ratio, best first.
 
-    Unusable attributes (constant, or zero split information) score 0.
-    Ties keep ascending attribute index order.
+    Each attribute is scored as the tree grower scores it at an unweighted
+    root without a minimum leaf weight.  Unusable attributes (constant, or
+    zero split information) score 0.  Ties keep ascending attribute index
+    order.
     """
     if len(d) == 0:
         raise ValueError("cannot rank attributes of an empty dataset")
     y = np.asarray(d.labels)
     if y.min() == y.max():
         raise ValueError("attribute ranking needs both classes present")
-    ranks = []
-    for i, spec in enumerate(d.schema.attributes):
-        vals = d.values[:, i]
-        if spec.kind == NUMERIC:
-            score = _best_numeric_ratio(vals, y)
-        else:
-            stats = _nominal_stats(vals, y, np.ones(len(d)), len(spec.categories), min_leaf=0.0)
-            if stats is None or stats[1] <= 0:
-                score = 0.0
-            else:
-                score = float(stats[0] / stats[1])
-        ranks.append(AttributeRank(i, spec.name, score))
+    attrs = np.arange(d.schema.n_attributes)
+    ratios, _ = _gain_ratios(d, d.values.T, attrs, np.arange(len(d)), np.ones(len(d)), min_leaf=0.0)
+    ranks = [
+        AttributeRank(i, spec.name, float(r) if r > -np.inf else 0.0)
+        for i, (spec, r) in enumerate(zip(d.schema.attributes, ratios))
+    ]
     return sorted(ranks, key=lambda r: (-r.score, r.index))
 
 
@@ -130,26 +117,12 @@ class _SuCache:
 
     def merit(self, subset: tuple[int, ...]) -> float:
         k = len(subset)
-        if k == 0:
-            raise ValueError("merit of an empty subset is undefined")
         r_cf = float(np.mean([self.class_su(i) for i in subset]))
         if k == 1:
             return r_cf
         pairs = [self.pair_su(a, b) for t, a in enumerate(subset) for b in subset[t + 1 :]]
         r_ff = float(np.mean(pairs))
         return k * r_cf / np.sqrt(k + k * (k - 1) * r_ff)
-
-
-def cfs_merit(d: Dataset, subset: list[int] | tuple[int, ...]) -> float:
-    """Correlation-based merit of an attribute subset."""
-    subset = tuple(sorted(set(int(i) for i in subset)))
-    if not subset:
-        raise ValueError("subset must contain at least one attribute")
-    for i in subset:
-        if not 0 <= i < d.schema.n_attributes:
-            raise ValueError(f"attribute index {i} out of range")
-    cache = _SuCache(discretize(d), np.asarray(d.labels))
-    return cache.merit(subset)
 
 
 @dataclass(frozen=True)

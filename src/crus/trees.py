@@ -15,9 +15,10 @@ C4.5's criterion, but sorting at each node.  The node's values form an
 weights along it give the gain and split information of every cut; the
 first maximum of a row is its lowest best threshold.  A block holds at most
 _BLOCK_CELLS values, which bounds the temporaries at a large root.
-Nominal attributes are scored one at a time.  The first maximum over all
-candidates in attribute order is the split.  Feature selection scores a
-single attribute, and `gain_ratio` a single cut, as a one-row block.
+Nominal attributes are scored one at a time.  `_gain_ratios` gives every
+candidate's best ratio, and the first maximum in attribute order is the
+split.  Attribute ranking in `feature_selection` uses the same scorer at an
+unweighted root.
 
 A node holds its split attribute, either a numeric threshold or the
 nominal categories observed at it (ascending, one child each) plus a
@@ -42,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, DatasetSchema, NUMERIC, _schema_from_doc, _schema_to_doc
+from .dataset import Dataset, DatasetSchema, _schema_from_doc, _schema_to_doc
 
 
 @dataclass(frozen=True)
@@ -255,43 +256,41 @@ def _nominal_stats(
     return h_class - h_cond, split_info, w_tot
 
 
-def gain_ratio(
-    d: Dataset,
-    attribute: int,
-    threshold: float | None = None,
-    weights: np.ndarray | None = None,
-) -> float | None:
-    """Gain ratio of one candidate split, or None when it is unusable.
+def _gain_ratios(
+    d: Dataset, columns: np.ndarray, attrs: np.ndarray, idx: np.ndarray, w: np.ndarray, min_leaf: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best gain ratio of each attribute in attrs over the rows idx, and its threshold.
 
-    Nominal attributes evaluate the multiway split on their observed
-    categories; numeric attributes require a threshold.  Unusable means the
-    split information is zero (the split does not actually partition).
+    columns holds d's values one row per attribute and w the weights of
+    the rows idx, of which there are at least two.  A ratio is -inf where
+    no cut is usable; a threshold means something only for a usable
+    numeric attribute, where it is the lowest best one.  Numeric attributes
+    are scored in blocks of at most _BLOCK_CELLS values.
     """
-    w = np.ones(len(d)) if weights is None else np.asarray(weights, dtype=np.float64)
-    vals = d.values[:, attribute]
-    y = d.labels
-    spec = d.schema.attributes[attribute]
-    if spec.kind == NUMERIC:
-        if threshold is None:
-            raise ValueError(f"numeric attribute '{spec.name}' needs a threshold")
-        # the 0/1 row "goes right" has one cut: after the last row <= threshold
-        left = vals <= threshold
-        cut = int(left.sum()) - 1
-        if not 0 <= cut < len(vals) - 1:
-            return None
-        _, gains, infos, ok = _numeric_block((~left).astype(np.float64)[np.newaxis], w * (y == 1), w, 0.0)
-        if not ok[0, cut] or infos[0, cut] <= 0:
-            return None
-        return float(gains[0, cut] / infos[0, cut])
-    if threshold is not None:
-        raise ValueError(f"nominal attribute '{spec.name}' takes no threshold")
-    stats = _nominal_stats(vals, y, w, len(spec.categories), min_leaf=0.0)
-    if stats is None:
-        return None
-    gain, split_info, _ = stats
-    if split_info <= 0:
-        return None
-    return float(gain / split_info)
+    y = d.labels[idx]
+    is_numeric = d.numeric_mask()[attrs]
+    ratios = np.full(attrs.size, -np.inf)
+    thresholds = np.zeros(attrs.size)
+    numeric = np.flatnonzero(is_numeric)
+    w_pos = w * (y == 1)
+    step = max(1, _BLOCK_CELLS // idx.size)
+    for lo in range(0, numeric.size, step):
+        rows = numeric[lo:lo + step]
+        V = columns[attrs[rows, np.newaxis], idx]
+        v, gains, infos, ok = _numeric_block(V, w_pos, w, min_leaf)
+        usable = ok & (infos > 0)
+        r = np.where(usable, gains / np.where(usable, infos, 1.0), -np.inf)
+        j = np.argmax(r, axis=1)  # first max: lowest threshold on ties
+        k = np.arange(rows.size)
+        ratios[rows] = r[k, j]
+        thresholds[rows] = (v[k, j] + v[k, j + 1]) / 2.0
+    for i in np.flatnonzero(~is_numeric):
+        attr = attrs[i]
+        n_categories = len(d.schema.attributes[attr].categories)
+        stats = _nominal_stats(columns[attr, idx], y, w, n_categories, min_leaf)
+        if stats is not None and stats[1] > 0:
+            ratios[i] = stats[0] / stats[1]
+    return ratios, thresholds
 
 
 @dataclass
@@ -350,37 +349,15 @@ class _Grower:
         """(attribute, threshold or None) of the best split, or None.
 
         Only called on nodes with weight in both classes, so idx holds at
-        least two instances and every block has at least one cut.
+        least two instances.
         """
-        y = self.d.labels[idx]
-        min_leaf = self.cfg.min_leaf_weight
         attrs = self._candidate_attributes(self.d.schema.n_attributes)
-        is_numeric = self.numeric[attrs]
-        ratios = np.full(attrs.size, -np.inf)
-        thresholds = np.zeros(attrs.size)
-        numeric = np.flatnonzero(is_numeric)
-        w_pos = w * (y == 1)
-        step = max(1, _BLOCK_CELLS // idx.size)
-        for lo in range(0, numeric.size, step):
-            rows = numeric[lo:lo + step]
-            V = self.columns[attrs[rows, np.newaxis], idx]
-            v, gains, infos, ok = _numeric_block(V, w_pos, w, min_leaf)
-            usable = ok & (infos > 0)
-            r = np.where(usable, gains / np.where(usable, infos, 1.0), -np.inf)
-            j = np.argmax(r, axis=1)  # first max: lowest threshold on ties
-            k = np.arange(rows.size)
-            ratios[rows] = r[k, j]
-            thresholds[rows] = (v[k, j] + v[k, j + 1]) / 2.0
-        for i in np.flatnonzero(~is_numeric):
-            attr = attrs[i]
-            n_categories = len(self.d.schema.attributes[attr].categories)
-            stats = _nominal_stats(self.columns[attr, idx], y, w, n_categories, min_leaf)
-            if stats is not None and stats[1] > 0:
-                ratios[i] = stats[0] / stats[1]
+        ratios, thresholds = _gain_ratios(self.d, self.columns, attrs, idx, w, self.cfg.min_leaf_weight)
         best = int(np.argmax(ratios))  # first max: lowest attribute on ties
         if ratios[best] == -np.inf:
             return None
-        return int(attrs[best]), float(thresholds[best]) if is_numeric[best] else None
+        attr = int(attrs[best])
+        return attr, float(thresholds[best]) if self.numeric[attr] else None
 
 
 def fit_tree(

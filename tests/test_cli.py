@@ -478,3 +478,22 @@ def test_rules_rejects_other_json(tmp_path, runner):
     path.write_text('{"kind": "cluster_model"}', encoding="utf-8")
     result = runner.invoke(main, ["rules", "--model", str(path)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ('{"kind": "tree"}', "missing key 'config'"),
+        ('{"kind": "ensemble", "members": []}', "missing key 'method'"),
+        ('{"kind": "tree", "config": {"depth": 3}, "schema": {}, "root": {}}', "unexpected keyword"),
+        ('{"kind": "tree"', "Expecting"),
+    ],
+    ids=["tree-without-config", "ensemble-without-method", "unknown-config-key", "truncated"],
+)
+def test_rules_malformed_model_fails_with_path(tmp_path, runner, doc, message):
+    path = tmp_path / "model.json"
+    path.write_text(doc, encoding="utf-8")
+    result = runner.invoke(main, ["rules", "--model", str(path)])
+    assert result.exit_code == 2
+    assert f"cannot read model {path}: " in result.output and message in result.output
+    assert "Traceback" not in result.output

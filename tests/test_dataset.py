@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import yaml
 
 from crus.dataset import (
     NOMINAL,
@@ -103,6 +104,20 @@ def test_schema_roundtrip(tmp_path):
     path = tmp_path / "schema.yaml"
     save_schema(schema, path)
     assert load_schema(path) == schema
+
+
+@pytest.mark.parametrize("key", ["class_labels", "attributes", "categories"])
+def test_load_schema_rejects_a_value_that_is_not_a_list(tmp_path, key):
+    path = tmp_path / "schema.yaml"
+    save_schema(small_schema(), path)
+    doc = yaml.safe_load(path.read_text())
+    if key == "categories":
+        doc["attributes"][1]["categories"] = 3
+    else:
+        doc[key] = 5
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(DataError, match=f"schema file {path}: '{key}' must be a list, got"):
+        load_schema(path)
 
 
 def test_csv_roundtrip(tmp_path):

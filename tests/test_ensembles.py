@@ -20,7 +20,6 @@ from crus.ensembles import (
     fit_random_committee,
     fit_random_forest,
     load_ensemble,
-    majority_vote,
     save_ensemble,
     theoretical_ensemble_accuracy,
 )
@@ -56,22 +55,21 @@ def leaf_tree(schema, neg_weight, pos_weight):
 SCHEMA_1D = DatasetSchema((AttributeSpec("f0", NUMERIC),), "y", "neg", "pos")
 
 
+def vote(labels, weights=None):
+    """The class a voting ensemble of leaves with these labels gives a row."""
+    members = [leaf_tree(SCHEMA_1D, 1.0 - v, float(v)) for v in labels]
+    w = np.ones(len(labels)) if weights is None else np.asarray(weights, dtype=np.float64)
+    classes, _ = EnsembleModel("bagging", members, w, "vote", 0).predict_batch(np.array([[0.0]]))
+    return int(classes[0])
+
+
 def test_majority_vote_basics():
-    assert majority_vote([1, 1, 0]) == 1
-    assert majority_vote([1, 0]) == 0  # tie elects negative
-    assert majority_vote([1, 0, 1], weights=[0.2, 0.9, 0.3]) == 0
-    assert majority_vote([0], weights=[0.0]) == 0
-
-
-def test_majority_vote_validation():
-    with pytest.raises(ValueError):
-        majority_vote([])
-    with pytest.raises(ValueError):
-        majority_vote([0, 2])
-    with pytest.raises(ValueError):
-        majority_vote([0, 1], weights=[1.0])
-    with pytest.raises(ValueError):
-        majority_vote([0, 1], weights=[1.0, -1.0])
+    assert vote([1, 1, 0]) == 1
+    assert vote([1, 0]) == 0  # tie elects negative
+    assert vote([1, 0, 1], weights=[0.2, 0.9, 0.3]) == 0
+    assert vote([0], weights=[0.0]) == 0
+    # all weights zero (a degenerate boosting run): unit votes decide
+    assert vote([1], weights=[0.0]) == 1
 
 
 def brute_force_majority_accuracy(p, n_members):

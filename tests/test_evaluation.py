@@ -12,7 +12,6 @@ from crus.evaluation import (
     SyntheticConfig,
     apply_sampler,
     fit_classifier,
-    fit_pipeline,
     fit_pipelines,
     gen_synthetic,
     run_cv,
@@ -257,7 +256,7 @@ def test_group_without_model_falls_back_to_other_group():
 
 def test_fit_pipeline_plain_sampler_is_one_group():
     d = small_imbalanced_dataset(np.random.default_rng(10))
-    pipe = fit_pipeline(d, ClassifierSpec("tree"), SamplerSpec("smote", percentage=100.0), 1, 2, 3)
+    (pipe,) = fit_pipelines(d, [ClassifierSpec("tree")], SamplerSpec("smote", percentage=100.0), 1, 2, 3)
     assert pipe.partition is None and list(pipe.groups) == ["n/a"]
     group = pipe.groups["n/a"]
     assert group.n_synthetic == int(d.n_positive)
@@ -291,7 +290,7 @@ def test_fit_pipelines_equals_one_fit_pipeline_per_classifier(sampler):
     shared = fit_pipelines(d, classifiers, sampler, 11, 12, 13)
     assert len(shared) == len(classifiers)
     for classifier, pipe in zip(classifiers, shared):
-        alone = fit_pipeline(d, classifier, sampler, 11, 12, 13)
+        (alone,) = fit_pipelines(d, [classifier], sampler, 11, 12, 13)
         assert pipe.warnings == alone.warnings
         assert list(pipe.groups) == list(alone.groups)
         for name, group in pipe.groups.items():
@@ -325,8 +324,8 @@ def test_fit_pipelines_returns_a_classifier_failure_in_its_place(monkeypatch):
     tree, bag, tree_again = fit_pipelines(d, classifiers, SamplerSpec("rus"), 1, 2, 3)
     assert isinstance(bag, ValueError) and str(bag) == "bagging refused"
     assert _model_doc(tree.groups["n/a"].model) == _model_doc(tree_again.groups["n/a"].model)
-    with pytest.raises(ValueError, match="bagging refused"):
-        fit_pipeline(d, classifiers[1], SamplerSpec("rus"), 1, 2, 3)
+    (alone,) = fit_pipelines(d, classifiers[1:2], SamplerSpec("rus"), 1, 2, 3)
+    assert isinstance(alone, ValueError) and str(alone) == "bagging refused"
 
 
 def test_weighted_group_combination_fixture():

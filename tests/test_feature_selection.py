@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from crus import trees
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema
 from crus.feature_selection import (
+    AttributeRank,
     cfs_best_first,
-    cfs_merit,
     discretize,
     gain_ratio_rank,
     symmetrical_uncertainty,
 )
+from crus.trees import _nominal_stats, _numeric_candidates
 
 
 def make_dataset(columns, kinds, labels, n_categories=3):
@@ -106,6 +108,74 @@ def test_gain_ratio_invariant_under_category_relabeling():
     assert s1 == pytest.approx(s2, abs=1e-12)
 
 
+def reference_gain_ratio_rank(d):
+    """The ranking as scored before it shared the tree grower's scorer: a
+    numeric attribute alone as a one-row block, a nominal one by its
+    multiway split."""
+    y = np.asarray(d.labels)
+    w = np.ones(len(d))
+    ranks = []
+    for i, spec in enumerate(d.schema.attributes):
+        vals = d.values[:, i]
+        if spec.kind == NUMERIC:
+            _, gains, infos = _numeric_candidates(vals, y, w, min_leaf=0.0)
+            usable = infos > 0
+            score = float((gains[usable] / infos[usable]).max()) if np.any(usable) else 0.0
+        else:
+            stats = _nominal_stats(vals, y, w, len(spec.categories), min_leaf=0.0)
+            score = 0.0 if stats is None or stats[1] <= 0 else float(stats[0] / stats[1])
+        ranks.append(AttributeRank(i, spec.name, score))
+    return sorted(ranks, key=lambda r: (-r.score, r.index))
+
+
+def ranking_case(seed):
+    """A seeded dataset of mixed kinds with tied, constant and unobserved values."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 3, 7, 40, 300, 1500]))
+    n_numeric = int(rng.integers(0, 9))
+    n_nominal = int(rng.integers(0 if n_numeric else 1, 4))
+    cols, kinds, attrs = [], [], []
+    for _ in range(n_numeric):
+        style = rng.integers(4)
+        if style == 0:
+            col = rng.normal(0, 1, n)
+        elif style == 1:  # integer ties
+            col = rng.integers(0, 4, n).astype(float)
+        elif style == 2:  # constant
+            col = np.full(n, -1.5)
+        else:  # a few values at wide scales
+            col = np.round(rng.exponential(1e3, n), 1)
+        attrs.append(AttributeSpec(f"x{len(attrs)}", NUMERIC))
+        cols.append(col)
+    for _ in range(n_nominal):
+        k = int(rng.integers(1, 5))
+        # codes below k - 1 only, so the last category may go unobserved
+        cols.append(rng.integers(0, max(1, k - int(rng.integers(2))), n).astype(float))
+        attrs.append(AttributeSpec(f"c{len(attrs)}", NOMINAL, tuple(f"k{c}" for c in range(k))))
+    signal = cols[0] + rng.normal(0, 1.5, n)
+    labels = (signal > np.median(signal)).astype(np.int8)
+    labels[: 2] = [0, 1]
+    schema = DatasetSchema(tuple(attrs), "y", "neg", "pos")
+    return Dataset(schema, np.column_stack(cols), labels)
+
+
+@pytest.mark.parametrize("block_cells", [8192, 16])
+def test_gain_ratio_rank_equals_per_attribute_reference(monkeypatch, block_cells):
+    # 16 cells per block puts each numeric attribute in its own block (or a
+    # few in one at tiny sizes); the default puts up to 8 numeric
+    # attributes of 1,500 rows in two blocks
+    monkeypatch.setattr(trees, "_BLOCK_CELLS", block_cells)
+    scored = positive = 0
+    for seed in range(200):
+        d = ranking_case(seed)
+        got, want = gain_ratio_rank(d), reference_gain_ratio_rank(d)
+        assert got == want, seed
+        assert [r.score.hex() for r in got] == [r.score.hex() for r in want], seed  # -0.0 too
+        scored += len(got)
+        positive += sum(r.score > 0 for r in got)
+    assert scored > 800 and positive > 400
+
+
 def entropy(counts):
     p = np.asarray(counts, dtype=np.float64)
     p = p[p > 0] / p.sum()
@@ -159,47 +229,60 @@ def test_su_validation():
         symmetrical_uncertainty(np.array([]), np.array([]))
 
 
+def hall_merit(d, subset):
+    """k * mean SU(attribute, class) / sqrt(k + k(k-1) * mean SU(attribute, attribute))."""
+    codes, y = discretize(d), np.asarray(d.labels)
+    k = len(subset)
+    r_cf = float(np.mean([symmetrical_uncertainty(codes[:, i], y) for i in subset]))
+    pairs = [symmetrical_uncertainty(codes[:, a], codes[:, b]) for t, a in enumerate(subset) for b in subset[t + 1:]]
+    r_ff = float(np.mean(pairs)) if pairs else 0.0
+    return k * r_cf / math.sqrt(k + k * (k - 1) * r_ff)
+
+
+def only_attribute(d, i):
+    schema = DatasetSchema((d.schema.attributes[i],), "y", "neg", "pos")
+    return Dataset(schema, d.values[:, [i]], d.labels)
+
+
 def test_cfs_merit_single_attribute_is_class_su():
     rng = np.random.default_rng(7)
     d = noisy_dataset(rng)
     codes = discretize(d)
     expected = symmetrical_uncertainty(codes[:, 3], np.asarray(d.labels))
-    assert cfs_merit(d, [3]) == pytest.approx(expected)
-    assert cfs_merit(d, [0]) == pytest.approx(1.0)
+    for i, want in ((3, expected), (0, 1.0)):
+        result = cfs_best_first(only_attribute(d, i))
+        assert result.selected == (0,) and result.n_evaluated == 1
+        assert result.merit == pytest.approx(want)
 
 
 def test_cfs_merit_duplicate_of_perfect_attribute():
     y = np.tile(np.array([0, 1], dtype=np.int8), 20)
     col = y.astype(np.float64)
     d = make_dataset([col, col], [NOMINAL, NOMINAL], y, n_categories=2)
-    assert cfs_merit(d, [0]) == pytest.approx(1.0)
-    # SU_cf = 1 and SU_ff = 1 give 2/sqrt(2+2): the redundant copy adds nothing
-    assert cfs_merit(d, [0, 1]) == pytest.approx(2.0 / math.sqrt(4.0))
-    assert cfs_merit(d, [0, 1]) <= cfs_merit(d, [0]) + 1e-12
+    # SU_cf = 1 and SU_ff = 1 give the pair 2/sqrt(2+2): the redundant copy
+    # adds nothing, so the search keeps the single attribute
+    result = cfs_best_first(d)
+    assert result.n_evaluated == 3
+    assert result.selected == (0,) and result.merit == pytest.approx(1.0)
+    assert hall_merit(d, (0, 1)) == pytest.approx(2.0 / math.sqrt(4.0))
 
 
 def test_cfs_merit_independent_attributes_scale_sqrt_k():
     """With r_ff = 0 the merit formula reduces to mean(SU_cf) * sqrt(k)."""
     rng = np.random.default_rng(8)
     n = 5000
-    y = rng.integers(0, 2, n).astype(np.int8)
     cols = [rng.integers(0, 2, n).astype(np.float64) for _ in range(3)]
+    y = (sum(cols) >= 2).astype(np.int8)  # each attribute agrees with the class 3/4 of the time
     d = make_dataset(cols, [NOMINAL] * 3, y, n_categories=2)
     codes = discretize(d)
     su_cf = [symmetrical_uncertainty(codes[:, i], y) for i in range(3)]
     su_ff = [symmetrical_uncertainty(codes[:, i], codes[:, j]) for i in range(3) for j in range(i + 1, 3)]
     assert max(su_ff) < 0.005
     expected = float(np.mean(su_cf)) * math.sqrt(3) / math.sqrt(1 + 2 * float(np.mean(su_ff)))
-    assert cfs_merit(d, [0, 1, 2]) == pytest.approx(expected, abs=1e-9)
-
-
-def test_cfs_merit_validation():
-    rng = np.random.default_rng(9)
-    d = noisy_dataset(rng)
-    with pytest.raises(ValueError):
-        cfs_merit(d, [])
-    with pytest.raises(ValueError):
-        cfs_merit(d, [99])
+    result = cfs_best_first(d)
+    assert result.selected == (0, 1, 2)
+    assert result.merit == pytest.approx(expected, abs=1e-9)
+    assert result.merit > max(su_cf) * math.sqrt(2)
 
 
 def test_best_first_selects_the_informative_attribute():
@@ -208,8 +291,8 @@ def test_best_first_selects_the_informative_attribute():
     result = cfs_best_first(d)
     assert 0 in result.selected
     # noise and constants add nothing next to a perfect attribute
-    assert result.merit == pytest.approx(cfs_merit(d, result.selected))
-    assert result.merit >= cfs_merit(d, [0]) - 1e-12
+    assert result.merit == pytest.approx(hall_merit(d, result.selected))
+    assert result.merit >= hall_merit(d, (0,)) - 1e-12
     assert result.n_evaluated >= d.schema.n_attributes
     assert result.names[result.selected.index(0)] == "f0"
 

@@ -7,6 +7,7 @@ import pytest
 
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, DataError, Dataset, DatasetSchema
 from crus import trees
+from crus.feature_selection import gain_ratio_rank
 from crus.trees import (
     DecisionTree,
     TreeConfig,
@@ -20,7 +21,6 @@ from crus.trees import (
     export_rules,
     fit_random_tree,
     fit_tree,
-    gain_ratio,
     load_tree,
     save_tree,
     tree_from_doc,
@@ -51,9 +51,14 @@ def random_consistent_dataset(rng, n=60, n_numeric=3, n_nominal=2):
     return make_dataset(cols, kinds, labels)
 
 
+def root_gain_ratio(d):
+    """The gain ratio of attribute 0 as the grower scores it at an unweighted root."""
+    return {r.index: r.score for r in gain_ratio_rank(d)}[0]
+
+
 def test_gain_ratio_perfect_nominal_split():
     d = make_dataset([[0, 0, 1, 1]], [NOMINAL], [1, 1, 0, 0])
-    assert gain_ratio(d, 0) == pytest.approx(1.0)
+    assert root_gain_ratio(d) == pytest.approx(1.0)
 
 
 def test_gain_ratio_hand_computed_nominal():
@@ -61,28 +66,25 @@ def test_gain_ratio_hand_computed_nominal():
     d = make_dataset([[0, 0, 0, 1, 1, 1]], [NOMINAL], [1, 1, 0, 0, 0, 0])
     h = lambda p: 0.0 if p in (0, 1) else -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
     gain = h(2 / 6) - 0.5 * h(2 / 3)
-    assert gain_ratio(d, 0) == pytest.approx(gain / 1.0)
+    assert root_gain_ratio(d) == pytest.approx(gain / 1.0)
 
 
-def test_gain_ratio_numeric_requires_threshold():
+def test_gain_ratio_numeric_scores_its_best_threshold():
     d = make_dataset([[1.0, 2.0, 3.0, 4.0]], [NUMERIC], [0, 0, 1, 1])
-    with pytest.raises(ValueError):
-        gain_ratio(d, 0)
-    assert gain_ratio(d, 0, threshold=2.5) == pytest.approx(1.0)
-    # threshold outside the value range does not partition -> unusable
-    assert gain_ratio(d, 0, threshold=9.0) is None
+    assert root_gain_ratio(d) == pytest.approx(1.0)
+    assert fit_tree(d, TreeConfig(min_leaf_weight=1.0, use_pruning=False)).root.threshold == 2.5
+    # one cut of four rows, 1 | 3: gain H(1/2) - 3/4 H(1/3) over H(1/4)
+    d = make_dataset([[1.0, 2.0, 2.0, 2.0]], [NUMERIC], [0, 0, 1, 1])
+    h = lambda p: -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
+    assert root_gain_ratio(d) == pytest.approx((1.0 - 0.75 * h(1 / 3)) / h(1 / 4))
+    # a constant column has no cut
+    assert root_gain_ratio(make_dataset([[2.0] * 4], [NUMERIC], [0, 0, 1, 1])) == 0.0
 
 
 def test_gain_ratio_constant_attribute_unusable():
     d = make_dataset([[0, 0, 0, 0]], [NOMINAL], [1, 0, 1, 0])
-    assert gain_ratio(d, 0) is None
-
-
-def test_gain_ratio_respects_weights():
-    d = make_dataset([[1.0, 2.0, 3.0, 4.0]], [NUMERIC], [0, 0, 1, 1])
-    dup = make_dataset([[1.0, 1.0, 2.0, 3.0, 4.0]], [NUMERIC], [0, 0, 0, 1, 1])
-    weighted = gain_ratio(d, 0, threshold=2.5, weights=np.array([2.0, 1.0, 1.0, 1.0]))
-    assert weighted == pytest.approx(gain_ratio(dup, 0, threshold=2.5))
+    assert root_gain_ratio(d) == 0.0
+    assert fit_tree(d, TreeConfig(min_leaf_weight=1.0)).root.is_leaf
 
 
 def test_numeric_threshold_is_midpoint():
