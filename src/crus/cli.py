@@ -19,7 +19,6 @@ threaded, in grid order.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +31,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .clustering import cluster_model_to_text
+from .clustering import ClusterModel
 from .dataset import (
     DataError,
     Dataset,
@@ -43,7 +42,6 @@ from .dataset import (
     stratified_kfold,
     write_csv,
 )
-from .ensembles import ensemble_from_doc, ensemble_to_doc
 from .evaluation import (
     ClassifierSpec,
     CvResult,
@@ -58,6 +56,7 @@ from .evaluation import (
 )
 from .feature_selection import cfs_best_first, gain_ratio_rank
 from .metrics import METRIC_COLUMNS, format_report_row, report_values
+from .modelfile import model_from_text, model_to_text
 from .seeds import derive_seed
 
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches these
@@ -65,7 +64,7 @@ from .seeds import derive_seed
 from .evaluation import fit_classifier, run_experiment  # noqa: F401
 from .resampling import apply_clustering_rus, plan_cluster_partition  # noqa: F401
 from .stats import ScoreMatrix, average_combined_loss, cd_diagram, compare_treatments, loss_vs_best
-from .trees import DecisionTree, _model_json, export_rules, tree_from_doc, tree_to_doc
+from .trees import DecisionTree, export_rules
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
@@ -359,12 +358,6 @@ def _loss_markdown(metrics, names, means, losses, combined) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _model_text(model) -> str:
-    if isinstance(model, DecisionTree):
-        return _model_json(tree_to_doc(model), [model])
-    return _model_json(ensemble_to_doc(model), model.members)
-
-
 def _model_files(cell_name: str, pipe: PipelineModel) -> list[tuple[str, str]]:
     """(file name, text) of each model file of one refit cell.
 
@@ -373,9 +366,9 @@ def _model_files(cell_name: str, pipe: PipelineModel) -> list[tuple[str, str]]:
     a model.
     """
     if pipe.partition is None:
-        return [(f"{cell_name}.json", _model_text(group.model)) for group in pipe.groups.values()]
-    files = [(f"{cell_name}.cluster.json", cluster_model_to_text(pipe.partition.model))]
-    files += [(f"{cell_name}.{name}.json", _model_text(group.model)) for name, group in pipe.groups.items()]
+        return [(f"{cell_name}.json", model_to_text(group.model)) for group in pipe.groups.values()]
+    files = [(f"{cell_name}.cluster.json", model_to_text(pipe.partition.model))]
+    files += [(f"{cell_name}.{name}.json", model_to_text(group.model)) for name, group in pipe.groups.items()]
     return files
 
 
@@ -667,17 +660,14 @@ def featsel(config_path: Path, out_dir: Path) -> None:
               help="Write the rules here instead of stdout.")
 def rules(model_path: Path, out_path: Path | None) -> None:
     """Print the decision rules of a saved model."""
-    readers = {"tree": tree_from_doc, "ensemble": ensemble_from_doc}
     try:
-        doc = json.loads(model_path.read_text(encoding="utf-8"))
-        kind = doc.get("kind") if isinstance(doc, dict) else None
-        if kind not in readers:
-            _fail(f"{model_path} is not a saved tree or ensemble model")
-        model = readers[kind](doc)
+        model = model_from_text(model_path.read_text(encoding="utf-8"))
     except KeyError as exc:
         _fail(f"cannot read model {model_path}: missing key {exc}")
     except (OSError, TypeError, ValueError) as exc:
         _fail(f"cannot read model {model_path}: {exc}")
+    if isinstance(model, ClusterModel):
+        _fail(f"{model_path} is not a saved tree or ensemble model")
     if isinstance(model, DecisionTree):
         text = "\n".join(export_rules(model)) + "\n"
     else:

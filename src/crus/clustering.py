@@ -13,13 +13,11 @@ search of SMOTE (`resampling.smote_oversample`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, DatasetSchema, _schema_from_doc, _schema_to_doc
+from .dataset import Dataset, DatasetSchema
 
 
 @dataclass(frozen=True)
@@ -184,51 +182,3 @@ def _kmeans_single(d: Dataset, k: int, seed: int, max_iter: int) -> ClusterModel
         centroids = _update_centroids(norm, assign, k, numeric)
     objective = float(_sq_distances(norm, centroids, numeric).min(axis=1).sum())
     return ClusterModel(d.schema, k, centroids, scaler, seed, n_iter, repairs, objective)
-
-
-def cluster_model_to_text(model: ClusterModel) -> str:
-    """Serialize a fitted partition to a JSON text document."""
-    doc = {
-        "kind": "cluster_model",
-        "k": model.k,
-        "seed": model.seed,
-        "n_iter": model.n_iter,
-        "repairs": model.repairs,
-        "objective": model.objective,
-        "numeric": [bool(b) for b in model.scaler.numeric],
-        "mins": model.scaler.mins.tolist(),
-        "maxs": model.scaler.maxs.tolist(),
-        "centroids": model.centroids.tolist(),
-        "schema": _schema_to_doc(model.schema),
-    }
-    return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def cluster_model_from_text(text: str) -> ClusterModel:
-    doc = json.loads(text)
-    if doc.get("kind") != "cluster_model":
-        raise ValueError(f"not a cluster model document (kind={doc.get('kind')!r})")
-    schema = _schema_from_doc(doc["schema"])
-    scaler = FeatureScaler(
-        np.array(doc["numeric"], dtype=bool),
-        np.array(doc["mins"], dtype=np.float64),
-        np.array(doc["maxs"], dtype=np.float64),
-    )
-    return ClusterModel(
-        schema,
-        int(doc["k"]),
-        np.array(doc["centroids"], dtype=np.float64),
-        scaler,
-        int(doc["seed"]),
-        int(doc["n_iter"]),
-        int(doc["repairs"]),
-        float(doc["objective"]),
-    )
-
-
-def save_cluster_model(model: ClusterModel, path: str | Path) -> None:
-    Path(path).write_text(cluster_model_to_text(model), encoding="utf-8")
-
-
-def load_cluster_model(path: str | Path) -> ClusterModel:
-    return cluster_model_from_text(Path(path).read_text(encoding="utf-8"))

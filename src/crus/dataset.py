@@ -169,27 +169,6 @@ def save_schema(schema: DatasetSchema, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
 
 
-def _schema_to_doc(schema: DatasetSchema) -> dict:
-    """The schema as embedded in JSON model files (trees, cluster models)."""
-    return {
-        "class_attribute": schema.class_name,
-        "negative_label": schema.negative_label,
-        "positive_label": schema.positive_label,
-        "attributes": [
-            {"name": a.name, "kind": a.kind, "categories": list(a.categories)}
-            for a in schema.attributes
-        ],
-    }
-
-
-def _schema_from_doc(doc: dict) -> DatasetSchema:
-    attrs = tuple(
-        AttributeSpec(e["name"], e["kind"], tuple(e.get("categories", ())))
-        for e in doc["attributes"]
-    )
-    return DatasetSchema(attrs, doc["class_attribute"], doc["negative_label"], doc["positive_label"])
-
-
 def _parse_cell(cell: str, attr: AttributeSpec, row_no: int) -> float:
     if cell == "":
         raise DataError(f"row {row_no}: missing value for attribute '{attr.name}'")

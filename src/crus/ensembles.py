@@ -7,24 +7,14 @@ parallel without changing the result.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import Dataset
 from .seeds import derive_seed, rng_for
-from .trees import (
-    DecisionTree,
-    TreeConfig,
-    _model_json,
-    fit_random_tree,
-    fit_tree,
-    tree_from_doc,
-    tree_to_doc,
-)
+from .trees import DecisionTree, TreeConfig, fit_random_tree, fit_tree
 
 # weight given to a member that classifies its training set perfectly
 PERFECT_MEMBER_WEIGHT = math.log(1e10)
@@ -201,44 +191,3 @@ def fit_random_committee(d: Dataset, cfg: EnsembleConfig = EnsembleConfig()) -> 
     n_members = cfg.resolve_members(default=10)
     members = [fit_random_tree(d, cfg.seed + i, cfg.base) for i in range(n_members)]
     return EnsembleModel("random_committee", members, np.ones(n_members), "average", cfg.seed)
-
-
-def ensemble_to_doc(model: EnsembleModel) -> dict:
-    return {
-        "kind": "ensemble",
-        "method": model.method,
-        "combine": model.combine,
-        "seed": model.seed,
-        "member_weights": model.member_weights.tolist(),
-        "oob_error": model.oob_error,
-        "oob_coverage": model.oob_coverage,
-        "epsilons": list(model.epsilons),
-        "betas": list(model.betas),
-        "warnings": list(model.warnings),
-        "members": [tree_to_doc(t) for t in model.members],
-    }
-
-
-def ensemble_from_doc(doc: dict) -> EnsembleModel:
-    if doc.get("kind") != "ensemble":
-        raise ValueError(f"not an ensemble document (kind={doc.get('kind')!r})")
-    return EnsembleModel(
-        method=doc["method"],
-        members=[tree_from_doc(m) for m in doc["members"]],
-        member_weights=np.array(doc["member_weights"], dtype=np.float64),
-        combine=doc["combine"],
-        seed=int(doc["seed"]),
-        oob_error=doc.get("oob_error"),
-        oob_coverage=doc.get("oob_coverage"),
-        epsilons=tuple(doc.get("epsilons", ())),
-        betas=tuple(doc.get("betas", ())),
-        warnings=tuple(doc.get("warnings", ())),
-    )
-
-
-def save_ensemble(model: EnsembleModel, path: str | Path) -> None:
-    Path(path).write_text(_model_json(ensemble_to_doc(model), model.members), encoding="utf-8")
-
-
-def load_ensemble(path: str | Path) -> EnsembleModel:
-    return ensemble_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -25,25 +25,21 @@ nominal categories observed at it (ascending, one child each) plus a
 fallback category for values without a child, and an ordered list of
 children that is empty for a leaf.  `TreeNode.child_index` maps attribute
 values to child positions; growing partitions training rows with it and
-prediction routes test rows with it.  Growing, pruning, routing, counting,
-rule export and both JSON converters walk the tree with explicit stacks in
-pre-order, so nothing here recurses and random-subspace draws follow the
-node order.  Writing a model file still recurses in the JSON encoder, once
-per level; a tree too deep for it fails with an error naming its depth.
+prediction routes test rows with it.  Growing, pruning, routing, counting
+and rule export walk the tree with explicit stacks in pre-order, so nothing
+here recurses and random-subspace draws follow the node order.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import statistics
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset, DatasetSchema, _schema_from_doc, _schema_to_doc
+from .dataset import Dataset, DatasetSchema
 
 
 @dataclass(frozen=True)
@@ -445,93 +441,3 @@ def export_rules(tree: DecisionTree) -> list[str]:
             tests = [f"{attr.name} = {attr.categories[c]}" for c in node.categories]
         stack.extend(reversed([(c, conds + [t]) for c, t in zip(node.children, tests)]))
     return rules
-
-
-def _node_to_doc(root: TreeNode) -> dict:
-    top: dict = {}
-    stack = [(root, top)]
-    while stack:
-        node, doc = stack.pop()
-        doc["weights"] = [float(node.class_weights[0]), float(node.class_weights[1])]
-        if node.is_leaf:
-            continue
-        doc["attribute"] = node.attribute
-        kids: list[dict] = [{} for _ in node.children]
-        if node.threshold is not None:
-            doc["threshold"] = node.threshold
-            doc["left"], doc["right"] = kids
-        else:
-            doc["children"] = {str(c): kid for c, kid in zip(node.categories, kids)}
-            doc["fallback"] = node.fallback
-        stack.extend(reversed(list(zip(node.children, kids))))
-    return top
-
-
-def _node_from_doc(top: dict) -> TreeNode:
-    def leaf(doc: dict) -> TreeNode:
-        return TreeNode(class_weights=np.array(doc["weights"], dtype=np.float64))
-
-    root = leaf(top)
-    stack = [(root, top)]
-    while stack:
-        node, doc = stack.pop()
-        if "attribute" not in doc:
-            continue
-        node.attribute = int(doc["attribute"])
-        if "threshold" in doc:
-            node.threshold = float(doc["threshold"])
-            kids = [doc["left"], doc["right"]]
-        else:
-            by_category = sorted(doc["children"].items(), key=lambda item: int(item[0]))
-            node.categories = tuple(int(c) for c, _ in by_category)
-            node.fallback = int(doc["fallback"])
-            kids = [kid for _, kid in by_category]
-        node.children = [leaf(kid) for kid in kids]
-        stack.extend(reversed(list(zip(node.children, kids))))
-    return root
-
-
-def tree_to_doc(tree: DecisionTree) -> dict:
-    return {
-        "kind": "tree",
-        "schema": _schema_to_doc(tree.schema),
-        "config": {
-            "min_leaf_weight": tree.config.min_leaf_weight,
-            "use_pruning": tree.config.use_pruning,
-            "confidence_factor": tree.config.confidence_factor,
-            "random_subspace_size": tree.config.random_subspace_size,
-            "seed": tree.config.seed,
-        },
-        "root": _node_to_doc(tree.root),
-    }
-
-
-def tree_from_doc(doc: dict) -> DecisionTree:
-    if doc.get("kind") != "tree":
-        raise ValueError(f"not a tree document (kind={doc.get('kind')!r})")
-    cfg = TreeConfig(**doc["config"])
-    return DecisionTree(_schema_from_doc(doc["schema"]), _node_from_doc(doc["root"]), cfg)
-
-
-def _model_json(doc: dict, trees: list[DecisionTree]) -> str:
-    """The model file text of doc, whose nodes come from trees.
-
-    The encoder recurses once per nesting level, so a tree deeper than the
-    interpreter's recursion limit cannot be written; that is reported as a
-    ValueError naming the depth.
-    """
-    try:
-        return json.dumps(doc, indent=1, sort_keys=True)
-    except RecursionError:
-        depth = max(t.root.depth() for t in trees)
-        raise ValueError(
-            f"a tree {depth} levels deep is too deep to write as a JSON model file"
-        ) from None
-
-
-def save_tree(tree: DecisionTree, path: str | Path) -> None:
-    Path(path).write_text(_model_json(tree_to_doc(tree), [tree]), encoding="utf-8")
-
-
-def load_tree(path: str | Path) -> DecisionTree:
-    return tree_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -18,9 +19,10 @@ from crus.dataset import (
     save_schema,
     write_csv,
 )
-from crus.ensembles import EnsembleConfig, fit_bagging, save_ensemble
+from crus.ensembles import EnsembleConfig, fit_bagging
 from crus.evaluation import SyntheticConfig, gen_synthetic
-from crus.trees import DecisionTree, TreeConfig, fit_tree, save_tree
+from crus.modelfile import model_to_text
+from crus.trees import DecisionTree, TreeConfig, fit_tree
 
 
 @pytest.fixture
@@ -217,14 +219,14 @@ def test_run_failure_of_one_classifier_names_its_cell(tmp_path, runner, monkeypa
 def test_run_refit_failure_names_its_cell_after_the_reports(tmp_path, runner, monkeypatch):
     import crus.cli as cli
 
-    real = cli._model_text
+    real = cli.model_to_text
 
     def text(model):
         if not isinstance(model, DecisionTree):
             raise ValueError("ensemble refused")
         return real(model)
 
-    monkeypatch.setattr(cli, "_model_text", text)
+    monkeypatch.setattr(cli, "model_to_text", text)
     write_dataset(tmp_path)
     cfg = write_run_config(tmp_path)
     out = tmp_path / "out"
@@ -438,7 +440,7 @@ def test_rules_tree_one_line_per_leaf(tmp_path, runner):
     rng = np.random.default_rng(1)
     d = separable_dataset(rng)
     tree = fit_tree(d, TreeConfig())
-    save_tree(tree, tmp_path / "tree.json")
+    (tmp_path / "tree.json").write_text(model_to_text(tree), encoding="utf-8")
     result = runner.invoke(main, ["rules", "--model", str(tmp_path / "tree.json")])
     assert result.exit_code == 0, result.output
     lines = [ln for ln in result.output.splitlines() if ln]
@@ -450,7 +452,7 @@ def test_rules_single_leaf_model(tmp_path, runner):
     schema = DatasetSchema((AttributeSpec("f0", NUMERIC),), "y", "neg", "pos")
     d = Dataset(schema, np.zeros((10, 1)), np.array([0] * 9 + [1], dtype=np.int8))
     tree = fit_tree(d, TreeConfig())
-    save_tree(tree, tmp_path / "leaf.json")
+    (tmp_path / "leaf.json").write_text(model_to_text(tree), encoding="utf-8")
     result = runner.invoke(main, ["rules", "--model", str(tmp_path / "leaf.json")])
     assert result.exit_code == 0
     lines = [ln for ln in result.output.splitlines() if ln]
@@ -461,7 +463,7 @@ def test_rules_ensemble_members_have_headers(tmp_path, runner):
     rng = np.random.default_rng(2)
     d = separable_dataset(rng)
     model = fit_bagging(d, EnsembleConfig(n_members=2, seed=0))
-    save_ensemble(model, tmp_path / "ens.json")
+    (tmp_path / "ens.json").write_text(model_to_text(model), encoding="utf-8")
     out_path = tmp_path / "rules.txt"
     result = runner.invoke(
         main, ["rules", "--model", str(tmp_path / "ens.json"), "--out", str(out_path)]
@@ -480,6 +482,59 @@ def test_rules_rejects_other_json(tmp_path, runner):
     assert result.exit_code == 2
 
 
+def test_rules_refuses_a_saved_cluster_model(tmp_path, runner):
+    write_dataset(tmp_path)
+    cfg = write_run_config(
+        tmp_path,
+        samplers=[{"name": "crus", "method": "clustering_rus", "threshold": 3.0, "cluster_k": 2}],
+        classifiers=[{"name": "tree", "method": "tree"}],
+    )
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out"), "--save-models"])
+    assert result.exit_code == 0, result.output
+    models = tmp_path / "out" / "models"
+    path = models / "crus+tree.cluster.json"
+    result = runner.invoke(main, ["rules", "--model", str(path)])
+    assert result.exit_code == 2
+    assert f"{path} is not a saved tree or ensemble model" in result.output
+    assert "Traceback" not in result.output
+    for group in models.glob("crus+tree.*_IR_group.json"):
+        result = runner.invoke(main, ["rules", "--model", str(group)])
+        assert result.exit_code == 0 and result.output.startswith("IF "), result.output
+
+
+LEAF = {"weights": [1.0, 0.0]}
+SCHEMA_DOC = {
+    "class_attribute": "y",
+    "negative_label": "neg",
+    "positive_label": "pos",
+    "attributes": [
+        {"name": "x", "kind": "numeric", "categories": []},
+        {"name": "c", "kind": "nominal", "categories": ["a", "b"]},
+    ],
+}
+
+
+def tree_text(**root):
+    """A tree file whose root has weights [1, 1] and the given keys."""
+    doc = {"kind": "tree", "config": {}, "schema": SCHEMA_DOC, "root": {"weights": [1.0, 1.0], **root}}
+    return json.dumps(doc)
+
+
+def chain_text(depth):
+    """A numeric chain `depth` splits deep, built as text: json.dumps of
+    the nested document would itself recurse too deeply."""
+    split = '{"weights": [1.0, 1.0], "attribute": 0, "threshold": 0.5, "left": {"weights": [1.0, 0.0]}, "right": '
+    root = split * depth + '{"weights": [0.0, 1.0]}' + "}" * depth
+    return f'{{"kind": "tree", "config": {{}}, "schema": {json.dumps(SCHEMA_DOC)}, "root": {root}}}'
+
+
+def ensemble_text(**changes):
+    tree = json.loads(tree_text())
+    doc = {"kind": "ensemble", "method": "bagging", "combine": "vote", "seed": 0,
+           "member_weights": [1.0, 1.0], "members": [tree, tree], **changes}
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -487,8 +542,21 @@ def test_rules_rejects_other_json(tmp_path, runner):
         ('{"kind": "ensemble", "members": []}', "missing key 'method'"),
         ('{"kind": "tree", "config": {"depth": 3}, "schema": {}, "root": {}}', "unexpected keyword"),
         ('{"kind": "tree"', "Expecting"),
+        (tree_text(attribute=5, threshold=0.5, left=LEAF, right=LEAF), "split on attribute 5"),
+        (tree_text(attribute=1, threshold=0.5, left=LEAF, right=LEAF), "threshold split on nominal"),
+        (tree_text(attribute=0, children={"0": LEAF, "1": LEAF}, fallback=0), "category split on numeric"),
+        (tree_text(attribute=1, children={"0": LEAF, "2": LEAF}, fallback=0), "category codes [0, 2] outside"),
+        (tree_text(attribute=1, children={"0": LEAF}, fallback=1), "fallback 1 is not a child category"),
+        (tree_text(weights=[1.0]), "node weights must be two numbers"),
+        (tree_text(weights=[1.0, "2"]), "node weights must be two numbers"),
+        (chain_text(1000), "nests too deeply"),
+        (ensemble_text(member_weights=[1.0]), "2 members but member_weights [1.0]"),
+        (ensemble_text(combine="median"), "unknown combine 'median'"),
     ],
-    ids=["tree-without-config", "ensemble-without-method", "unknown-config-key", "truncated"],
+    ids=["tree-without-config", "ensemble-without-method", "unknown-config-key", "truncated",
+         "attribute-outside-schema", "threshold-on-nominal", "categories-on-numeric",
+         "category-outside-attribute", "fallback-without-child", "one-weight", "string-weight",
+         "1000-level-chain", "short-member-weights", "unknown-combine"],
 )
 def test_rules_malformed_model_fails_with_path(tmp_path, runner, doc, message):
     path = tmp_path / "model.json"

@@ -10,14 +10,11 @@ from crus.clustering import (
     ClusterModel,
     FeatureScaler,
     _sq_distances,
-    cluster_model_from_text,
-    cluster_model_to_text,
     kmeans_fit,
-    load_cluster_model,
     mixed_distance,
-    save_cluster_model,
 )
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema
+from crus.modelfile import model_from_text, model_to_text
 
 
 def make_dataset(columns, kinds, labels=None, categories=("a", "b", "c")):
@@ -260,24 +257,26 @@ def test_cluster_model_roundtrip():
     cols = [rng.uniform(0, 10, 25), rng.integers(0, 3, 25).astype(float)]
     d = make_dataset(cols, [NUMERIC, NOMINAL])
     model = kmeans_fit(d, k=3, seed=8)
-    text = cluster_model_to_text(model)
-    back = cluster_model_from_text(text)
+    text = model_to_text(model)
+    back = model_from_text(text)
+    assert isinstance(back, ClusterModel)
     assert np.array_equal(back.centroids, model.centroids)
     assert np.array_equal(back.scaler.mins, model.scaler.mins)
     assert back.schema == model.schema
     assert np.array_equal(back.assign(d.values), model.assign(d.values))
-    assert cluster_model_to_text(back) == text
+    assert model_to_text(back) == text
 
 
 def test_cluster_model_file_roundtrip(tmp_path):
     d = make_dataset([[0.0, 1.0, 9.0, 10.0]], [NUMERIC])
     model = kmeans_fit(d, k=2, seed=0)
     path = tmp_path / "partition.json"
-    save_cluster_model(model, path)
-    back = load_cluster_model(path)
+    path.write_text(model_to_text(model), encoding="utf-8")
+    back = model_from_text(path.read_text(encoding="utf-8"))
     assert np.array_equal(back.centroids, model.centroids)
 
 
 def test_cluster_model_rejects_other_documents():
-    with pytest.raises(ValueError):
-        cluster_model_from_text('{"kind": "tree"}')
+    for text in ('{"kind": "cluster"}', '["cluster_model"]'):
+        with pytest.raises(ValueError, match="not a tree, ensemble or cluster model document"):
+            model_from_text(text)

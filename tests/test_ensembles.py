@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 
 import numpy as np
@@ -13,16 +12,13 @@ from crus.ensembles import (
     EnsembleConfig,
     EnsembleModel,
     _bootstrap_indices,
-    ensemble_from_doc,
-    ensemble_to_doc,
     fit_adaboost,
     fit_bagging,
     fit_random_committee,
     fit_random_forest,
-    load_ensemble,
-    save_ensemble,
     theoretical_ensemble_accuracy,
 )
+from crus.modelfile import model_from_text, model_to_text
 from crus.seeds import derive_seed
 from crus.trees import DecisionTree, TreeConfig, TreeNode, fit_random_tree
 
@@ -138,9 +134,9 @@ def test_bagging_deterministic_and_diverse():
     d = separable_dataset(rng)
     a = fit_bagging(d, EnsembleConfig(n_members=5, seed=7))
     b = fit_bagging(d, EnsembleConfig(n_members=5, seed=7))
-    assert json.dumps(ensemble_to_doc(a)) == json.dumps(ensemble_to_doc(b))
+    assert model_to_text(a) == model_to_text(b)
     c = fit_bagging(d, EnsembleConfig(n_members=5, seed=8))
-    assert json.dumps(ensemble_to_doc(a)) != json.dumps(ensemble_to_doc(c))
+    assert model_to_text(a) != model_to_text(c)
 
 
 def test_random_forest_oob_fields_and_accuracy():
@@ -234,7 +230,7 @@ def test_random_committee_seeds_and_average():
     model = fit_random_committee(d, EnsembleConfig(n_members=4, seed=10))
     assert [m.config.seed for m in model.members] == [10, 11, 12, 13]
     again = fit_random_committee(d, EnsembleConfig(n_members=4, seed=10))
-    assert json.dumps(ensemble_to_doc(model)) == json.dumps(ensemble_to_doc(again))
+    assert model_to_text(model) == model_to_text(again)
     # mean probability drives the score
     _, scores = model.predict_batch(d.values[:5])
     per_member = np.stack([m.predict_batch(d.values[:5])[1] for m in model.members])
@@ -289,31 +285,17 @@ def test_ensemble_score_tie_elects_negative():
     assert scores[0] == 0.5 and labels[0] == 0
 
 
-def test_ensemble_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(7)
-    d = separable_dataset(rng)
-    for fitter in (fit_bagging, fit_random_forest, fit_adaboost, fit_random_committee):
-        model = fitter(d, EnsembleConfig(n_members=3, seed=2))
-        path = tmp_path / f"{model.method}.json"
-        save_ensemble(model, path)
-        back = load_ensemble(path)
-        assert back.method == model.method
-        assert np.array_equal(back.member_weights, model.member_weights)
-        assert back.epsilons == model.epsilons
-        assert back.oob_error == model.oob_error
-        labels_a, scores_a = model.predict_batch(d.values)
-        labels_b, scores_b = back.predict_batch(d.values)
-        assert np.array_equal(labels_a, labels_b)
-        assert np.array_equal(scores_a, scores_b)
-        # loading drops the diagnostic history but re-saving is byte-stable
-        assert back.weight_history == []
-        save_ensemble(back, tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_text() == path.read_text()
-
-
 def test_ensemble_doc_validation():
-    with pytest.raises(ValueError):
-        ensemble_from_doc({"kind": "tree"})
+    rng = np.random.default_rng(7)
+    model = fit_bagging(separable_dataset(rng), EnsembleConfig(n_members=2, seed=2))
+    text = model_to_text(model)
+    assert model_to_text(model_from_text(text)) == text
+    # predict_batch zips weights with members, so a short list would drop members
+    short = text.replace('"member_weights": [\n  1.0,\n  1.0\n ]', '"member_weights": [\n  1.0\n ]')
+    with pytest.raises(ValueError, match="2 members but member_weights"):
+        model_from_text(short)
+    with pytest.raises(ValueError, match="unknown combine 'median'"):
+        model_from_text(text.replace('"combine": "vote"', '"combine": "median"'))
 
 
 def test_ensemble_member_count_validation():

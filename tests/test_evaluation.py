@@ -5,7 +5,6 @@ import pytest
 
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema, imbalance_ratio
 from crus.clustering import kmeans_fit
-from crus.ensembles import ensemble_to_doc
 from crus.evaluation import (
     ClassifierSpec,
     SamplerSpec,
@@ -19,7 +18,7 @@ from crus.evaluation import (
     run_experiment,
 )
 from crus.metrics import combine_reports, compute_report
-from crus.trees import DecisionTree, tree_to_doc
+from crus.modelfile import model_to_text
 
 
 def constant_attribute_dataset(n_pos=10, n_neg=90):
@@ -265,10 +264,6 @@ def test_fit_pipeline_plain_sampler_is_one_group():
     assert (name, model_group) == ("n/a", "n/a") and mask.all() and mask.size == 7
 
 
-def _model_doc(model):
-    return tree_to_doc(model) if isinstance(model, DecisionTree) else ensemble_to_doc(model)
-
-
 @pytest.mark.parametrize(
     "sampler",
     [
@@ -295,7 +290,7 @@ def test_fit_pipelines_equals_one_fit_pipeline_per_classifier(sampler):
         assert list(pipe.groups) == list(alone.groups)
         for name, group in pipe.groups.items():
             other = alone.groups[name]
-            assert _model_doc(group.model) == _model_doc(other.model)
+            assert model_to_text(group.model) == model_to_text(other.model)
             assert np.array_equal(group.train_ids, other.train_ids)
             assert group.n_synthetic == other.n_synthetic
         if sampler.method == "clustering_rus":
@@ -323,7 +318,7 @@ def test_fit_pipelines_returns_a_classifier_failure_in_its_place(monkeypatch):
     classifiers = [ClassifierSpec("tree"), ClassifierSpec("bagging", n_members=3), ClassifierSpec("tree")]
     tree, bag, tree_again = fit_pipelines(d, classifiers, SamplerSpec("rus"), 1, 2, 3)
     assert isinstance(bag, ValueError) and str(bag) == "bagging refused"
-    assert _model_doc(tree.groups["n/a"].model) == _model_doc(tree_again.groups["n/a"].model)
+    assert model_to_text(tree.groups["n/a"].model) == model_to_text(tree_again.groups["n/a"].model)
     (alone,) = fit_pipelines(d, classifiers[1:2], SamplerSpec("rus"), 1, 2, 3)
     assert isinstance(alone, ValueError) and str(alone) == "bagging refused"
 

@@ -1,11 +1,12 @@
-"""The package holds no public function or class that only tests call.
+"""The package holds no public function or class that only tests call,
+and one module owns the model-file format.
 
 Every public top-level function or class in `src/crus/*.py` must be named
 somewhere in package code outside its own definition: called, referenced,
 subclassed or used in an annotation.  Imports and `__all__` entries do not
 count, since they only re-export.  A click command counts as used through
 its decorator.  The few names kept for callers outside the package are
-listed in ALLOWED with the reason.
+listed in ALLOWED with the reason.  Only `modelfile.py` imports json.
 """
 
 from __future__ import annotations
@@ -20,12 +21,6 @@ ALLOWED = {
     "theoretical_ensemble_accuracy": "imported by the acceptance gate",
     "run_cv": "imported by the acceptance gate",
     "run_cv_clustered": "imported by the acceptance gate",
-    "save_tree": "model-file I/O for library users",
-    "load_tree": "model-file I/O for library users",
-    "save_ensemble": "model-file I/O for library users",
-    "load_ensemble": "model-file I/O for library users",
-    "save_cluster_model": "model-file I/O for library users",
-    "load_cluster_model": "model-file I/O for library users",
     "mixed_distance": "a building block the README documents",
 }
 
@@ -72,3 +67,18 @@ def test_every_public_definition_is_used_by_the_package():
 def test_allowed_names_are_public_definitions():
     defined, _ = scan()
     assert sorted(set(ALLOWED) - set(defined)) == []
+
+
+def test_only_modelfile_imports_json():
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == "json" or name.startswith("json.") for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["modelfile.py"]

@@ -21,11 +21,8 @@ from crus.trees import (
     export_rules,
     fit_random_tree,
     fit_tree,
-    load_tree,
-    save_tree,
-    tree_from_doc,
-    tree_to_doc,
 )
+from crus.modelfile import _tree_from_doc as tree_from_doc, _tree_to_doc as tree_to_doc, model_from_text, model_to_text
 
 
 def make_dataset(columns, kinds, labels, categories=None):
@@ -279,23 +276,6 @@ def test_default_subspace_size():
         default_subspace_size(0)
 
 
-def test_tree_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(21)
-    d = random_consistent_dataset(rng, n=70)
-    tree = fit_tree(d, TreeConfig(min_leaf_weight=2.0, use_pruning=True))
-    path = tmp_path / "tree.json"
-    save_tree(tree, path)
-    loaded = load_tree(path)
-    assert isinstance(loaded, DecisionTree)
-    assert export_rules(loaded) == export_rules(tree)
-    p1, s1 = tree.predict_batch(d.values)
-    p2, s2 = loaded.predict_batch(d.values)
-    assert np.array_equal(p1, p2)
-    assert np.allclose(s1, s2)
-    save_tree(loaded, tmp_path / "tree2.json")
-    assert (tmp_path / "tree.json").read_bytes() == (tmp_path / "tree2.json").read_bytes()
-
-
 # Reference split search: the per-attribute scorer, recursive grower and
 # recursive pruner that numeric blocks and explicit stacks replaced.  The
 # block scorer must reproduce its trees bit for bit.
@@ -530,8 +510,8 @@ def hand_built_chain(depth):
     return DecisionTree(schema, root, TreeConfig())
 
 
-def test_deep_chain_exports_converts_predicts_and_fails_to_save_clearly(tmp_path):
-    from crus.ensembles import EnsembleModel, save_ensemble
+def test_deep_chain_exports_converts_predicts_and_fails_to_save_clearly():
+    from crus.ensembles import EnsembleModel
 
     tree = hand_built_chain(3000)
     assert tree.root.depth() == 3000
@@ -546,8 +526,10 @@ def test_deep_chain_exports_converts_predicts_and_fails_to_save_clearly(tmp_path
         assert np.array_equal(got, want)
     assert np.unique(tree.predict_batch(X)[1]).size == 3
     with pytest.raises(ValueError, match="a tree 3000 levels deep is too deep"):
-        save_tree(tree, tmp_path / "tree.json")
+        model_to_text(tree)
     model = EnsembleModel("bagging", [hand_built_chain(2), tree], np.ones(2), "vote", 0)
     with pytest.raises(ValueError, match="a tree 3000 levels deep is too deep"):
-        save_ensemble(model, tmp_path / "ensemble.json")
-    assert not list(tmp_path.iterdir())
+        model_to_text(model)
+    # a chain shallow enough for the JSON encoder and decoder reads back
+    text = model_to_text(hand_built_chain(900))
+    assert model_to_text(model_from_text(text)) == text
