@@ -19,6 +19,7 @@ threaded, in grid order.
 
 from __future__ import annotations
 
+import numbers
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -48,6 +49,7 @@ from .evaluation import (
     PipelineModel,
     SamplerSpec,
     SyntheticConfig,
+    _is_a,
     _outcome,
     cv_result,
     fit_pipelines,
@@ -80,7 +82,7 @@ _RUN_KEYS = {
     "samplers",
     "classifiers",
 }
-_COMPARISON_KEYS = {"alpha", "blocks"}
+_COMPARISON_KEYS = {"alpha"}
 _SAMPLER_KEYS = {"name"} | {f.name for f in fields(SamplerSpec)}
 _CLASSIFIER_KEYS = {"name"} | {f.name for f in fields(ClassifierSpec)}
 _GEN_KEYS = {f.name for f in fields(SyntheticConfig)}
@@ -111,14 +113,14 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
 
 def _as_int(doc: dict, key: str, default: int, where: str) -> int:
     v = doc.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_a(v, numbers.Integral):
         _fail(f"{where}: '{key}' must be an integer, got {v!r}")
     return v
 
 
 def _as_float(doc: dict, key: str, default: float, where: str) -> float:
     v = doc.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if not _is_a(v, numbers.Real):
         _fail(f"{where}: '{key}' must be a number, got {v!r}")
     return float(v)
 
@@ -188,9 +190,6 @@ def load_run_config(path: Path, seed_override: int | None = None, alpha_override
     alpha = alpha_override if alpha_override is not None else _as_float(comparison, "alpha", 0.05, "config: comparison")
     if not 0 < alpha < 1:
         _fail(f"config: comparison alpha must be in (0, 1), got {alpha}")
-    blocks = comparison.get("blocks", "folds")
-    if blocks != "folds":
-        _fail(f"config: comparison blocks '{blocks}' is not supported; only 'folds'")
     metrics = doc.get("metrics", ["g_mean", "op"])
     if not isinstance(metrics, list) or not metrics:
         _fail("config: 'metrics' must be a non-empty list")
@@ -484,12 +483,12 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
     # cell i is (sampler s, classifier c) in grid order
     where = [divmod(i, len(cfg.classifiers)) for i in range(len(cells))]
     results: list[CvResult] = []
-    for name, (s, c), (_, _, s_spec, _) in zip(names, where, cells):
+    for name, (s, c) in zip(names, where):
         runs = [outcomes[s, f][c] for f in range(cfg.k_folds)]
         for f, run in enumerate(runs):
             if isinstance(run, ValueError):
                 raise click.ClickException(f"evaluation failed for cell {name}, fold {f}: {run}")
-        results.append(cv_result(runs, s_spec, cfg.beta))
+        results.append(cv_result(runs, cfg.beta))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = _Reports(out_dir)

@@ -133,28 +133,31 @@ def _update_centroids(
     return centroids
 
 
-def kmeans_fit(
-    d: Dataset, k: int, seed: int, max_iter: int = 100, n_restarts: int = 1
-) -> ClusterModel:
+# Most Lloyd iterations of one k-means run.
+_MAX_ITER = 100
+
+
+def kmeans_fit(d: Dataset, k: int, seed: int, n_restarts: int = 1) -> ClusterModel:
     """Lloyd-style k-means under the mixed distance.
 
     Initial centroids are k distinct instances chosen uniformly by `seed`.
     If a cluster empties, its centroid is reseeded to the point farthest
-    from it (lowest index on ties).  Converges when no assignment changes.
-    With n_restarts > 1 the fit is repeated with seeds seed, seed+1, ...
-    and the run with the lowest objective wins (earliest on ties).
+    from it (lowest index on ties).  Converges when no assignment changes,
+    or stops after `_MAX_ITER` (100) iterations.  With n_restarts > 1 the
+    fit is repeated with seeds seed, seed+1, ... and the run with the
+    lowest objective wins (earliest on ties).
     """
     if n_restarts < 1:
         raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
     best: ClusterModel | None = None
     for r in range(n_restarts):
-        model = _kmeans_single(d, k, seed + r, max_iter)
+        model = _kmeans_single(d, k, seed + r)
         if best is None or model.objective < best.objective:
             best = model
     return best
 
 
-def _kmeans_single(d: Dataset, k: int, seed: int, max_iter: int) -> ClusterModel:
+def _kmeans_single(d: Dataset, k: int, seed: int) -> ClusterModel:
     n = len(d)
     if not 1 <= k <= n:
         raise ValueError(f"k must be between 1 and the number of instances ({n}), got {k}")
@@ -166,7 +169,7 @@ def _kmeans_single(d: Dataset, k: int, seed: int, max_iter: int) -> ClusterModel
     assign = np.full(n, -1, dtype=np.int64)
     repairs = 0
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         d2 = _sq_distances(norm, centroids, numeric)
         new_assign = np.argmin(d2, axis=1)
         for c in range(k):

@@ -67,8 +67,8 @@ class Dataset:
     schema: DatasetSchema
     values: np.ndarray      # (n, d) float64; nominal cells are category indices
     labels: np.ndarray      # (n,) int8; 1 = positive, 0 = negative
-    synthetic: np.ndarray = field(default=None)  # type: ignore[assignment]
-    row_ids: np.ndarray = field(default=None)    # type: ignore[assignment]
+    # (n,) int64 row index in the loaded data; negative for a synthetic row
+    row_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -79,19 +79,20 @@ class Dataset:
                 f"value matrix shape {self.values.shape} does not match "
                 f"{n} rows x {self.schema.n_attributes} attributes"
             )
-        if self.synthetic is None:
-            self.synthetic = np.zeros(n, dtype=bool)
-        else:
-            self.synthetic = np.asarray(self.synthetic, dtype=bool)
         if self.row_ids is None:
             self.row_ids = np.arange(n, dtype=np.int64)
         else:
             self.row_ids = np.asarray(self.row_ids, dtype=np.int64)
-        for arr in (self.values, self.labels, self.synthetic, self.row_ids):
+        for arr in (self.values, self.labels, self.row_ids):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return int(self.labels.shape[0])
+
+    @property
+    def synthetic(self) -> np.ndarray:
+        """True for each row that a sampler made rather than loaded."""
+        return self.row_ids < 0
 
     @property
     def n_positive(self) -> int:
@@ -103,13 +104,7 @@ class Dataset:
 
     def subset(self, indices: np.ndarray | list[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(
-            self.schema,
-            self.values[idx],
-            self.labels[idx],
-            self.synthetic[idx],
-            self.row_ids[idx],
-        )
+        return Dataset(self.schema, self.values[idx], self.labels[idx], self.row_ids[idx])
 
     def numeric_mask(self) -> np.ndarray:
         return np.array([a.kind == NUMERIC for a in self.schema.attributes], dtype=bool)
@@ -278,7 +273,6 @@ class FoldSplit:
 
     k: int
     fold_of: np.ndarray  # (n,) int64 fold index per instance
-    seed: int
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.fold_of == fold)
@@ -311,4 +305,4 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> FoldSplit:
         for j, i in enumerate(idx):
             fold_of[i] = (cursor + j) % k
         cursor = (cursor + len(idx)) % k
-    return FoldSplit(k, fold_of, seed)
+    return FoldSplit(k, fold_of)

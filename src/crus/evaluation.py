@@ -190,7 +190,6 @@ class CvResult:
     fold_reports: tuple[MetricsReport, ...]  # one per fold (groups combined)
     pooled: MetricsReport
     mean: MetricsReport
-    clustered: bool = False
     warnings: tuple[str, ...] = ()
 
 
@@ -358,7 +357,7 @@ def run_fold(
     return [p if isinstance(p, ValueError) else _outcome(_score_fold, d, test_idx, f, p, beta) for p in pipes]
 
 
-def cv_result(runs: Sequence[FoldRun], sampler: SamplerSpec, beta: float = 1.0) -> CvResult:
+def cv_result(runs: Sequence[FoldRun], beta: float = 1.0) -> CvResult:
     """The CvResult of one cell from its fold runs, in fold order."""
     folds = [part for run in runs for part in run.parts]
     fold_reports = [run.report for run in runs]
@@ -367,7 +366,6 @@ def cv_result(runs: Sequence[FoldRun], sampler: SamplerSpec, beta: float = 1.0) 
         fold_reports=tuple(fold_reports),
         pooled=_pooled_report(folds, beta),
         mean=combine_reports(fold_reports),
-        clustered=sampler.method == "clustering_rus",
         warnings=tuple(w for run in runs for w in run.warnings),
     )
 
@@ -393,7 +391,7 @@ def run_experiment(
         if isinstance(run, ValueError):
             raise run
         runs.append(run)
-    return cv_result(runs, sampler, beta)
+    return cv_result(runs, beta)
 
 
 def run_cv(

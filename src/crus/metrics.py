@@ -198,10 +198,10 @@ class MetricsReport:
 def compute_report(
     truth: np.ndarray,
     predicted: np.ndarray,
-    scores: np.ndarray | None = None,
+    scores: np.ndarray,
     beta: float = 1.0,
 ) -> MetricsReport:
-    """Full report from per-instance truth/prediction (and optional scores)."""
+    """Full report from per-instance truth, prediction and positive-class score."""
     cm = confusion_matrix(truth, predicted)
     pos = binary_rates(cm, beta)
     neg = binary_rates(cm.swapped(), beta)
@@ -210,10 +210,7 @@ def compute_report(
     op, op_degenerate = optimized_precision(pos.accuracy, pos.tpr, pos.tnr)
     if op_degenerate:
         flags.append("op")
-    if scores is None:
-        auc, auc_degenerate = 0.0, True
-    else:
-        auc, auc_degenerate = _rank_auc(truth, scores)
+    auc, auc_degenerate = _rank_auc(truth, scores)
     if auc_degenerate:
         flags.append("auc")
     n_pos, n_neg = cm.n_positive, cm.n_negative

@@ -118,7 +118,10 @@ def _node_from_doc(top: dict, schema: DatasetSchema) -> TreeNode:
         else:
             if attr.kind != NOMINAL:
                 raise ValueError(f"category split on numeric attribute '{attr.name}'")
-            by_category = sorted(doc["children"].items(), key=lambda item: int(item[0]))
+            children = doc["children"]
+            if not isinstance(children, dict):
+                raise ValueError(f"children of a category split must be an object, got a {type(children).__name__}")
+            by_category = sorted(children.items(), key=lambda item: int(item[0]))
             node.categories = tuple(int(c) for c, _ in by_category)
             node.fallback = int(doc["fallback"])
             if any(not 0 <= c < len(attr.categories) for c in node.categories):

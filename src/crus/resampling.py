@@ -107,9 +107,8 @@ def smote_oversample(
         new_rows[s] = row
     values = np.vstack([d.values, new_rows])
     labels = np.concatenate([d.labels, np.ones(n_new, dtype=np.int8)])
-    synthetic = np.concatenate([d.synthetic, np.ones(n_new, dtype=bool)])
     row_ids = np.concatenate([d.row_ids, -1 - np.arange(n_new, dtype=np.int64)])
-    return Dataset(d.schema, values, labels, synthetic, row_ids)
+    return Dataset(d.schema, values, labels, row_ids)
 
 
 def suggest_threshold(global_ir: float, reduction_fraction: float) -> float:
@@ -134,10 +133,6 @@ class ClusterPartition:
     policy: str
     warnings: tuple[str, ...] = ()
 
-    @property
-    def groups(self) -> tuple[str, ...]:
-        return tuple(HIGH_GROUP if f else LOW_GROUP for f in self.flagged)
-
 
 def _check_policy(policy: str) -> None:
     if policy not in ("above", "invert"):
@@ -150,7 +145,6 @@ def plan_cluster_partition(
     threshold: float,
     seed: int = 0,
     policy: str = "above",
-    n_restarts: int = 10,
 ) -> ClusterPartition:
     """Cluster the training set and decide which clusters to undersample.
 
@@ -158,14 +152,14 @@ def plan_cluster_partition(
     threshold.  The "invert" policy flags the complement instead (clusters
     at or below the threshold), for experiments with the opposite reading.
     Raises when no cluster falls at or below the threshold; that situation
-    calls for a larger k.  The partition is the best of n_restarts seeded
+    calls for a larger k.  The partition is the best of 10 seeded
     k-means runs, which makes the plan far less sensitive to a poor draw
     of initial centroids.
     """
     _check_policy(policy)
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    model = kmeans_fit(d, k, seed, n_restarts=n_restarts)
+    model = kmeans_fit(d, k, seed, n_restarts=10)
     assign = model.assign(d.values)
     warnings: list[str] = []
     pos, neg, irs = [], [], []

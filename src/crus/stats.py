@@ -4,7 +4,8 @@ The usual recipe for comparing classifiers over cross-validation folds:
 a Friedman omnibus test on within-block average ranks, pairwise Wilcoxon
 signed-rank tests, Holm step-down adjustment, and a critical-difference
 style diagram of average ranks with bars joining treatments that are not
-significantly different.
+significantly different.  Every compared metric is higher-is-better:
+rank 1 and a loss of 0% go to the highest score.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ class ScoreMatrix:
     values: np.ndarray
     treatments: tuple[str, ...]
     metric: str = ""
-    higher_is_better: bool = True
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
@@ -117,12 +117,11 @@ class ScoreMatrix:
         return int(self.values.shape[1])
 
     def rank_matrix(self) -> np.ndarray:
-        """Within-block ranks, 1 = best, ties averaged."""
+        """Within-block ranks, 1 = highest score, ties averaged."""
         ranks = np.empty_like(self.values)
         k = self.n_treatments
         for b in range(self.n_blocks):
-            asc = _average_ranks(self.values[b])
-            ranks[b] = (k + 1 - asc) if self.higher_is_better else asc
+            ranks[b] = k + 1 - _average_ranks(self.values[b])
         return ranks
 
 
@@ -171,11 +170,14 @@ def _exact_two_sided_p(ranks2: np.ndarray, w2: int) -> float:
     return min(1.0, 2.0 * min(p_le, p_ge))
 
 
-def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray, exact_limit: int = 20) -> WilcoxonResult:
+_EXACT_LIMIT = 20  # most effective pairs whose p-value is exact
+
+
+def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray) -> WilcoxonResult:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     Zero differences are dropped; tied absolute differences share average
-    ranks.  Up to `exact_limit` effective pairs the p-value enumerates the
+    ranks.  Up to `_EXACT_LIMIT` (20) effective pairs the p-value enumerates the
     exact sign distribution, beyond that a normal approximation with tie
     correction and continuity correction is used.  All differences zero
     yields p = 1.
@@ -191,7 +193,7 @@ def wilcoxon_signed_rank(a: np.ndarray, b: np.ndarray, exact_limit: int = 20) ->
         return WilcoxonResult(0.0, 1.0, 0, "degenerate")
     ranks = _average_ranks(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
-    if n <= exact_limit:
+    if n <= _EXACT_LIMIT:
         ranks2 = np.rint(ranks * 2).astype(np.int64)
         w2 = int(round(w_plus * 2))
         return WilcoxonResult(w_plus, _exact_two_sided_p(ranks2, w2), n, "exact")
@@ -401,16 +403,15 @@ def cd_diagram(report: ComparisonReport) -> CdDiagram:
     )
 
 
-def loss_vs_best(values: list[float] | np.ndarray, higher_is_better: bool = True) -> list[float]:
-    """Percent loss of each value relative to the best one."""
+def loss_vs_best(values: list[float] | np.ndarray) -> list[float]:
+    """Percent loss of each value relative to the best (highest) one."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("need a non-empty 1-d list of values")
-    best = float(v.max() if higher_is_better else v.min())
+    best = float(v.max())
     if best <= 0:
         raise ValueError("best value must be positive to express losses as percentages")
-    losses = 100.0 * (best - v) / best if higher_is_better else 100.0 * (v - best) / best
-    return losses.tolist()
+    return (100.0 * (best - v) / best).tolist()
 
 
 def average_combined_loss(loss_a: float, loss_b: float) -> float:

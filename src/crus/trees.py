@@ -390,8 +390,6 @@ def fit_random_tree(d: Dataset, seed: int, cfg: TreeConfig | None = None) -> Dec
 
 
 def _pruning_z(confidence_factor: float) -> float:
-    if not 0 < confidence_factor < 0.5:
-        raise ValueError("confidence factor must be in (0, 0.5)")
     return statistics.NormalDist().inv_cdf(1.0 - confidence_factor)
 
 

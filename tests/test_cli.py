@@ -547,6 +547,7 @@ def ensemble_text(**changes):
         (tree_text(attribute=0, children={"0": LEAF, "1": LEAF}, fallback=0), "category split on numeric"),
         (tree_text(attribute=1, children={"0": LEAF, "2": LEAF}, fallback=0), "category codes [0, 2] outside"),
         (tree_text(attribute=1, children={"0": LEAF}, fallback=1), "fallback 1 is not a child category"),
+        (tree_text(attribute=1, children=[LEAF, LEAF], fallback=0), "children of a category split"),
         (tree_text(weights=[1.0]), "node weights must be two numbers"),
         (tree_text(weights=[1.0, "2"]), "node weights must be two numbers"),
         (chain_text(1000), "nests too deeply"),
@@ -555,7 +556,7 @@ def ensemble_text(**changes):
     ],
     ids=["tree-without-config", "ensemble-without-method", "unknown-config-key", "truncated",
          "attribute-outside-schema", "threshold-on-nominal", "categories-on-numeric",
-         "category-outside-attribute", "fallback-without-child", "one-weight", "string-weight",
+         "category-outside-attribute", "fallback-without-child", "children-list", "one-weight", "string-weight",
          "1000-level-chain", "short-member-weights", "unknown-combine"],
 )
 def test_rules_malformed_model_fails_with_path(tmp_path, runner, doc, message):

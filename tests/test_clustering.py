@@ -198,11 +198,13 @@ def test_kmeans_deterministic_for_seed():
     assert a.n_iter == b.n_iter and a.objective == b.objective
 
 
-def test_kmeans_more_iterations_never_worse():
+def test_kmeans_more_iterations_never_worse(monkeypatch):
     rng = np.random.default_rng(2)
     d, _ = two_blob_dataset(rng, n_per=40)
-    early = kmeans_fit(d, k=4, seed=9, max_iter=1)
-    late = kmeans_fit(d, k=4, seed=9, max_iter=100)
+    late = kmeans_fit(d, k=4, seed=9)
+    monkeypatch.setattr(clustering, "_MAX_ITER", 1)
+    early = kmeans_fit(d, k=4, seed=9)
+    assert early.n_iter == 1 < late.n_iter
     assert late.objective <= early.objective + 1e-9
 
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crus.dataset import (
     NOMINAL,
@@ -18,6 +20,7 @@ from crus.dataset import (
     stratified_kfold,
     write_csv,
 )
+from crus.resampling import smote_oversample
 
 
 def small_schema() -> DatasetSchema:
@@ -86,6 +89,16 @@ def test_subset_keeps_row_identity():
     assert sub.row_ids.tolist() == [3, 0, 7]
     assert sub.labels.tolist() == [d.labels[3], d.labels[0], d.labels[7]]
     assert np.array_equal(sub.values[1], d.values[0])
+
+
+def test_synthetic_is_a_negative_row_id(tmp_path):
+    write_csv(small_dataset(), tmp_path / "d.csv")
+    loaded = load_csv(tmp_path / "d.csv", small_schema())
+    grown = smote_oversample(loaded, 100.0, 3, seed=1)
+    assert int(grown.synthetic.sum()) == 4
+    for d in (loaded, loaded.subset([3, 0, 7]), grown, grown.subset(np.arange(len(grown))[::-2])):
+        assert np.array_equal(d.synthetic, d.row_ids < 0)
+        assert set(vars(d)) == {"schema", "values", "labels", "row_ids"}
 
 
 def test_imbalance_ratio():
@@ -216,3 +229,17 @@ def test_stratified_kfold_cursor_carries_between_classes():
     split = stratified_kfold(d, 4, seed=0)
     sizes = [split.test_indices(f).size for f in range(4)]
     assert max(sizes) - min(sizes) <= 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_stratified_kfold_class_counts_per_fold_differ_by_at_most_one(data):
+    k = data.draw(st.integers(2, 8), label="k")
+    n_pos = data.draw(st.integers(k, 40), label="n_pos")
+    n_neg = data.draw(st.integers(k, 60), label="n_neg")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    d = small_dataset(n_pos=n_pos, n_neg=n_neg)
+    split = stratified_kfold(d, k, seed)
+    for cls in (0, 1):
+        counts = np.bincount(split.fold_of[d.labels == cls], minlength=k)
+        assert counts.max() - counts.min() <= 1

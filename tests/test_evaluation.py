@@ -140,7 +140,7 @@ def test_run_experiment_dispatch():
     cfg = SyntheticConfig(blob_sizes=(60, 140), blob_irs=(2.0, 5.0), seed=0)
     d = gen_synthetic(cfg).dataset
     plain = run_experiment(d, ClassifierSpec("tree"), SamplerSpec("none"), k=4, seed=0)
-    assert not plain.clustered
+    assert {f.group for f in plain.folds} == {"n/a"}
     clustered = run_experiment(
         d,
         ClassifierSpec("tree"),
@@ -148,7 +148,7 @@ def test_run_experiment_dispatch():
         k=4,
         seed=0,
     )
-    assert clustered.clustered
+    assert {f.group for f in clustered.folds} <= {"low_IR_group", "high_IR_group"}
 
 
 def test_clustered_high_threshold_equals_plain_run():
@@ -183,7 +183,6 @@ def test_clustered_groups_partition_each_fold():
         k=5,
         seed=5,
     )
-    assert res.clustered
     assert len(res.fold_reports) == 5
     per_fold: dict[int, list] = {}
     for f in res.folds:

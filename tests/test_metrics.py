@@ -110,7 +110,7 @@ def test_weighted_class_average_recall_is_accuracy():
         pred = rng.integers(0, 2, 50)
         if truth.min() == truth.max():
             continue
-        rep = compute_report(truth, pred)
+        rep = compute_report(truth, pred, pred.astype(float))
         assert rep.weighted_recall == pytest.approx(rep.accuracy, abs=1e-12)
 
 
@@ -174,8 +174,8 @@ def test_combine_reports_weighted():
     pred_a = np.array([1, 0, 0, 1])
     truth_b = np.array([1, 1, 0, 0, 0, 0])
     pred_b = np.array([1, 0, 0, 0, 0, 0])
-    ra = compute_report(truth_a, pred_a)
-    rb = compute_report(truth_b, pred_b)
+    ra = compute_report(truth_a, pred_a, pred_a.astype(float))
+    rb = compute_report(truth_b, pred_b, pred_b.astype(float))
     combined = combine_reports([ra, rb], weights=[4.0, 6.0])
     assert combined.accuracy == pytest.approx(0.4 * ra.accuracy + 0.6 * rb.accuracy)
     unweighted = combine_reports([ra, rb])
@@ -188,7 +188,7 @@ def test_combine_reports_weighted():
 
 def test_combine_reports_unions_flags():
     truth = np.array([1, 1, 0, 0])
-    all_neg = compute_report(truth, np.zeros(4, dtype=int))
-    fine = compute_report(truth, truth.copy())
+    all_neg = compute_report(truth, np.zeros(4, dtype=int), np.zeros(4))
+    fine = compute_report(truth, truth.copy(), truth.astype(float))
     combined = combine_reports([fine, all_neg])
     assert "precision" in combined.degenerate

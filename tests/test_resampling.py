@@ -9,8 +9,6 @@ from crus import clustering, resampling
 from crus.clustering import FeatureScaler
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, DataError, Dataset, DatasetSchema
 from crus.resampling import (
-    HIGH_GROUP,
-    LOW_GROUP,
     apply_clustering_rus,
     plan_cluster_partition,
     rus_undersample,
@@ -290,8 +288,6 @@ def test_partition_recovers_region_ratios_and_flags():
     assert sum(part.flagged) == 1
     flagged_cluster = part.flagged.index(True)
     assert part.cluster_ir[flagged_cluster] == irs[1]
-    assert part.groups[flagged_cluster] == HIGH_GROUP
-    assert part.groups.count(LOW_GROUP) == 1
 
 
 def test_partition_no_flags_below_threshold():
@@ -299,7 +295,6 @@ def test_partition_no_flags_below_threshold():
     d = two_region_dataset(rng, low=(30, 10), high=(100, 20))  # IRs 3 and 5
     part = plan_cluster_partition(d, k=2, threshold=10.0, seed=1)
     assert part.flagged == (False, False)
-    assert part.groups == (LOW_GROUP, LOW_GROUP)
 
 
 def test_partition_invert_policy_flags_complement():
