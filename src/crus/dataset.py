@@ -271,7 +271,6 @@ def imbalance_ratio(d: Dataset) -> float:
 class FoldSplit:
     """Assignment of every instance to one of k cross-validation folds."""
 
-    k: int
     fold_of: np.ndarray  # (n,) int64 fold index per instance
 
     def test_indices(self, fold: int) -> np.ndarray:
@@ -305,4 +304,4 @@ def stratified_kfold(d: Dataset, k: int, seed: int) -> FoldSplit:
         for j, i in enumerate(idx):
             fold_of[i] = (cursor + j) % k
         cursor = (cursor + len(idx)) % k
-    return FoldSplit(k, fold_of)
+    return FoldSplit(fold_of)

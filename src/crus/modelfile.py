@@ -3,20 +3,22 @@
 `model_to_text` writes the one format and `model_from_text` reads it back:
 a JSON object with sorted keys and one-space indents whose `kind` is
 "tree", "ensemble" or "cluster_model".  Trees and cluster models embed
-their schema, and the reader checks each split node against it.  It also
-refuses node weights that are not two numbers, member weights that do not
-pair one to one with an ensemble's members, and an unknown combiner.
-
-The converters walk trees with explicit stacks, but the JSON encoder and
-decoder recurse once per nesting level, and a tree nests one level per
-tree level.  A tree too deep for them fails to write with a ValueError
-naming its depth, and a file nesting too deeply fails to read with a
-ValueError that says so.
+their schema.  A tree holds the flat list `nodes` of its `TreeNode`s in
+`TreeNode.walk()` pre-order, so its file nests no deeper for a deeper tree.
+A node has its `weights` and, if it splits, its `attribute` with either a
+`threshold` (two children) or ascending `categories` and a `fallback` (a
+child per category); its children's subtrees follow it.  The reader
+checks each node against the schema, naming its index when it refuses
+one, and refuses a list that ends before a split has all its children or
+goes on after the tree ends.  It also refuses member weights that do not
+pair one to one with an ensemble's members, an unknown combiner, and a
+hand-made file that nests too deeply for the JSON decoder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -29,12 +31,7 @@ from .trees import DecisionTree, TreeConfig, TreeNode
 
 def model_to_text(model: DecisionTree | EnsembleModel | ClusterModel) -> str:
     """The model file text of a tree, ensemble or cluster model."""
-    try:
-        return json.dumps(_WRITERS[type(model)](model), indent=1, sort_keys=True)
-    except RecursionError:
-        trees = model.members if isinstance(model, EnsembleModel) else [model]
-        depth = max(t.root.depth() for t in trees)
-        raise ValueError(f"a tree {depth} levels deep is too deep to write as a JSON model file") from None
+    return json.dumps(_WRITERS[type(model)](model), indent=1, sort_keys=True)
 
 
 def model_from_text(text: str) -> DecisionTree | EnsembleModel | ClusterModel:
@@ -70,67 +67,80 @@ def _schema_from_doc(doc: dict) -> DatasetSchema:
     return DatasetSchema(attrs, doc["class_attribute"], doc["negative_label"], doc["positive_label"])
 
 
-def _node_to_doc(root: TreeNode) -> dict:
-    top: dict = {}
-    stack = [(root, top)]
-    while stack:
-        node, doc = stack.pop()
-        doc["weights"] = [float(node.class_weights[0]), float(node.class_weights[1])]
-        if node.is_leaf:
-            continue
-        doc["attribute"] = node.attribute
-        kids: list[dict] = [{} for _ in node.children]
-        if node.threshold is not None:
-            doc["threshold"] = node.threshold
-            doc["left"], doc["right"] = kids
-        else:
-            doc["children"] = {str(c): kid for c, kid in zip(node.categories, kids)}
-            doc["fallback"] = node.fallback
-        stack.extend(reversed(list(zip(node.children, kids))))
-    return top
+def _node_to_doc(node: TreeNode) -> dict:
+    doc = {"weights": [float(w) for w in node.class_weights]}
+    if node.threshold is not None:
+        doc.update(attribute=node.attribute, threshold=node.threshold)
+    elif not node.is_leaf:
+        doc.update(attribute=node.attribute, categories=list(node.categories), fallback=node.fallback)
+    return doc
 
 
-def _leaf_from_doc(doc: dict) -> TreeNode:
+def _is_finite(v: object) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _node_from_doc(doc: dict, schema: DatasetSchema) -> TreeNode:
+    """One node of the list, without its children."""
     weights = doc["weights"]
-    if not isinstance(weights, list) or len(weights) != 2 or any(type(w) not in (int, float) for w in weights):
-        raise ValueError(f"node weights must be two numbers, got {weights!r}")
-    return TreeNode(class_weights=np.array(weights, dtype=np.float64))
+    if not (isinstance(weights, list) and len(weights) == 2 and all(_is_finite(w) and w >= 0 for w in weights)):
+        raise ValueError(f"node weights must be two numbers, finite and nonnegative, got {weights!r}")
+    node = TreeNode(class_weights=np.array(weights, dtype=np.float64))
+    if "attribute" not in doc:
+        return node
+    node.attribute = doc["attribute"]
+    if type(node.attribute) is not int:
+        raise ValueError(f"split attribute must be an integer, got {node.attribute!r}")
+    if not 0 <= node.attribute < schema.n_attributes:
+        raise ValueError(f"split on attribute {node.attribute}, outside the schema's {schema.n_attributes} attributes")
+    attr = schema.attributes[node.attribute]
+    if "threshold" in doc:
+        if attr.kind != NUMERIC:
+            raise ValueError(f"threshold split on nominal attribute '{attr.name}'")
+        if not _is_finite(doc["threshold"]):
+            raise ValueError(f"threshold must be a finite number, got {doc['threshold']!r}")
+        node.threshold = float(doc["threshold"])
+        return node
+    if attr.kind != NOMINAL:
+        raise ValueError(f"category split on numeric attribute '{attr.name}'")
+    codes, node.fallback = doc["categories"], doc["fallback"]
+    int_codes = isinstance(codes, list) and all(type(c) is int for c in codes)
+    if not int_codes or any(a >= b for a, b in zip(codes, codes[1:])):
+        raise ValueError(f"categories must be a list of ascending integer codes, got {codes!r}")
+    node.categories = tuple(codes)
+    if any(not 0 <= c < len(attr.categories) for c in codes):
+        raise ValueError(f"category codes {codes} outside attribute '{attr.name}'")
+    if type(node.fallback) is not int or node.fallback not in codes:
+        raise ValueError(f"fallback {node.fallback!r} is not a child category of '{attr.name}'")
+    return node
 
 
-def _node_from_doc(top: dict, schema: DatasetSchema) -> TreeNode:
-    root = _leaf_from_doc(top)
-    stack = [(root, top)]
-    while stack:
-        node, doc = stack.pop()
-        if "attribute" not in doc:
-            continue
-        node.attribute = int(doc["attribute"])
-        if not 0 <= node.attribute < schema.n_attributes:
-            raise ValueError(
-                f"split on attribute {node.attribute}, outside the schema's {schema.n_attributes} attributes"
-            )
-        attr = schema.attributes[node.attribute]
-        if "threshold" in doc:
-            if attr.kind != NUMERIC:
-                raise ValueError(f"threshold split on nominal attribute '{attr.name}'")
-            node.threshold = float(doc["threshold"])
-            kids = [doc["left"], doc["right"]]
+def _nodes_from_doc(nodes: list, schema: DatasetSchema) -> TreeNode:
+    """The tree of a pre-order node list: each node after the root becomes
+    the next child of the innermost split still short of children."""
+    if not isinstance(nodes, list) or not nodes:
+        raise ValueError("tree nodes must be a nonempty list")
+    open_splits: list[tuple[TreeNode, int, int]] = []  # (split, its index, children it takes)
+    for i, doc in enumerate(nodes):
+        if i > 0 and not open_splits:
+            raise ValueError(f"node {i}: {len(nodes) - i} nodes left after the tree ends")
+        try:
+            node = _node_from_doc(doc, schema)
+        except ValueError as exc:
+            raise ValueError(f"node {i}: {exc}") from None
+        if i == 0:
+            root = node
         else:
-            if attr.kind != NOMINAL:
-                raise ValueError(f"category split on numeric attribute '{attr.name}'")
-            children = doc["children"]
-            if not isinstance(children, dict):
-                raise ValueError(f"children of a category split must be an object, got a {type(children).__name__}")
-            by_category = sorted(children.items(), key=lambda item: int(item[0]))
-            node.categories = tuple(int(c) for c, _ in by_category)
-            node.fallback = int(doc["fallback"])
-            if any(not 0 <= c < len(attr.categories) for c in node.categories):
-                raise ValueError(f"category codes {list(node.categories)} outside attribute '{attr.name}'")
-            if node.fallback not in node.categories:
-                raise ValueError(f"fallback {node.fallback} is not a child category of '{attr.name}'")
-            kids = [kid for _, kid in by_category]
-        node.children = [_leaf_from_doc(kid) for kid in kids]
-        stack.extend(reversed(list(zip(node.children, kids))))
+            parent, _, wanted = open_splits[-1]
+            parent.children.append(node)
+            if len(parent.children) == wanted:
+                open_splits.pop()
+        n_children = 2 if node.threshold is not None else len(node.categories)
+        if n_children:
+            open_splits.append((node, i, n_children))
+    if open_splits:
+        _, i, wanted = open_splits[-1]
+        raise ValueError(f"the node list ends before node {i} has its {wanted} children")
     return root
 
 
@@ -139,14 +149,14 @@ def _tree_to_doc(tree: DecisionTree) -> dict:
         "kind": "tree",
         "schema": _schema_to_doc(tree.schema),
         "config": asdict(tree.config),
-        "root": _node_to_doc(tree.root),
+        "nodes": [_node_to_doc(node) for node in tree.root.walk()],
     }
 
 
 def _tree_from_doc(doc: dict) -> DecisionTree:
     cfg = TreeConfig(**doc["config"])
     schema = _schema_from_doc(doc["schema"])
-    return DecisionTree(schema, _node_from_doc(doc["root"], schema), cfg)
+    return DecisionTree(schema, _nodes_from_doc(doc["nodes"], schema), cfg)
 
 
 def _ensemble_to_doc(model: EnsembleModel) -> dict:

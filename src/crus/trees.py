@@ -27,7 +27,8 @@ children that is empty for a leaf.  `TreeNode.child_index` maps attribute
 values to child positions; growing partitions training rows with it and
 prediction routes test rows with it.  Growing, pruning, routing, counting
 and rule export walk the tree with explicit stacks in pre-order, so nothing
-here recurses and random-subspace draws follow the node order.
+here recurses and random-subspace draws follow the node order.  A model
+file lists the nodes in this pre-order too (see `crus.modelfile`).
 """
 
 from __future__ import annotations
@@ -102,21 +103,6 @@ class TreeNode:
             yield node
             stack.extend(reversed(node.children))
 
-    def depth(self) -> int:
-        """Edges on the longest path from this node down to a leaf."""
-        deepest, stack = 0, [(self, 0)]
-        while stack:
-            node, level = stack.pop()
-            deepest = max(deepest, level)
-            stack.extend((child, level + 1) for child in node.children)
-        return deepest
-
-    def n_nodes(self) -> int:
-        return sum(1 for _ in self.walk())
-
-    def n_leaves(self) -> int:
-        return sum(1 for node in self.walk() if node.is_leaf)
-
     def leaf_label(self) -> int:
         # strict majority; exact tie goes to the negative class
         return 1 if self.class_weights[1] > self.class_weights[0] else 0
@@ -133,10 +119,10 @@ class DecisionTree:
     config: TreeConfig
 
     def n_nodes(self) -> int:
-        return self.root.n_nodes()
+        return sum(1 for _ in self.root.walk())
 
     def n_leaves(self) -> int:
-        return self.root.n_leaves()
+        return sum(1 for node in self.root.walk() if node.is_leaf)
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(classes, positive probabilities) for a matrix of rows."""

@@ -514,25 +514,33 @@ SCHEMA_DOC = {
 }
 
 
-def tree_text(**root):
-    """A tree file whose root has weights [1, 1] and the given keys."""
-    doc = {"kind": "tree", "config": {}, "schema": SCHEMA_DOC, "root": {"weights": [1.0, 1.0], **root}}
-    return json.dumps(doc)
+def split(**keys):
+    """A split node with weights [1, 1] and the given keys."""
+    return {"weights": [1.0, 1.0], **keys}
+
+
+def tree_text(*nodes):
+    """A tree file holding the given pre-order node list."""
+    return json.dumps({"kind": "tree", "config": {}, "schema": SCHEMA_DOC, "nodes": list(nodes)})
 
 
 def chain_text(depth):
-    """A numeric chain `depth` splits deep, built as text: json.dumps of
+    """A file nesting `depth` objects deep, built as text: json.dumps of
     the nested document would itself recurse too deeply."""
-    split = '{"weights": [1.0, 1.0], "attribute": 0, "threshold": 0.5, "left": {"weights": [1.0, 0.0]}, "right": '
-    root = split * depth + '{"weights": [0.0, 1.0]}' + "}" * depth
-    return f'{{"kind": "tree", "config": {{}}, "schema": {json.dumps(SCHEMA_DOC)}, "root": {root}}}'
+    root = '{"weights": [1.0, 1.0], "next": ' * depth + "{}" + "}" * depth
+    return f'{{"kind": "tree", "config": {{}}, "schema": {json.dumps(SCHEMA_DOC)}, "nodes": [{root}]}}'
 
 
 def ensemble_text(**changes):
-    tree = json.loads(tree_text())
+    tree = json.loads(tree_text(LEAF))
     doc = {"kind": "ensemble", "method": "bagging", "combine": "vote", "seed": 0,
            "member_weights": [1.0, 1.0], "members": [tree, tree], **changes}
     return json.dumps(doc)
+
+
+NUMERIC_SPLIT = split(attribute=0, threshold=0.5)
+OLD_NESTED = json.dumps({"kind": "tree", "config": {}, "schema": SCHEMA_DOC,
+                         "root": {**NUMERIC_SPLIT, "left": LEAF, "right": LEAF}})
 
 
 @pytest.mark.parametrize(
@@ -540,23 +548,41 @@ def ensemble_text(**changes):
     [
         ('{"kind": "tree"}', "missing key 'config'"),
         ('{"kind": "ensemble", "members": []}', "missing key 'method'"),
-        ('{"kind": "tree", "config": {"depth": 3}, "schema": {}, "root": {}}', "unexpected keyword"),
+        ('{"kind": "tree", "config": {"depth": 3}, "schema": {}, "nodes": []}', "unexpected keyword"),
         ('{"kind": "tree"', "Expecting"),
-        (tree_text(attribute=5, threshold=0.5, left=LEAF, right=LEAF), "split on attribute 5"),
-        (tree_text(attribute=1, threshold=0.5, left=LEAF, right=LEAF), "threshold split on nominal"),
-        (tree_text(attribute=0, children={"0": LEAF, "1": LEAF}, fallback=0), "category split on numeric"),
-        (tree_text(attribute=1, children={"0": LEAF, "2": LEAF}, fallback=0), "category codes [0, 2] outside"),
-        (tree_text(attribute=1, children={"0": LEAF}, fallback=1), "fallback 1 is not a child category"),
-        (tree_text(attribute=1, children=[LEAF, LEAF], fallback=0), "children of a category split"),
-        (tree_text(weights=[1.0]), "node weights must be two numbers"),
-        (tree_text(weights=[1.0, "2"]), "node weights must be two numbers"),
+        (tree_text(split(attribute=5, threshold=0.5), LEAF, LEAF), "node 0: split on attribute 5"),
+        (tree_text(split(attribute=1, threshold=0.5), LEAF, LEAF), "node 0: threshold split on nominal"),
+        (tree_text(split(attribute=0, categories=[0, 1], fallback=0), LEAF, LEAF), "category split on numeric"),
+        (tree_text(split(attribute=1, categories=[0, 2], fallback=0), LEAF, LEAF), "category codes [0, 2] outside"),
+        (tree_text(split(attribute=1, categories=[0], fallback=1), LEAF), "fallback 1 is not a child category"),
+        (tree_text(split(attribute=1, categories={"0": LEAF, "1": LEAF}, fallback=0)),
+         "categories must be a list of ascending integer codes"),
+        (tree_text(split(attribute=1, categories=[1, 0], fallback=0), LEAF, LEAF), "integer codes, got [1, 0]"),
+        (tree_text(split(attribute=1, categories=[0, 0], fallback=0), LEAF, LEAF), "integer codes, got [0, 0]"),
+        (tree_text({"weights": [1.0]}), "node weights must be two numbers"),
+        (tree_text({"weights": [1.0, "2"]}), "node weights must be two numbers"),
+        (tree_text(NUMERIC_SPLIT, LEAF, {"weights": [float("nan"), 1.0]}), "node 2: node weights must be two numbers"),
+        (tree_text(NUMERIC_SPLIT, {"weights": [-3.0, 1.0]}, LEAF), "node 1: node weights must be two numbers"),
+        (tree_text(NUMERIC_SPLIT, LEAF, split(attribute=0, threshold=float("nan")), LEAF, LEAF),
+         "node 2: threshold must be a finite number, got nan"),
+        (tree_text(split(attribute=0, threshold="0.5"), LEAF, LEAF), "threshold must be a finite number, got '0.5'"),
+        (tree_text(split(attribute=0.7, threshold=0.5), LEAF, LEAF), "split attribute must be an integer, got 0.7"),
+        (tree_text(split(attribute=True, threshold=0.5), LEAF, LEAF), "split attribute must be an integer, got True"),
+        (tree_text(split(attribute=1, categories=[0, 1], fallback=1.0), LEAF, LEAF), "fallback 1.0 is not a child"),
+        (tree_text(NUMERIC_SPLIT, NUMERIC_SPLIT, LEAF, LEAF), "the node list ends before node 0 has its 2 children"),
+        (tree_text(NUMERIC_SPLIT, LEAF, LEAF, LEAF, LEAF), "node 3: 2 nodes left after the tree ends"),
+        (tree_text(), "tree nodes must be a nonempty list"),
+        (OLD_NESTED, "missing key 'nodes'"),
         (chain_text(1000), "nests too deeply"),
         (ensemble_text(member_weights=[1.0]), "2 members but member_weights [1.0]"),
         (ensemble_text(combine="median"), "unknown combine 'median'"),
     ],
     ids=["tree-without-config", "ensemble-without-method", "unknown-config-key", "truncated",
          "attribute-outside-schema", "threshold-on-nominal", "categories-on-numeric",
-         "category-outside-attribute", "fallback-without-child", "children-list", "one-weight", "string-weight",
+         "category-outside-attribute", "fallback-without-child", "categories-not-a-list",
+         "unsorted-categories", "duplicate-categories", "one-weight", "string-weight", "nan-weight",
+         "negative-weight", "nan-threshold", "string-threshold", "float-attribute", "bool-attribute",
+         "float-fallback", "truncated-node-list", "trailing-nodes", "empty-node-list", "old-nested-file",
          "1000-level-chain", "short-member-weights", "unknown-combine"],
 )
 def test_rules_malformed_model_fails_with_path(tmp_path, runner, doc, message):

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema, imbalance_ratio
+from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema, imbalance_ratio, stratified_kfold
 from crus.clustering import kmeans_fit
 from crus.evaluation import (
     ClassifierSpec,
@@ -16,6 +20,7 @@ from crus.evaluation import (
     run_cv,
     run_cv_clustered,
     run_experiment,
+    run_fold,
 )
 from crus.metrics import combine_reports, compute_report
 from crus.modelfile import model_to_text
@@ -97,6 +102,39 @@ def test_rus_training_shrinks_but_tests_everything():
     assert total_tested == len(d)
     for f in res.folds:
         assert f.train_indices.size < len(d) - f.test_indices.size
+
+
+FOLD_SAMPLERS = (
+    SamplerSpec(),
+    SamplerSpec(method="rus", spread=1.0),
+    SamplerSpec(method="smote", percentage=150.0, k_neighbors=2),
+    SamplerSpec(method="clustering_rus", reduction_fraction=0.0, cluster_k=2),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.data())
+def test_no_fold_trains_on_its_test_rows(data):
+    k = data.draw(st.integers(2, 4), label="k")
+    n_pos = data.draw(st.integers(6, 15), label="n_pos")
+    n_neg = data.draw(st.integers(n_pos + 4, 45), label="n_neg")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    schema = DatasetSchema((AttributeSpec("f0", NUMERIC), AttributeSpec("c", NOMINAL, ("a", "b"))), "y", "neg", "pos")
+    values = np.column_stack([rng.normal(0.0, 1.0, n_pos + n_neg), rng.integers(0, 2, n_pos + n_neg)])
+    labels = np.repeat(np.array([1, 0], dtype=np.int8), [n_pos, n_neg])
+    d = Dataset(schema, values, labels)
+    split = stratified_kfold(d, k, seed=3)
+    for sampler in FOLD_SAMPLERS:
+        for f in range(k):
+            test_idx = split.test_indices(f)
+            (run,) = run_fold(d, split, f, [ClassifierSpec("tree")], sampler, seed=11)
+            assert not isinstance(run, ValueError), run
+            for part in run.parts:
+                assert part.train_indices.min() >= 0
+                assert np.intersect1d(part.train_indices, test_idx).size == 0
+                n_minority = int(d.labels[split.train_indices(f)].sum())
+                synthetic = math.floor(sampler.percentage / 100 * n_minority) if sampler.method == "smote" else 0
+                assert part.n_synthetic_train == synthetic
 
 
 def test_run_cv_determinism():

@@ -50,23 +50,23 @@ REPORT_SHA256 = {
     "loss_op.csv": "575186bf8897539d8c7ac32ea701c37ffdd76c1e81b9f1fe260e7436b37aa8fe",
     "manifest.yaml": "0d515f0dcedcac99a263b4b1e3561a968858536fed22920f411dd9650c0783ee",
     "models/crus+bag.cluster.json": "8cd9ddfbfdc1415adab2c6190660bb21706e67cada1c671aab7b494fdb6216b5",
-    "models/crus+bag.high_IR_group.json": "8d8d0773d19169f0bebeeecc347d1852af0b03f5755852e0e140e263c56bac97",
-    "models/crus+bag.low_IR_group.json": "c5e7da79f3afddd914e9a60f56777b889aa677b710391f9640686a8a29f4b95e",
+    "models/crus+bag.high_IR_group.json": "d043b252bcfda0cb369d0795feeca80d9ece5cc361989e9b46337034a2574c23",
+    "models/crus+bag.low_IR_group.json": "a5d975bd972671ac79d7429e8004e21002ec0fc9f0226476d37af879e66e4021",
     "models/crus+tree.cluster.json": "8cd9ddfbfdc1415adab2c6190660bb21706e67cada1c671aab7b494fdb6216b5",
-    "models/crus+tree.high_IR_group.json": "dc53eab57bfa5ae823b05273cbd87490b487fd69f2ceffec33ffe516e81b5b00",
-    "models/crus+tree.low_IR_group.json": "18a3d854ec3d3355645f24ceb49727bff8b6eb22405ec480ae5f822c20d910a8",
+    "models/crus+tree.high_IR_group.json": "6b8d62cb60e51964f23681520a047d3ef0dcdd50e541258a53e8986fae170a0f",
+    "models/crus+tree.low_IR_group.json": "2912385c1b14dfad726dd5e88fb9912d2c926c8fea82f07dab7d77e42d37740e",
     "models/crus_inv+bag.cluster.json": "8cd9ddfbfdc1415adab2c6190660bb21706e67cada1c671aab7b494fdb6216b5",
-    "models/crus_inv+bag.high_IR_group.json": "0bd8119024ae5f925fb95079b4a359b406270f2bf8ba01f9702026488862f6af",
-    "models/crus_inv+bag.low_IR_group.json": "485933b6ab3e7d48a90ec7214f121c7c01028baccaa57af2d0f5cb4f263a1c22",
+    "models/crus_inv+bag.high_IR_group.json": "a19cdd7890c15ee9976ddf9d0cc6cc19ee139ee571c6adb8794e841efd10286d",
+    "models/crus_inv+bag.low_IR_group.json": "6eb8a02c7c0c2c019325dbf2501cf95b45365eee02569c48b7f23f4b29882c73",
     "models/crus_inv+tree.cluster.json": "8cd9ddfbfdc1415adab2c6190660bb21706e67cada1c671aab7b494fdb6216b5",
-    "models/crus_inv+tree.high_IR_group.json": "702be3e3cd96169426328dd309fc94c309bb6182f94e598616b3964f84aed8dc",
-    "models/crus_inv+tree.low_IR_group.json": "802c41f315fbe18f4eab3dd50367ec9d7f505e0c7b03b07e87876b2d323bb036",
-    "models/none+bag.json": "224ef72185a0a1e30c74e4b5b3163f551747dee25b99cff96a36fa2fcf0708b8",
-    "models/none+tree.json": "506f2e9b28b7c381f9f6281c7d75e530273d7acfdf643bbbba8c5623357af674",
-    "models/rus+bag.json": "d30488ca5ee15bdd73be0f350ccdc6e2099901ec8d362d4a2e13857b9daec8f4",
-    "models/rus+tree.json": "c7489d6a5fa88df48f9c52c111ba24b7dbfd7f945b51acdba7059e566ec38514",
-    "models/smote+bag.json": "49e1a31e5fee69e5e34fdbbb348c43e194d0e687bf4dbbf81e71b3c6d0fd44e0",
-    "models/smote+tree.json": "14a96c6731ac442d1fe564ff198fe2079fba7ceccb6d7fd9d8b36ec0d3ed86e1",
+    "models/crus_inv+tree.high_IR_group.json": "82a622258bfe96dcaf159a3457212a3f207a992b09658e0e8f6c0dcb9f9439b5",
+    "models/crus_inv+tree.low_IR_group.json": "e541b220669d9e4bdc2c139dc21ee1dac310359d1b32c47f33e900a0d85c3d7e",
+    "models/none+bag.json": "b92feb8f91a4855754890a7cf5421a4016ec8b7ee8665e519ab2112a171a0971",
+    "models/none+tree.json": "54507e524a7e3277e8cbde7c0411300a88610632a515de33ddb92420c9e818d0",
+    "models/rus+bag.json": "bf289fb89a41d13357576c81052ec8ed0e6b292e9eb1611423e547b1fe04cb59",
+    "models/rus+tree.json": "bf46175b5d202d049f93df8f0c07aa99c9bcdd6ffdcea14eec95eaade0d9d578",
+    "models/smote+bag.json": "b6863356331c6bc8d4d31e7088407345b9fa668dbf5b72775ed686a5ad20d3a9",
+    "models/smote+tree.json": "cfac27fc36b23fa368c39a6b6650392742b6ebd5b5065feeac345343dda09d9a",
     "pvalues_g_mean_holm.csv": "a14ce65258cf5070dde63c998fa1869e44896901f5403fe76cfb94a3c82d400d",
     "pvalues_g_mean_raw.csv": "345f92d7a933410fcacc715b51c528f38e8551b75a247198ba664631a40ebbe0",
     "pvalues_op_holm.csv": "a14ce65258cf5070dde63c998fa1869e44896901f5403fe76cfb94a3c82d400d",

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crus.clustering import ClusterModel, kmeans_fit
+from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema
 from crus.ensembles import EnsembleConfig, fit_adaboost, fit_bagging, fit_random_committee, fit_random_forest
-from crus.evaluation import SyntheticConfig, gen_synthetic
+from crus.evaluation import CLASSIFIER_METHODS, ClassifierSpec, SyntheticConfig, fit_classifier, gen_synthetic
 from crus.modelfile import model_from_text, model_to_text
 from crus.trees import DecisionTree, TreeConfig, fit_tree
 
@@ -41,3 +46,32 @@ def test_model_text_round_trips(kind):
     if not isinstance(model, DecisionTree):
         assert back.weight_history == []  # a diagnostic the file does not keep
 
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_classifier_kind_round_trips_on_small_mixed_data(data):
+    n_numeric = data.draw(st.integers(1, 4), label="n_numeric")
+    n_nominal = data.draw(st.integers(0, 3), label="n_nominal")
+    n = data.draw(st.integers(4, 60), label="n")
+    method = data.draw(st.sampled_from(CLASSIFIER_METHODS), label="method")
+    pruning = data.draw(st.booleans(), label="pruning")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # one decimal, so numeric values tie as real data does
+    numeric = np.round(rng.normal(0.0, 1.0, (n, n_numeric)), 1)
+    nominal = rng.integers(0, 3, (n, n_nominal)).astype(float)
+    labels = rng.integers(0, 2, n).astype(np.int8)
+    labels[:2] = (0, 1)
+    attrs = [AttributeSpec(f"x{i}", NUMERIC) for i in range(n_numeric)]
+    attrs += [AttributeSpec(f"c{i}", NOMINAL, ("a", "b", "c")) for i in range(n_nominal)]
+    d = Dataset(DatasetSchema(tuple(attrs), "y", "neg", "pos"), np.hstack([numeric, nominal]), labels)
+    n_members = None if method in ("tree", "random_tree") else 3
+    model = fit_classifier(d, ClassifierSpec(method, n_members=n_members, min_leaf_weight=1.0,
+                                             use_pruning=pruning), seed=7)
+    text = model_to_text(model)
+    back = model_from_text(text)
+    assert model_to_text(back) == text
+    for got, want in zip(back.predict_batch(d.values), model.predict_batch(d.values)):
+        assert np.array_equal(got, want)
+    doc = json.loads(text)
+    trees, docs = ([model], [doc]) if isinstance(model, DecisionTree) else (model.members, doc["members"])
+    assert [len(t["nodes"]) for t in docs] == [t.n_nodes() for t in trees]

@@ -22,7 +22,7 @@ from crus.trees import (
     fit_random_tree,
     fit_tree,
 )
-from crus.modelfile import _tree_from_doc as tree_from_doc, _tree_to_doc as tree_to_doc, model_from_text, model_to_text
+from crus.modelfile import _tree_to_doc as tree_to_doc, model_from_text, model_to_text
 
 
 def make_dataset(columns, kinds, labels, categories=None):
@@ -481,8 +481,8 @@ def test_block_split_search_matches_reference_across_blocks():
 
 def test_deep_noisy_tree_fits_prunes_predicts_and_counts():
     # two attributes of pure label noise grow a chain thousands of nodes
-    # deep, far past Python's recursion limit; it is grown once and then
-    # pruned in place, as fit_tree does with pruning on
+    # deep, far past Python's recursion limit; it is grown once, saved and
+    # read back, then pruned in place, as fit_tree does with pruning on
     rng = np.random.default_rng(0)
     n = 20_000
     d = make_dataset([rng.uniform(0, 1, n), rng.uniform(0, 1, n)], [NUMERIC, NUMERIC],
@@ -492,10 +492,21 @@ def test_deep_noisy_tree_fits_prunes_predicts_and_counts():
     assert grown == 2 * tree.n_leaves() - 1 > 2000
     labels, probs = tree.predict_batch(d.values)
     assert np.array_equal(labels, (probs > 0.5).astype(labels.dtype))
+    assert_text_round_trips(tree, d.values)
     _prune(tree.root, _pruning_z(tree.config.confidence_factor))
     assert tree.n_nodes() == 2 * tree.n_leaves() - 1 < grown
     labels, probs = tree.predict_batch(d.values)
     assert labels.shape == probs.shape == (n,)
+
+
+def assert_text_round_trips(model, X):
+    """The model file text of model reads back to a model that predicts X
+    the same way and writes the same text."""
+    text = model_to_text(model)
+    back = model_from_text(text)
+    assert model_to_text(back) == text
+    for got, want in zip(back.predict_batch(X), model.predict_batch(X)):
+        assert np.array_equal(got, want)
 
 
 def hand_built_chain(depth):
@@ -510,26 +521,24 @@ def hand_built_chain(depth):
     return DecisionTree(schema, root, TreeConfig())
 
 
-def test_deep_chain_exports_converts_predicts_and_fails_to_save_clearly():
+def test_deep_chain_exports_predicts_saves_and_reads_back(tmp_path):
+    from click.testing import CliRunner
+
+    from crus.cli import main
     from crus.ensembles import EnsembleModel
 
     tree = hand_built_chain(3000)
-    assert tree.root.depth() == 3000
+    assert tree.n_nodes() == 6001
     rules = export_rules(tree)
     assert len(rules) == 3001
     assert rules[0] == "IF f0 <= 0.5 THEN y = neg"
     assert rules[-1].startswith("IF f0 > 0.5 AND f0 > 1.5 AND") and rules[-1].count(" AND ") == 2999
-    # the nested docs are not compared with ==, which recurses too
-    back = tree_from_doc(tree_to_doc(tree))
     X = np.arange(-1.0, 3002.0)[:, np.newaxis]
-    for got, want in zip(back.predict_batch(X), tree.predict_batch(X)):
-        assert np.array_equal(got, want)
     assert np.unique(tree.predict_batch(X)[1]).size == 3
-    with pytest.raises(ValueError, match="a tree 3000 levels deep is too deep"):
-        model_to_text(tree)
-    model = EnsembleModel("bagging", [hand_built_chain(2), tree], np.ones(2), "vote", 0)
-    with pytest.raises(ValueError, match="a tree 3000 levels deep is too deep"):
-        model_to_text(model)
-    # a chain shallow enough for the JSON encoder and decoder reads back
-    text = model_to_text(hand_built_chain(900))
-    assert model_to_text(model_from_text(text)) == text
+    assert_text_round_trips(tree, X)
+    assert_text_round_trips(EnsembleModel("bagging", [hand_built_chain(2), tree], np.ones(2), "vote", 0), X)
+    path = tmp_path / "chain.json"
+    path.write_text(model_to_text(tree), encoding="utf-8")
+    result = CliRunner().invoke(main, ["rules", "--model", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == rules
