@@ -83,8 +83,6 @@ _RUN_KEYS = {
     "classifiers",
 }
 _COMPARISON_KEYS = {"alpha"}
-_SAMPLER_KEYS = {"name"} | {f.name for f in fields(SamplerSpec)}
-_CLASSIFIER_KEYS = {"name"} | {f.name for f in fields(ClassifierSpec)}
 _GEN_KEYS = {f.name for f in fields(SyntheticConfig)}
 _FEATSEL_KEYS = {"dataset", "schema", "max_stale"}
 
@@ -111,18 +109,13 @@ def _check_keys(doc: dict, allowed: set[str], where: str) -> None:
         _fail(f"{where}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
 
 
-def _as_int(doc: dict, key: str, default: int, where: str) -> int:
+def _as_number(doc: dict, key: str, default: int | float, where: str) -> int | float:
+    """doc[key], or `default` without it: an integer where the default is one, else a float."""
     v = doc.get(key, default)
-    if not _is_a(v, numbers.Integral):
-        _fail(f"{where}: '{key}' must be an integer, got {v!r}")
-    return v
-
-
-def _as_float(doc: dict, key: str, default: float, where: str) -> float:
-    v = doc.get(key, default)
-    if not _is_a(v, numbers.Real):
-        _fail(f"{where}: '{key}' must be a number, got {v!r}")
-    return float(v)
+    kind, what = (numbers.Integral, "an integer") if isinstance(default, int) else (numbers.Real, "a number")
+    if not _is_a(v, kind):
+        _fail(f"{where}: '{key}' must be {what}, got {v!r}")
+    return v if kind is numbers.Integral else float(v)
 
 
 @dataclass(frozen=True)
@@ -141,7 +134,9 @@ class RunConfig:
     classifiers: tuple[tuple[str, ClassifierSpec], ...]
 
 
-def _parse_grid(doc: dict, key: str, allowed: set[str], builder) -> tuple[tuple[str, object], ...]:
+def _parse_grid(doc: dict, key: str, builder) -> tuple[tuple[str, object], ...]:
+    """The named specs of a grid list; an entry's keys are `name` and the spec's fields."""
+    allowed = {"name"} | {f.name for f in fields(builder)}
     entries = doc.get(key)
     if not isinstance(entries, list) or not entries:
         _fail(f"config: '{key}' must be a non-empty list")
@@ -176,18 +171,20 @@ def load_run_config(path: Path, seed_override: int | None = None, alpha_override
     for key in ("dataset", "schema"):
         if not isinstance(doc[key], str) or not doc[key]:
             _fail(f"config: '{key}' must be a file path string")
-    k_folds = _as_int(doc, "k_folds", 10, "config")
+    k_folds = _as_number(doc, "k_folds", 10, "config")
     if k_folds < 2:
         _fail(f"config: k_folds must be at least 2, got {k_folds}")
-    seed = seed_override if seed_override is not None else _as_int(doc, "seed", 0, "config")
+    seed = seed_override if seed_override is not None else _as_number(doc, "seed", 0, "config")
     if seed < 0:
         _fail(f"config: 'seed' must be nonnegative, got {seed}")
-    beta = _as_float(doc, "beta", 1.0, "config")
+    beta = _as_number(doc, "beta", 1.0, "config")
+    if not 0 < beta < float("inf"):
+        _fail(f"config: 'beta' must be positive and finite, got {beta}")
     comparison = doc.get("comparison", {})
     if not isinstance(comparison, dict):
         _fail("config: 'comparison' must be a mapping")
     _check_keys(comparison, _COMPARISON_KEYS, "config: comparison")
-    alpha = alpha_override if alpha_override is not None else _as_float(comparison, "alpha", 0.05, "config: comparison")
+    alpha = alpha_override if alpha_override is not None else _as_number(comparison, "alpha", 0.05, "config: comparison")
     if not 0 < alpha < 1:
         _fail(f"config: comparison alpha must be in (0, 1), got {alpha}")
     metrics = doc.get("metrics", ["g_mean", "op"])
@@ -201,8 +198,8 @@ def load_run_config(path: Path, seed_override: int | None = None, alpha_override
     output = doc.get("output")
     if output is not None and (not isinstance(output, str) or not output):
         _fail("config: 'output' must be a directory path string")
-    samplers = _parse_grid(doc, "samplers", _SAMPLER_KEYS, SamplerSpec)
-    classifiers = _parse_grid(doc, "classifiers", _CLASSIFIER_KEYS, ClassifierSpec)
+    samplers = _parse_grid(doc, "samplers", SamplerSpec)
+    classifiers = _parse_grid(doc, "classifiers", ClassifierSpec)
     base = path.parent
     dataset_path = (base / doc["dataset"]).resolve()
     schema_path = (base / doc["schema"]).resolve()
@@ -627,7 +624,7 @@ def featsel(config_path: Path, out_dir: Path) -> None:
     for req in ("dataset", "schema"):
         if req not in doc or not isinstance(doc[req], str):
             _fail(f"config: missing file path '{req}'")
-    max_stale = _as_int(doc, "max_stale", 5, "config")
+    max_stale = _as_number(doc, "max_stale", 5, "config")
     base = config_path.parent
     try:
         d = load_csv((base / doc["dataset"]).resolve(), (base / doc["schema"]).resolve())

@@ -30,7 +30,7 @@ class FeatureScaler:
 
     @classmethod
     def fit(cls, d: Dataset) -> "FeatureScaler":
-        numeric = d.numeric_mask()
+        numeric = d.schema.numeric_mask()
         mins = np.zeros(d.schema.n_attributes)
         maxs = np.zeros(d.schema.n_attributes)
         if len(d) == 0:
@@ -100,7 +100,6 @@ class ClusterModel:
     """Fitted k-means partition: centroids in normalized space plus scaler."""
 
     schema: DatasetSchema
-    k: int
     centroids: np.ndarray  # (k, d) in normalized space
     scaler: FeatureScaler
     seed: int
@@ -184,4 +183,4 @@ def _kmeans_single(d: Dataset, k: int, seed: int) -> ClusterModel:
         assign = new_assign
         centroids = _update_centroids(norm, assign, k, numeric)
     objective = float(_sq_distances(norm, centroids, numeric).min(axis=1).sum())
-    return ClusterModel(d.schema, k, centroids, scaler, seed, n_iter, repairs, objective)
+    return ClusterModel(d.schema, centroids, scaler, seed, n_iter, repairs, objective)

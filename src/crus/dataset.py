@@ -5,6 +5,10 @@ YAML schema sidecar declaring attribute kinds, nominal categories, the class
 column and which label is the positive (minority) one.  In memory a dataset
 is a dense float matrix: numeric cells hold their value, nominal cells hold
 the category index from the schema.
+
+The schema has one document layout, shared by the sidecar and the model
+files: `schema_to_doc` builds it and `schema_from_doc` is its one checked
+reader.
 """
 
 from __future__ import annotations
@@ -59,6 +63,9 @@ class DatasetSchema:
     def n_attributes(self) -> int:
         return len(self.attributes)
 
+    def numeric_mask(self) -> np.ndarray:
+        return np.array([a.kind == NUMERIC for a in self.attributes], dtype=bool)
+
 
 @dataclass
 class Dataset:
@@ -106,53 +113,17 @@ class Dataset:
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.schema, self.values[idx], self.labels[idx], self.row_ids[idx])
 
-    def numeric_mask(self) -> np.ndarray:
-        return np.array([a.kind == NUMERIC for a in self.schema.attributes], dtype=bool)
 
-
-def load_schema(path: str | Path) -> DatasetSchema:
-    """Read a YAML schema sidecar.
+def schema_to_doc(schema: DatasetSchema) -> dict:
+    """The schema document, the one layout of a schema sidecar and of the
+    schema inside a model file.
 
     Keys: ``class_attribute`` (column name), ``class_labels`` (two labels,
     negative first), ``positive_label`` (one of the two), ``attributes``
-    (list of ``{name, kind, categories?}`` entries in column order).
+    (list of ``{name, kind, categories?}`` entries in column order; only a
+    nominal attribute lists its categories).
     """
-    path = Path(path)
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise DataError(f"schema file not found: {path}") from None
-    except yaml.YAMLError as exc:
-        raise DataError(f"schema file {path} is not valid YAML: {exc}") from None
-    if not isinstance(raw, dict):
-        raise DataError(f"schema file {path}: expected a mapping at top level")
-    for key in ("class_attribute", "class_labels", "positive_label", "attributes"):
-        if key not in raw:
-            raise DataError(f"schema file {path}: missing key '{key}'")
-
-    def listed(value: object, key: str) -> list:
-        if not isinstance(value, list):
-            raise DataError(f"schema file {path}: '{key}' must be a list, got {value!r}")
-        return value
-
-    labels = [str(v) for v in listed(raw["class_labels"], "class_labels")]
-    if len(labels) != 2:
-        raise DataError(f"schema file {path}: class_labels must list exactly two labels")
-    positive = str(raw["positive_label"])
-    if positive not in labels:
-        raise DataError(f"schema file {path}: positive_label '{positive}' not in class_labels")
-    negative = labels[0] if labels[1] == positive else labels[1]
-    attrs = []
-    for entry in listed(raw["attributes"], "attributes"):
-        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
-            raise DataError(f"schema file {path}: each attribute needs 'name' and 'kind'")
-        cats = tuple(str(c) for c in listed(entry.get("categories") or [], "categories"))
-        attrs.append(AttributeSpec(str(entry["name"]), str(entry["kind"]), cats))
-    return DatasetSchema(tuple(attrs), str(raw["class_attribute"]), negative, positive)
-
-
-def save_schema(schema: DatasetSchema, path: str | Path) -> None:
-    doc = {
+    return {
         "class_attribute": schema.class_name,
         "class_labels": [schema.negative_label, schema.positive_label],
         "positive_label": schema.positive_label,
@@ -161,7 +132,65 @@ def save_schema(schema: DatasetSchema, path: str | Path) -> None:
             for a in schema.attributes
         ],
     }
-    Path(path).write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+
+
+def schema_from_doc(doc: object, where: str) -> DatasetSchema:
+    """The schema a schema document holds, checked; the refusals made here
+    start with `where` (those of AttributeSpec and DatasetSchema do not).
+
+    A number given for a name, label or category becomes its text; a
+    boolean is refused, since YAML reads an unquoted yes, no, on, off,
+    true or false as one.
+    """
+    if not isinstance(doc, dict):
+        raise DataError(f"{where}: expected a mapping at top level")
+    for key in ("class_attribute", "class_labels", "positive_label", "attributes"):
+        if key not in doc:
+            raise DataError(f"{where}: missing key '{key}'")
+
+    def listed(value: object, key: str) -> list:
+        if not isinstance(value, list):
+            raise DataError(f"{where}: '{key}' must be a list, got {value!r}")
+        return value
+
+    def text(value: object) -> str:
+        if isinstance(value, bool):
+            raise DataError(
+                f"{where}: {value!r} was read as a boolean; quote it to keep it text "
+                "(YAML reads an unquoted yes, no, on, off, true or false as a boolean)"
+            )
+        return str(value)
+
+    labels = [text(v) for v in listed(doc["class_labels"], "class_labels")]
+    if len(labels) != 2:
+        raise DataError(f"{where}: class_labels must list exactly two labels")
+    positive = text(doc["positive_label"])
+    if positive not in labels:
+        raise DataError(f"{where}: positive_label '{positive}' not in class_labels")
+    negative = labels[0] if labels[1] == positive else labels[1]
+    attrs = []
+    for entry in listed(doc["attributes"], "attributes"):
+        if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
+            raise DataError(f"{where}: each attribute needs 'name' and 'kind'")
+        cats = tuple(text(c) for c in listed(entry.get("categories") or [], "categories"))
+        attrs.append(AttributeSpec(text(entry["name"]), str(entry["kind"]), cats))
+    return DatasetSchema(tuple(attrs), text(doc["class_attribute"]), negative, positive)
+
+
+def load_schema(path: str | Path) -> DatasetSchema:
+    """Read a YAML schema sidecar holding the document `schema_to_doc` gives."""
+    path = Path(path)
+    try:
+        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DataError(f"schema file not found: {path}") from None
+    except yaml.YAMLError as exc:
+        raise DataError(f"schema file {path} is not valid YAML: {exc}") from None
+    return schema_from_doc(raw, f"schema file {path}")
+
+
+def save_schema(schema: DatasetSchema, path: str | Path) -> None:
+    Path(path).write_text(yaml.safe_dump(schema_to_doc(schema), sort_keys=False), encoding="utf-8")
 
 
 def _parse_cell(cell: str, attr: AttributeSpec, row_no: int) -> float:

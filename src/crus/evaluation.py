@@ -74,11 +74,13 @@ SAMPLER_METHODS = ("none", "rus", "smote", "clustering_rus")
 
 
 def _is_a(v: object, kind: type) -> bool:
-    return isinstance(v, kind) and not isinstance(v, bool)
+    """A number of `kind` other than a bool or NaN."""
+    return isinstance(v, kind) and not isinstance(v, bool) and v == v
 
 
 def _check_numbers(spec: object, reals: tuple[str, ...], integers: tuple[str, ...]) -> None:
-    """Reject a field of spec that is not a number (an integer for `integers`).
+    """Reject a field of spec that is not a number (an integer for `integers`),
+    NaN included.
 
     None passes where it is the field's default, as for optional fields.
     """

@@ -2,9 +2,13 @@
 
 `model_to_text` writes the one format and `model_from_text` reads it back:
 a JSON object with sorted keys and one-space indents whose `kind` is
-"tree", "ensemble" or "cluster_model".  Trees and cluster models embed
-their schema.  A tree holds the flat list `nodes` of its `TreeNode`s in
-`TreeNode.walk()` pre-order, so its file nests no deeper for a deeper tree.
+"tree", "ensemble" or "cluster_model".  Each file holds its schema once,
+as the document `dataset.schema_to_doc` builds, and reads it back through
+`dataset.schema_from_doc`, so it gets every check a schema sidecar gets.
+A tree holds its `config` and the flat list `nodes` of its `TreeNode`s in
+`TreeNode.walk()` pre-order, so its file nests no deeper for a deeper tree;
+an ensemble lists each member as just its `config` and `nodes`, under the
+ensemble's one schema.
 A node has its `weights` and, if it splits, its `attribute` with either a
 `threshold` (two children) or ascending `categories` and a `fallback` (a
 child per category); its children's subtrees follow it.  The reader
@@ -12,7 +16,12 @@ checks each node against the schema, naming its index when it refuses
 one, and refuses a list that ends before a split has all its children or
 goes on after the tree ends.  It also refuses member weights that do not
 pair one to one with an ensemble's members, an unknown combiner, and a
-hand-made file that nests too deeply for the JSON decoder.
+hand-made file that nests too deeply for the JSON decoder.  A cluster
+model holds its centroids, the scaler's `mins` and `maxs`, and its fit
+statistics; which attributes are numeric comes from the schema and the
+cluster count from the centroids, and the reader refuses values that are
+not finite numbers, or integers where integers belong, of the schema's
+shape.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .clustering import ClusterModel, FeatureScaler
-from .dataset import NOMINAL, NUMERIC, AttributeSpec, DatasetSchema
+from .dataset import NOMINAL, NUMERIC, DatasetSchema, schema_from_doc, schema_to_doc
 from .ensembles import EnsembleModel
 from .trees import DecisionTree, TreeConfig, TreeNode
 
@@ -50,23 +59,6 @@ def model_from_text(text: str) -> DecisionTree | EnsembleModel | ClusterModel:
     return _READERS[kind](doc)
 
 
-def _schema_to_doc(schema: DatasetSchema) -> dict:
-    return {
-        "class_attribute": schema.class_name,
-        "negative_label": schema.negative_label,
-        "positive_label": schema.positive_label,
-        "attributes": [asdict(a) for a in schema.attributes],
-    }
-
-
-def _schema_from_doc(doc: dict) -> DatasetSchema:
-    attrs = tuple(
-        AttributeSpec(e["name"], e["kind"], tuple(e.get("categories", ())))
-        for e in doc["attributes"]
-    )
-    return DatasetSchema(attrs, doc["class_attribute"], doc["negative_label"], doc["positive_label"])
-
-
 def _node_to_doc(node: TreeNode) -> dict:
     doc = {"weights": [float(w) for w in node.class_weights]}
     if node.threshold is not None:
@@ -80,8 +72,10 @@ def _is_finite(v: object) -> bool:
     return type(v) in (int, float) and math.isfinite(v)
 
 
-def _node_from_doc(doc: dict, schema: DatasetSchema) -> TreeNode:
+def _node_from_doc(doc: object, schema: DatasetSchema) -> TreeNode:
     """One node of the list, without its children."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a node must be an object, got {doc!r}")
     weights = doc["weights"]
     if not (isinstance(weights, list) and len(weights) == 2 and all(_is_finite(w) and w >= 0 for w in weights)):
         raise ValueError(f"node weights must be two numbers, finite and nonnegative, got {weights!r}")
@@ -126,6 +120,8 @@ def _nodes_from_doc(nodes: list, schema: DatasetSchema) -> TreeNode:
             raise ValueError(f"node {i}: {len(nodes) - i} nodes left after the tree ends")
         try:
             node = _node_from_doc(doc, schema)
+        except KeyError as exc:
+            raise ValueError(f"node {i}: missing key {exc}") from None
         except ValueError as exc:
             raise ValueError(f"node {i}: {exc}") from None
         if i == 0:
@@ -144,24 +140,25 @@ def _nodes_from_doc(nodes: list, schema: DatasetSchema) -> TreeNode:
     return root
 
 
+def _member_to_doc(tree: DecisionTree) -> dict:
+    """A tree without its schema: the document of an ensemble member."""
+    return {"config": asdict(tree.config), "nodes": [_node_to_doc(node) for node in tree.root.walk()]}
+
+
 def _tree_to_doc(tree: DecisionTree) -> dict:
-    return {
-        "kind": "tree",
-        "schema": _schema_to_doc(tree.schema),
-        "config": asdict(tree.config),
-        "nodes": [_node_to_doc(node) for node in tree.root.walk()],
-    }
+    return {"kind": "tree", "schema": schema_to_doc(tree.schema), **_member_to_doc(tree)}
 
 
 def _tree_from_doc(doc: dict) -> DecisionTree:
     cfg = TreeConfig(**doc["config"])
-    schema = _schema_from_doc(doc["schema"])
+    schema = schema_from_doc(doc["schema"], "schema")
     return DecisionTree(schema, _nodes_from_doc(doc["nodes"], schema), cfg)
 
 
 def _ensemble_to_doc(model: EnsembleModel) -> dict:
     return {
         "kind": "ensemble",
+        "schema": schema_to_doc(model.members[0].schema),
         "method": model.method,
         "combine": model.combine,
         "seed": model.seed,
@@ -171,12 +168,16 @@ def _ensemble_to_doc(model: EnsembleModel) -> dict:
         "epsilons": list(model.epsilons),
         "betas": list(model.betas),
         "warnings": list(model.warnings),
-        "members": [_tree_to_doc(t) for t in model.members],
+        "members": [_member_to_doc(t) for t in model.members],
     }
 
 
 def _ensemble_from_doc(doc: dict) -> EnsembleModel:
-    method, members = doc["method"], [_tree_from_doc(m) for m in doc["members"]]
+    method, schema = doc["method"], schema_from_doc(doc["schema"], "schema")
+    members = [DecisionTree(schema, _nodes_from_doc(m["nodes"], schema), TreeConfig(**m["config"]))
+               for m in doc["members"]]
+    if not members:
+        raise ValueError("an ensemble needs at least one member")
     weights = np.array(doc["member_weights"], dtype=np.float64)
     if weights.shape != (len(members),):
         raise ValueError(f"{len(members)} members but member_weights {doc['member_weights']!r}")
@@ -195,35 +196,36 @@ def _ensemble_from_doc(doc: dict) -> EnsembleModel:
 def _cluster_model_to_doc(model: ClusterModel) -> dict:
     return {
         "kind": "cluster_model",
-        "k": model.k,
         "seed": model.seed,
         "n_iter": model.n_iter,
         "repairs": model.repairs,
         "objective": model.objective,
-        "numeric": [bool(b) for b in model.scaler.numeric],
         "mins": model.scaler.mins.tolist(),
         "maxs": model.scaler.maxs.tolist(),
         "centroids": model.centroids.tolist(),
-        "schema": _schema_to_doc(model.schema),
+        "schema": schema_to_doc(model.schema),
     }
 
 
 def _cluster_model_from_doc(doc: dict) -> ClusterModel:
-    schema = _schema_from_doc(doc["schema"])
-    scaler = FeatureScaler(
-        np.array(doc["numeric"], dtype=bool),
-        np.array(doc["mins"], dtype=np.float64),
-        np.array(doc["maxs"], dtype=np.float64),
-    )
+    schema = schema_from_doc(doc["schema"], "schema")
+    d = schema.n_attributes
+    for key, rows in (("centroids", doc["centroids"]), ("mins", [doc["mins"]]), ("maxs", [doc["maxs"]])):
+        if not (isinstance(rows, list) and rows and all(
+            isinstance(row, list) and len(row) == d and all(_is_finite(v) for v in row) for row in rows
+        )):
+            shape = "a nonempty list of rows, each of" if key == "centroids" else "a list of"
+            raise ValueError(f"{key} must be {shape} {d} finite numbers, one per attribute, got {doc[key]!r}")
+    scaler = FeatureScaler(schema.numeric_mask(), np.array(doc["mins"], dtype=np.float64),
+                           np.array(doc["maxs"], dtype=np.float64))
+    for key in ("seed", "n_iter", "repairs"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"{key} must be an integer, got {doc[key]!r}")
+    if not _is_finite(doc["objective"]):
+        raise ValueError(f"objective must be a finite number, got {doc['objective']!r}")
     return ClusterModel(
-        schema,
-        int(doc["k"]),
-        np.array(doc["centroids"], dtype=np.float64),
-        scaler,
-        int(doc["seed"]),
-        int(doc["n_iter"]),
-        int(doc["repairs"]),
-        float(doc["objective"]),
+        schema, np.array(doc["centroids"], dtype=np.float64), scaler,
+        doc["seed"], doc["n_iter"], doc["repairs"], float(doc["objective"]),
     )
 
 

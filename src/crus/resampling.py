@@ -94,7 +94,7 @@ def smote_oversample(
     scaler = FeatureScaler.fit(d)
     nn = _minority_neighbors(scaler.transform(d.values[minority]), scaler.numeric, k_neighbors)
     order = rng.permutation(minority.size)
-    numeric = d.numeric_mask()
+    numeric = d.schema.numeric_mask()
     new_rows = np.empty((n_new, d.schema.n_attributes))
     for s in range(n_new):
         base_local = order[s % minority.size]

@@ -250,7 +250,7 @@ def _gain_ratios(
     are scored in blocks of at most _BLOCK_CELLS values.
     """
     y = d.labels[idx]
-    is_numeric = d.numeric_mask()[attrs]
+    is_numeric = d.schema.numeric_mask()[attrs]
     ratios = np.full(attrs.size, -np.inf)
     thresholds = np.zeros(attrs.size)
     numeric = np.flatnonzero(is_numeric)
@@ -284,7 +284,7 @@ class _Grower:
     def __post_init__(self) -> None:
         # one contiguous row per attribute, so a block gathers contiguously
         self.columns = np.ascontiguousarray(self.d.values.T)
-        self.numeric = self.d.numeric_mask()
+        self.numeric = self.d.schema.numeric_mask()
 
     def _node(self, idx: np.ndarray, w: np.ndarray) -> TreeNode:
         y = self.d.labels[idx]

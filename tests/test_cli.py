@@ -309,8 +309,24 @@ def test_run_bad_grid_entry_names_the_cell(tmp_path, runner):
             {"method": "clustering_rus", "threshold": 10, "policy": "bogus"},
             "unknown policy 'bogus' (expected 'above' or 'invert')",
         ),
+        ("classifiers", {"min_leaf_weight": float("nan")}, "'min_leaf_weight' must be a number, got nan"),
+        ("classifiers", {"confidence_factor": float("nan")}, "'confidence_factor' must be a number, got nan"),
+        ("samplers", {"method": "rus", "spread": float("nan")}, "'spread' must be a number, got nan"),
+        ("samplers", {"method": "smote", "percentage": float("nan")}, "'percentage' must be a number, got nan"),
+        (
+            "samplers",
+            {"method": "clustering_rus", "threshold": float("nan")},
+            "'threshold' must be a number, got nan",
+        ),
+        (
+            "samplers",
+            {"method": "clustering_rus", "reduction_fraction": float("nan")},
+            "'reduction_fraction' must be a number, got nan",
+        ),
     ],
-    ids=["min_leaf_weight", "n_members", "confidence_factor", "confidence_range", "use_pruning", "spread", "policy"],
+    ids=["min_leaf_weight", "n_members", "confidence_factor", "confidence_range", "use_pruning", "spread", "policy",
+         "nan-min_leaf_weight", "nan-confidence_factor", "nan-spread", "nan-percentage", "nan-threshold",
+         "nan-reduction_fraction"],
 )
 def test_run_wrongly_typed_grid_value_rejected_at_load(tmp_path, runner, key, entry, message):
     write_dataset(tmp_path)
@@ -322,13 +338,36 @@ def test_run_wrongly_typed_grid_value_rejected_at_load(tmp_path, runner, key, en
 
 
 @pytest.mark.parametrize(
+    "beta, message",
+    [
+        (0, "'beta' must be positive and finite, got 0.0"),
+        (-1.5, "'beta' must be positive and finite, got -1.5"),
+        (float("inf"), "'beta' must be positive and finite, got inf"),
+        (float("nan"), "'beta' must be a number, got nan"),
+    ],
+    ids=["zero", "negative", "inf", "nan"],
+)
+def test_run_beta_must_be_positive_and_finite(tmp_path, runner, beta, message):
+    # empty data files: the config is refused before any data is read
+    cfg = write_run_config(tmp_path, beta=beta)
+    for name in ("data.csv", "data.schema.yaml"):
+        (tmp_path / name).write_text("", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert f"config: {message}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "doc, message",
     [
         ({"n_numeric": 2.5}, "'n_numeric' must be an integer, got 2.5"),
         ({"blob_sizes": [40.5, 60]}, "'blob_sizes' must be a list of integers, got [40.5, 60]"),
         ({"noise": "abc"}, "'noise' must be a number, got 'abc'"),
+        ({"category_bias": float("nan")}, "'category_bias' must be a number, got nan"),
+        ({"blob_irs": [2.0, float("nan")]}, "'blob_irs' must be a list of numbers, got [2.0, nan]"),
     ],
-    ids=["n_numeric", "blob_sizes", "noise"],
+    ids=["n_numeric", "blob_sizes", "noise", "nan-category_bias", "nan-blob_irs"],
 )
 def test_gen_synth_wrongly_typed_config_value_rejected(tmp_path, runner, doc, message):
     gen = tmp_path / "gen.yaml"
@@ -505,10 +544,10 @@ def test_rules_refuses_a_saved_cluster_model(tmp_path, runner):
 LEAF = {"weights": [1.0, 0.0]}
 SCHEMA_DOC = {
     "class_attribute": "y",
-    "negative_label": "neg",
+    "class_labels": ["neg", "pos"],
     "positive_label": "pos",
     "attributes": [
-        {"name": "x", "kind": "numeric", "categories": []},
+        {"name": "x", "kind": "numeric"},
         {"name": "c", "kind": "nominal", "categories": ["a", "b"]},
     ],
 }
@@ -532,15 +571,26 @@ def chain_text(depth):
 
 
 def ensemble_text(**changes):
-    tree = json.loads(tree_text(LEAF))
-    doc = {"kind": "ensemble", "method": "bagging", "combine": "vote", "seed": 0,
-           "member_weights": [1.0, 1.0], "members": [tree, tree], **changes}
+    member = {"config": {}, "nodes": [LEAF]}
+    doc = {"kind": "ensemble", "schema": SCHEMA_DOC, "method": "bagging", "combine": "vote", "seed": 0,
+           "member_weights": [1.0, 1.0], "members": [member, member], **changes}
     return json.dumps(doc)
+
+
+def schema_text(**changes):
+    """A leaf tree file whose schema document has the given keys changed."""
+    return json.dumps({"kind": "tree", "config": {}, "schema": {**SCHEMA_DOC, **changes}, "nodes": [LEAF]})
 
 
 NUMERIC_SPLIT = split(attribute=0, threshold=0.5)
 OLD_NESTED = json.dumps({"kind": "tree", "config": {}, "schema": SCHEMA_DOC,
                          "root": {**NUMERIC_SPLIT, "left": LEAF, "right": LEAF}})
+# the schema layout model files had before they shared the sidecar's
+OLD_SCHEMA = {"class_attribute": "y", "negative_label": "neg", "positive_label": "pos",
+              "attributes": [{"name": "x", "kind": "numeric", "categories": []}]}
+OLD_TREE = json.dumps({"kind": "tree", "config": {}, "schema": OLD_SCHEMA, "nodes": [LEAF]})
+OLD_ENSEMBLE = json.dumps({"kind": "ensemble", "method": "bagging", "combine": "vote", "seed": 0,
+                           "member_weights": [1.0], "members": [json.loads(OLD_TREE)]})
 
 
 @pytest.mark.parametrize(
@@ -576,6 +626,17 @@ OLD_NESTED = json.dumps({"kind": "tree", "config": {}, "schema": SCHEMA_DOC,
         (chain_text(1000), "nests too deeply"),
         (ensemble_text(member_weights=[1.0]), "2 members but member_weights [1.0]"),
         (ensemble_text(combine="median"), "unknown combine 'median'"),
+        (tree_text(NUMERIC_SPLIT, [1, 2], LEAF), "node 1: a node must be an object, got [1, 2]"),
+        (tree_text(NUMERIC_SPLIT, LEAF, {}), "node 2: missing key 'weights'"),
+        (tree_text(split(attribute=1, categories=[0, 1]), LEAF, LEAF), "node 0: missing key 'fallback'"),
+        (ensemble_text(members=[], member_weights=[]), "an ensemble needs at least one member"),
+        (schema_text(attributes=[{"name": "c", "kind": "nominal", "categories": "ab"}]),
+         "schema: 'categories' must be a list, got 'ab'"),
+        (schema_text(class_labels=[False, True], positive_label=True),
+         "schema: False was read as a boolean; quote it"),
+        (schema_text(positive_label="maybe"), "schema: positive_label 'maybe' not in class_labels"),
+        (OLD_TREE, "schema: missing key 'class_labels'"),
+        (OLD_ENSEMBLE, "missing key 'schema'"),
     ],
     ids=["tree-without-config", "ensemble-without-method", "unknown-config-key", "truncated",
          "attribute-outside-schema", "threshold-on-nominal", "categories-on-numeric",
@@ -583,7 +644,10 @@ OLD_NESTED = json.dumps({"kind": "tree", "config": {}, "schema": SCHEMA_DOC,
          "unsorted-categories", "duplicate-categories", "one-weight", "string-weight", "nan-weight",
          "negative-weight", "nan-threshold", "string-threshold", "float-attribute", "bool-attribute",
          "float-fallback", "truncated-node-list", "trailing-nodes", "empty-node-list", "old-nested-file",
-         "1000-level-chain", "short-member-weights", "unknown-combine"],
+         "1000-level-chain", "short-member-weights", "unknown-combine", "node-not-an-object",
+         "node-without-weights", "node-without-fallback", "ensemble-without-members",
+         "schema-categories-a-string", "schema-boolean-labels", "schema-unknown-positive", "old-tree-schema",
+         "old-ensemble"],
 )
 def test_rules_malformed_model_fails_with_path(tmp_path, runner, doc, message):
     path = tmp_path / "model.json"

@@ -246,7 +246,6 @@ def test_assign_cluster_tie_breaks_to_lowest_index():
     scaler = FeatureScaler.fit(d)
     model = ClusterModel(
         d.schema,
-        k=2,
         centroids=np.array([[0.0], [1.0]]),
         scaler=scaler,
         seed=0,

@@ -133,6 +133,39 @@ def test_load_schema_rejects_a_value_that_is_not_a_list(tmp_path, key):
         load_schema(path)
 
 
+SIDECAR = """\
+class_attribute: outcome
+class_labels: ['no', 'yes']
+positive_label: 'yes'
+attributes:
+- {name: age, kind: numeric}
+- {name: unit, kind: nominal, categories: ['on', 'off']}
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("['no', 'yes']", "[no, yes]", "False was read as a boolean; quote it"),
+        ("positive_label: 'yes'", "positive_label: yes", "True was read as a boolean; quote it"),
+        ("['on', 'off']", "[on, off]", "True was read as a boolean; quote it"),
+        ("name: age", "name: off", "False was read as a boolean; quote it"),
+        ("class_attribute: outcome", "class_attribute: true", "True was read as a boolean; quote it"),
+    ],
+    ids=["class-labels", "positive-label", "categories", "attribute-name", "class-attribute"],
+)
+def test_load_schema_refuses_a_yaml_boolean(tmp_path, old, new, message):
+    path = tmp_path / "schema.yaml"
+    path.write_text(SIDECAR, encoding="utf-8")
+    schema = load_schema(path)  # quoted, the same words are strings
+    assert (schema.negative_label, schema.positive_label) == ("no", "yes")
+    assert schema.attributes[1].categories == ("on", "off")
+    path.write_text(SIDECAR.replace(old, new), encoding="utf-8")
+    with pytest.raises(DataError) as err:
+        load_schema(path)
+    assert str(err.value).startswith(f"schema file {path}: {message}")
+
+
 def test_csv_roundtrip(tmp_path):
     d = small_dataset(seed=5)
     path = tmp_path / "data.csv"

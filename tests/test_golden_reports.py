@@ -49,24 +49,24 @@ REPORT_SHA256 = {
     "loss_g_mean.csv": "878d9444aa0f62f897cf96f156c032030ef85f918c0c29f4a891a99c144fc826",
     "loss_op.csv": "575186bf8897539d8c7ac32ea701c37ffdd76c1e81b9f1fe260e7436b37aa8fe",
     "manifest.yaml": "0d515f0dcedcac99a263b4b1e3561a968858536fed22920f411dd9650c0783ee",
-    "models/crus+bag.cluster.json": "8cd9ddfbfdc1415adab2c6190660bb21706e67cada1c671aab7b494fdb6216b5",
-    "models/crus+bag.high_IR_group.json": "d043b252bcfda0cb369d0795feeca80d9ece5cc361989e9b46337034a2574c23",
-    "models/crus+bag.low_IR_group.json": "a5d975bd972671ac79d7429e8004e21002ec0fc9f0226476d37af879e66e4021",
-    "models/crus+tree.cluster.json": "8cd9ddfbfdc1415adab2c6190660bb21706e67cada1c671aab7b494fdb6216b5",
-    "models/crus+tree.high_IR_group.json": "6b8d62cb60e51964f23681520a047d3ef0dcdd50e541258a53e8986fae170a0f",
-    "models/crus+tree.low_IR_group.json": "2912385c1b14dfad726dd5e88fb9912d2c926c8fea82f07dab7d77e42d37740e",
-    "models/crus_inv+bag.cluster.json": "8cd9ddfbfdc1415adab2c6190660bb21706e67cada1c671aab7b494fdb6216b5",
-    "models/crus_inv+bag.high_IR_group.json": "a19cdd7890c15ee9976ddf9d0cc6cc19ee139ee571c6adb8794e841efd10286d",
-    "models/crus_inv+bag.low_IR_group.json": "6eb8a02c7c0c2c019325dbf2501cf95b45365eee02569c48b7f23f4b29882c73",
-    "models/crus_inv+tree.cluster.json": "8cd9ddfbfdc1415adab2c6190660bb21706e67cada1c671aab7b494fdb6216b5",
-    "models/crus_inv+tree.high_IR_group.json": "82a622258bfe96dcaf159a3457212a3f207a992b09658e0e8f6c0dcb9f9439b5",
-    "models/crus_inv+tree.low_IR_group.json": "e541b220669d9e4bdc2c139dc21ee1dac310359d1b32c47f33e900a0d85c3d7e",
-    "models/none+bag.json": "b92feb8f91a4855754890a7cf5421a4016ec8b7ee8665e519ab2112a171a0971",
-    "models/none+tree.json": "54507e524a7e3277e8cbde7c0411300a88610632a515de33ddb92420c9e818d0",
-    "models/rus+bag.json": "bf289fb89a41d13357576c81052ec8ed0e6b292e9eb1611423e547b1fe04cb59",
-    "models/rus+tree.json": "bf46175b5d202d049f93df8f0c07aa99c9bcdd6ffdcea14eec95eaade0d9d578",
-    "models/smote+bag.json": "b6863356331c6bc8d4d31e7088407345b9fa668dbf5b72775ed686a5ad20d3a9",
-    "models/smote+tree.json": "cfac27fc36b23fa368c39a6b6650392742b6ebd5b5065feeac345343dda09d9a",
+    "models/crus+bag.cluster.json": "a1c0e74d183e597d7cc4f70449abf19d4f8eb4a17eb95c923c4ed1d01a98fc52",
+    "models/crus+bag.high_IR_group.json": "fc5144804f6c9d9cd6de15467e13468cb5063d9bbcc46d7d91710e23cfb1e67f",
+    "models/crus+bag.low_IR_group.json": "598ce3ed7a9f8891268331dc04f5d6a2c3c2794f59226f96980684c7a335e93f",
+    "models/crus+tree.cluster.json": "a1c0e74d183e597d7cc4f70449abf19d4f8eb4a17eb95c923c4ed1d01a98fc52",
+    "models/crus+tree.high_IR_group.json": "a03d3633545574201a9764d4e16d170d928e1007b64b760f96f972aa1dae193c",
+    "models/crus+tree.low_IR_group.json": "1d7ebc431614f59b930ee58dd51bfcd29d8b46d953e65dfb899d72a882bdad15",
+    "models/crus_inv+bag.cluster.json": "a1c0e74d183e597d7cc4f70449abf19d4f8eb4a17eb95c923c4ed1d01a98fc52",
+    "models/crus_inv+bag.high_IR_group.json": "b200276c8b176467c80bb4944fd4cf7e98a59c971729effe2a2455a1eb61a6b3",
+    "models/crus_inv+bag.low_IR_group.json": "e7ba7b3d4e6145e6f743435d6f132d9493a16359ee4d3b89da76e97d54ee776d",
+    "models/crus_inv+tree.cluster.json": "a1c0e74d183e597d7cc4f70449abf19d4f8eb4a17eb95c923c4ed1d01a98fc52",
+    "models/crus_inv+tree.high_IR_group.json": "fcbf59dd4205bc5774c21e98a153fe9d8781bed1718d870344ef00c3db9e58e9",
+    "models/crus_inv+tree.low_IR_group.json": "bfb8cdb53464de3d83057c82d22a2da9ead21ff3c724c7e93829eb9332969958",
+    "models/none+bag.json": "cd330b0402b201d9833df1405504c5e99d6399ab1ae920b73e951882feac5de9",
+    "models/none+tree.json": "6fc1ad50114ca130383ba827ae53043cca3e83ef41436e6758cbe93f69729172",
+    "models/rus+bag.json": "61f1f2c45c757f24f8936353e3b6c553478fff7ca62a870a2a0bbe7972feafec",
+    "models/rus+tree.json": "9432c34a25495b6fbe5b4297e7f363f007b565dabd922501d3fed957e2bf1246",
+    "models/smote+bag.json": "159a3eb032692b81347a3d4c461c86a9abe23a3cc35d0eab7e065cc10c2b261b",
+    "models/smote+tree.json": "b8e517661c96ed990bc57af5ecd7a74af00bdb2c6356df96614be885487d9356",
     "pvalues_g_mean_holm.csv": "a14ce65258cf5070dde63c998fa1869e44896901f5403fe76cfb94a3c82d400d",
     "pvalues_g_mean_raw.csv": "345f92d7a933410fcacc715b51c528f38e8551b75a247198ba664631a40ebbe0",
     "pvalues_op_holm.csv": "a14ce65258cf5070dde63c998fa1869e44896901f5403fe76cfb94a3c82d400d",

@@ -151,7 +151,7 @@ def test_smote_synthetics_lie_on_neighbor_segments():
     k = 5
     out = smote_oversample(d, percentage=200.0, k_neighbors=k, seed=9)
     idx, nn = minority_knn(d, k)
-    numeric = d.numeric_mask()
+    numeric = d.schema.numeric_mask()
     nominal = ~numeric
     for s in range(len(d), len(out)):
         row = out.values[s]
