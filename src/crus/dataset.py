@@ -138,9 +138,9 @@ def schema_from_doc(doc: object, where: str) -> DatasetSchema:
     """The schema a schema document holds, checked; the refusals made here
     start with `where` (those of AttributeSpec and DatasetSchema do not).
 
-    A number given for a name, label or category becomes its text; a
-    boolean is refused, since YAML reads an unquoted yes, no, on, off,
-    true or false as one.
+    A sidecar gives only text (see `load_schema`).  In a JSON model file,
+    a number given for a name, label or category becomes its text and a
+    boolean is refused.
     """
     if not isinstance(doc, dict):
         raise DataError(f"{where}: expected a mapping at top level")
@@ -178,10 +178,14 @@ def schema_from_doc(doc: object, where: str) -> DatasetSchema:
 
 
 def load_schema(path: str | Path) -> DatasetSchema:
-    """Read a YAML schema sidecar holding the document `schema_to_doc` gives."""
+    """Read a YAML schema sidecar holding the document `schema_to_doc` gives.
+
+    Every scalar is read as the text written, so an unquoted ~, 1.50, 010
+    or yes is that text and matches the same CSV cell.
+    """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=yaml.BaseLoader)
     except FileNotFoundError:
         raise DataError(f"schema file not found: {path}") from None
     except yaml.YAMLError as exc:

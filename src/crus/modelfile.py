@@ -5,23 +5,26 @@ a JSON object with sorted keys and one-space indents whose `kind` is
 "tree", "ensemble" or "cluster_model".  Each file holds its schema once,
 as the document `dataset.schema_to_doc` builds, and reads it back through
 `dataset.schema_from_doc`, so it gets every check a schema sidecar gets.
-A tree holds its `config` and the flat list `nodes` of its `TreeNode`s in
-`TreeNode.walk()` pre-order, so its file nests no deeper for a deeper tree;
-an ensemble lists each member as just its `config` and `nodes`, under the
-ensemble's one schema.
+A tree holds its `config` and its `nodes`, the pre-order list of
+`TreeNode`s that is `DecisionTree.nodes` in memory, so its file nests no
+deeper for a deeper tree; an ensemble lists each member as just its
+`config` and `nodes`, under the ensemble's one schema.
 A node has its `weights` and, if it splits, its `attribute` with either a
 `threshold` (two children) or ascending `categories` and a `fallback` (a
 child per category); its children's subtrees follow it.  The reader
 checks each node against the schema, naming its index when it refuses
 one, and refuses a list that ends before a split has all its children or
-goes on after the tree ends.  It also refuses member weights that do not
-pair one to one with an ensemble's members, an unknown combiner, and a
-hand-made file that nests too deeply for the JSON decoder.  A cluster
-model holds its centroids, the scaler's `mins` and `maxs`, and its fit
-statistics; which attributes are numeric comes from the schema and the
-cluster count from the centroids, and the reader refuses values that are
-not finite numbers, or integers where integers belong, of the schema's
-shape.
+goes on after the tree ends.  It also refuses a hand-made file that nests
+too deeply for the JSON decoder, and an ensemble whose method is not one
+of the four, whose member weights are not finite, nonnegative and one per
+member, whose combiner is unknown, whose seed is not an integer, whose
+`epsilons`, `betas`, `oob_error` or `oob_coverage` are not numbers in
+[0, 1] (the last two may be null), or whose `warnings` are not strings.
+A cluster model holds its centroids, the scaler's `mins` and `maxs`, and
+its fit statistics; which attributes are numeric comes from the schema and
+the cluster count from the centroids, and the reader refuses values that
+are not finite numbers, or integers where integers belong, of the
+schema's shape.
 """
 
 from __future__ import annotations
@@ -109,40 +112,33 @@ def _node_from_doc(doc: object, schema: DatasetSchema) -> TreeNode:
     return node
 
 
-def _nodes_from_doc(nodes: list, schema: DatasetSchema) -> TreeNode:
-    """The tree of a pre-order node list: each node after the root becomes
-    the next child of the innermost split still short of children."""
-    if not isinstance(nodes, list) or not nodes:
+def _nodes_from_doc(docs: list, schema: DatasetSchema) -> list[TreeNode]:
+    """The nodes of a pre-order node list, checked to form one tree."""
+    if not isinstance(docs, list) or not docs:
         raise ValueError("tree nodes must be a nonempty list")
-    open_splits: list[tuple[TreeNode, int, int]] = []  # (split, its index, children it takes)
-    for i, doc in enumerate(nodes):
-        if i > 0 and not open_splits:
-            raise ValueError(f"node {i}: {len(nodes) - i} nodes left after the tree ends")
+    nodes: list[TreeNode] = []
+    slots = [-1]  # the index of the split each node still to come hangs from (-1: none), the next one's last
+    for i, doc in enumerate(docs):
+        if not slots:
+            raise ValueError(f"node {i}: {len(docs) - i} nodes left after the tree ends")
+        slots.pop()
         try:
             node = _node_from_doc(doc, schema)
         except KeyError as exc:
             raise ValueError(f"node {i}: missing key {exc}") from None
         except ValueError as exc:
             raise ValueError(f"node {i}: {exc}") from None
-        if i == 0:
-            root = node
-        else:
-            parent, _, wanted = open_splits[-1]
-            parent.children.append(node)
-            if len(parent.children) == wanted:
-                open_splits.pop()
-        n_children = 2 if node.threshold is not None else len(node.categories)
-        if n_children:
-            open_splits.append((node, i, n_children))
-    if open_splits:
-        _, i, wanted = open_splits[-1]
-        raise ValueError(f"the node list ends before node {i} has its {wanted} children")
-    return root
+        nodes.append(node)
+        slots += [i] * node.n_children
+    if slots:
+        i = slots[-1]
+        raise ValueError(f"the node list ends before node {i} has its {nodes[i].n_children} children")
+    return nodes
 
 
 def _member_to_doc(tree: DecisionTree) -> dict:
     """A tree without its schema: the document of an ensemble member."""
-    return {"config": asdict(tree.config), "nodes": [_node_to_doc(node) for node in tree.root.walk()]}
+    return {"config": asdict(tree.config), "nodes": [_node_to_doc(node) for node in tree.nodes]}
 
 
 def _tree_to_doc(tree: DecisionTree) -> dict:
@@ -172,24 +168,46 @@ def _ensemble_to_doc(model: EnsembleModel) -> dict:
     }
 
 
+_ENSEMBLE_METHODS = ("bagging", "random_forest", "adaboost", "random_committee")
+
+
+def _is_share(v: object) -> bool:
+    return _is_finite(v) and 0 <= v <= 1
+
+
 def _ensemble_from_doc(doc: dict) -> EnsembleModel:
     method, schema = doc["method"], schema_from_doc(doc["schema"], "schema")
+    if method not in _ENSEMBLE_METHODS:
+        raise ValueError(f"method must be one of {', '.join(_ENSEMBLE_METHODS)}, got {method!r}")
     members = [DecisionTree(schema, _nodes_from_doc(m["nodes"], schema), TreeConfig(**m["config"]))
                for m in doc["members"]]
     if not members:
         raise ValueError("an ensemble needs at least one member")
-    weights = np.array(doc["member_weights"], dtype=np.float64)
-    if weights.shape != (len(members),):
-        raise ValueError(f"{len(members)} members but member_weights {doc['member_weights']!r}")
+    weights = doc["member_weights"]
+    if not (isinstance(weights, list) and all(_is_finite(w) and w >= 0 for w in weights)):
+        raise ValueError(f"member_weights must be a list of finite, nonnegative numbers, got {weights!r}")
+    if len(weights) != len(members):
+        raise ValueError(f"{len(members)} members but member_weights {weights!r}")
     if doc["combine"] not in ("vote", "average"):
         raise ValueError(f"unknown combine {doc['combine']!r}")
+    if type(doc["seed"]) is not int:
+        raise ValueError(f"seed must be an integer, got {doc['seed']!r}")
+    rounds = {key: doc.get(key, []) for key in ("epsilons", "betas")}
+    for key, values in rounds.items():
+        if not (isinstance(values, list) and all(_is_share(v) for v in values)):
+            raise ValueError(f"{key} must be a list of finite numbers in [0, 1], got {values!r}")
+    oob = {key: doc.get(key) for key in ("oob_error", "oob_coverage")}
+    for key, value in oob.items():
+        if not (value is None or _is_share(value)):
+            raise ValueError(f"{key} must be null or a finite number in [0, 1], got {value!r}")
+    warnings = doc.get("warnings", [])
+    if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+        raise ValueError(f"warnings must be a list of strings, got {warnings!r}")
     return EnsembleModel(
-        method, members, weights, doc["combine"], int(doc["seed"]),
-        oob_error=doc.get("oob_error"),
-        oob_coverage=doc.get("oob_coverage"),
-        epsilons=tuple(doc.get("epsilons", ())),
-        betas=tuple(doc.get("betas", ())),
-        warnings=tuple(doc.get("warnings", ())),
+        method, members, np.array(weights, dtype=np.float64), doc["combine"], doc["seed"],
+        **{key: None if value is None else float(value) for key, value in oob.items()},
+        **{key: tuple(float(v) for v in values) for key, values in rounds.items()},
+        warnings=tuple(warnings),
     )
 
 

@@ -20,23 +20,22 @@ candidate's best ratio, and the first maximum in attribute order is the
 split.  Attribute ranking in `feature_selection` uses the same scorer at an
 unweighted root.
 
-A node holds its split attribute, either a numeric threshold or the
-nominal categories observed at it (ascending, one child each) plus a
-fallback category for values without a child, and an ordered list of
-children that is empty for a leaf.  `TreeNode.child_index` maps attribute
-values to child positions; growing partitions training rows with it and
-prediction routes test rows with it.  Growing, pruning, routing, counting
-and rule export walk the tree with explicit stacks in pre-order, so nothing
-here recurses and random-subspace draws follow the node order.  A model
-file lists the nodes in this pre-order too (see `crus.modelfile`).
+A tree is its node list in pre-order, as its model file holds it (see
+`crus.modelfile`): each split is followed by its children's subtrees.  A
+split node holds its attribute and either a numeric threshold (two
+children) or the nominal categories observed at it (ascending, one child
+each) plus a fallback category for values without a child.
+`TreeNode.child_index` maps attribute values to child positions for
+growing and routing.  Growing, pruning, routing and rule export each pass
+over the list with a stack of what the subtrees still to come need, so
+nothing here recurses and random-subspace draws follow the node order.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
-from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,16 +75,20 @@ class TreeNode:
     threshold: float | None = None     # numeric split: children <= and > it
     categories: tuple[int, ...] = ()   # nominal split: one child per category
     fallback: int | None = None        # nominal: largest-weight category
-    children: list[TreeNode] = field(default_factory=list)  # empty for a leaf
 
     @property
     def is_leaf(self) -> bool:
         return self.attribute is None
 
+    @property
+    def n_children(self) -> int:
+        """2 for a threshold split, one per category for a nominal split, 0 for a leaf."""
+        return 2 if self.threshold is not None else len(self.categories)
+
     def child_index(self, col: np.ndarray, unseen: int | None = None) -> np.ndarray:
-        """Position in `children` of the child each value of the split
-        attribute goes to.  A nominal value without a child of its own goes
-        to the fallback category's child, or to `unseen` when given."""
+        """Which child, counting from 0, each value of the split attribute
+        goes to.  A nominal value without a child of its own goes to the
+        fallback category's child, or to `unseen` when given."""
         if self.threshold is not None:
             return np.where(col <= self.threshold, 0, 1)
         cats = np.array(self.categories)
@@ -94,14 +97,6 @@ class TreeNode:
         if unseen is None:
             unseen = self.categories.index(self.fallback)
         return np.where(cats[pos] == codes, pos, unseen)
-
-    def walk(self) -> Iterator[TreeNode]:
-        """Every node of this subtree in pre-order, without recursion."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
 
     def leaf_label(self) -> int:
         # strict majority; exact tie goes to the negative class
@@ -115,31 +110,31 @@ class TreeNode:
 @dataclass
 class DecisionTree:
     schema: DatasetSchema
-    root: TreeNode
+    nodes: list[TreeNode]  # pre-order: each split, then its children's subtrees
     config: TreeConfig
 
     def n_nodes(self) -> int:
-        return sum(1 for _ in self.root.walk())
+        return len(self.nodes)
 
     def n_leaves(self) -> int:
-        return sum(1 for node in self.root.walk() if node.is_leaf)
+        return sum(1 for node in self.nodes if node.is_leaf)
 
     def predict_batch(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(classes, positive probabilities) for a matrix of rows."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         labels = np.zeros(X.shape[0], dtype=np.int8)
         probs = np.zeros(X.shape[0], dtype=np.float64)
-        stack = [(self.root, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
+        stack = [np.arange(X.shape[0])]  # the rows of each subtree to come, the next one's last
+        for node in self.nodes:
+            idx = stack.pop()
             if idx.size == 0:
-                continue
-            if node.is_leaf:
+                stack.extend([idx] * node.n_children)
+            elif node.is_leaf:
                 labels[idx] = node.leaf_label()
                 probs[idx] = node.leaf_probability()
-                continue
-            to = node.child_index(X[idx, node.attribute])
-            stack.extend((child, idx[to == k]) for k, child in enumerate(node.children))
+            else:
+                to = node.child_index(X[idx, node.attribute])
+                stack.extend(idx[to == k] for k in reversed(range(node.n_children)))
         return labels, probs
 
 
@@ -286,39 +281,32 @@ class _Grower:
         self.columns = np.ascontiguousarray(self.d.values.T)
         self.numeric = self.d.schema.numeric_mask()
 
-    def _node(self, idx: np.ndarray, w: np.ndarray) -> TreeNode:
-        y = self.d.labels[idx]
-        return TreeNode(class_weights=np.array([w[y == 0].sum(), w[y == 1].sum()]))
-
-    def grow(self, idx: np.ndarray, w: np.ndarray) -> TreeNode:
-        """Grow depth-first in pre-order: a node splits before its children."""
-        root = self._node(idx, w)
-        stack = [(root, idx, w)]
+    def grow(self, idx: np.ndarray, w: np.ndarray) -> list[TreeNode]:
+        """The node list of a tree grown depth-first: a node splits before its children."""
+        nodes = []
+        stack = [(idx, w)]  # the rows and weights of each subtree to come, the next one's last
         while stack:
-            node, idx, w = stack.pop()
-            cw = node.class_weights
-            if cw[0] == 0 or cw[1] == 0:
+            idx, w = stack.pop()
+            y = self.d.labels[idx]
+            node = TreeNode(class_weights=np.array([w[y == 0].sum(), w[y == 1].sum()]))
+            nodes.append(node)
+            if not node.class_weights.all():  # a pure node stays a leaf
                 continue
             best = self._best_split(idx, w)
             if best is None:
                 continue
             node.attribute, node.threshold = best
             vals = self.columns[node.attribute, idx]
-            n_children = 2
             if node.threshold is None:
                 w_tot = np.bincount(vals.astype(np.int64), weights=w)
                 node.categories = tuple(np.flatnonzero(w_tot > 0).tolist())
                 node.fallback = int(np.argmax(w_tot))
-                n_children = len(node.categories)
             # rows of a category without weight at this node reach no child
             to = node.child_index(vals, unseen=-1)
-            children = []
-            for k in range(n_children):
+            for k in reversed(range(node.n_children)):  # the first child is grown next
                 m = to == k
-                children.append((self._node(idx[m], w[m]), idx[m], w[m]))
-            node.children = [child for child, _, _ in children]
-            stack.extend(reversed(children))  # the first child is grown next
-        return root
+                stack.append((idx[m], w[m]))
+        return nodes
 
     def _candidate_attributes(self, n_attrs: int) -> np.ndarray:
         size = self.cfg.random_subspace_size
@@ -359,11 +347,10 @@ def fit_tree(
     rng = None
     if cfg.random_subspace_size is not None:
         rng = np.random.default_rng(cfg.seed)
-    grower = _Grower(d, cfg, rng)
-    root = grower.grow(np.arange(len(d)), w)
+    nodes = _Grower(d, cfg, rng).grow(np.arange(len(d)), w)
     if cfg.use_pruning:
-        _prune(root, _pruning_z(cfg.confidence_factor))
-    return DecisionTree(d.schema, root, cfg)
+        nodes = _prune(nodes, _pruning_z(cfg.confidence_factor))
+    return DecisionTree(d.schema, nodes, cfg)
 
 
 def fit_random_tree(d: Dataset, seed: int, cfg: TreeConfig | None = None) -> DecisionTree:
@@ -390,20 +377,31 @@ def _estimated_errors(node: TreeNode, z: float) -> float:
     return upper * n
 
 
-def _prune(root: TreeNode, z: float) -> float:
-    """Bottom-up subtree replacement; returns the tree's error estimate."""
-    errors: dict[int, float] = {}
-    for node in reversed(list(root.walk())):  # children before parents
-        error = _estimated_errors(node, z)
-        if not node.is_leaf:
-            subtree = sum(errors[id(c)] for c in node.children)
+def _prune(nodes: list[TreeNode], z: float) -> list[TreeNode]:
+    """Bottom-up subtree replacement: a reverse pass marks each split whose
+    error estimate as a leaf is no more than its subtrees'; the pruned list
+    makes the marked splits leaves and drops their subtrees."""
+    errors: list[float] = []  # the estimate of each subtree after this node, the next one's last
+    collapse = set()
+    for i in reversed(range(len(nodes))):
+        error = _estimated_errors(nodes[i], z)
+        if not nodes[i].is_leaf:
+            subtree = sum(errors.pop() for _ in range(nodes[i].n_children))
             if error <= subtree:
+                collapse.add(i)
+            error = min(error, subtree)
+        errors.append(error)
+    kept, skip = [], 0  # skip: subtrees still to drop
+    for i, node in enumerate(nodes):
+        if skip:
+            skip += node.n_children - 1
+        else:
+            kept.append(node)
+            if i in collapse:
+                skip = node.n_children
                 node.attribute = node.threshold = node.fallback = None
-                node.categories, node.children = (), []
-            else:
-                error = subtree
-        errors[id(node)] = error
-    return errors[id(root)]
+                node.categories = ()
+    return kept
 
 
 def export_rules(tree: DecisionTree) -> list[str]:
@@ -411,9 +409,9 @@ def export_rules(tree: DecisionTree) -> list[str]:
     schema = tree.schema
     names = {1: schema.positive_label, 0: schema.negative_label}
     rules: list[str] = []
-    stack: list[tuple[TreeNode, list[str]]] = [(tree.root, [])]
-    while stack:
-        node, conds = stack.pop()
+    stack: list[list[str]] = [[]]  # the conditions of each subtree to come, the next one's last
+    for node in tree.nodes:
+        conds = stack.pop()
         if node.is_leaf:
             body = " AND ".join(conds) if conds else "TRUE"
             rules.append(f"IF {body} THEN {schema.class_name} = {names[node.leaf_label()]}")
@@ -423,5 +421,5 @@ def export_rules(tree: DecisionTree) -> list[str]:
             tests = [f"{attr.name} <= {node.threshold:g}", f"{attr.name} > {node.threshold:g}"]
         else:
             tests = [f"{attr.name} = {attr.categories[c]}" for c in node.categories]
-        stack.extend(reversed([(c, conds + [t]) for c, t in zip(node.children, tests)]))
+        stack.extend(conds + [t] for t in reversed(tests))
     return rules

@@ -637,6 +637,19 @@ OLD_ENSEMBLE = json.dumps({"kind": "ensemble", "method": "bagging", "combine": "
         (schema_text(positive_label="maybe"), "schema: positive_label 'maybe' not in class_labels"),
         (OLD_TREE, "schema: missing key 'class_labels'"),
         (OLD_ENSEMBLE, "missing key 'schema'"),
+        (ensemble_text(member_weights=[float("nan"), 1.0]),
+         "member_weights must be a list of finite, nonnegative numbers, got [nan, 1.0]"),
+        (ensemble_text(member_weights=[-1.0, 1.0]), "member_weights must be a list of finite, nonnegative numbers"),
+        (ensemble_text(seed=2.7), "seed must be an integer, got 2.7"),
+        (ensemble_text(method="boosting"),
+         "method must be one of bagging, random_forest, adaboost, random_committee, got 'boosting'"),
+        (ensemble_text(epsilons=[0.2, 1.5]), "epsilons must be a list of finite numbers in [0, 1], got [0.2, 1.5]"),
+        (ensemble_text(betas=[float("nan")]), "betas must be a list of finite numbers in [0, 1], got [nan]"),
+        (ensemble_text(epsilons="0.2"), "epsilons must be a list of finite numbers in [0, 1], got '0.2'"),
+        (ensemble_text(oob_error=1.5), "oob_error must be null or a finite number in [0, 1], got 1.5"),
+        (ensemble_text(oob_coverage="0.5"), "oob_coverage must be null or a finite number in [0, 1], got '0.5'"),
+        (ensemble_text(warnings=[3]), "warnings must be a list of strings, got [3]"),
+        (ensemble_text(warnings="careful"), "warnings must be a list of strings, got 'careful'"),
     ],
     ids=["tree-without-config", "ensemble-without-method", "unknown-config-key", "truncated",
          "attribute-outside-schema", "threshold-on-nominal", "categories-on-numeric",
@@ -647,7 +660,9 @@ OLD_ENSEMBLE = json.dumps({"kind": "ensemble", "method": "bagging", "combine": "
          "1000-level-chain", "short-member-weights", "unknown-combine", "node-not-an-object",
          "node-without-weights", "node-without-fallback", "ensemble-without-members",
          "schema-categories-a-string", "schema-boolean-labels", "schema-unknown-positive", "old-tree-schema",
-         "old-ensemble"],
+         "old-ensemble", "nan-member-weight", "negative-member-weight", "float-seed", "unknown-method",
+         "epsilon-above-one", "nan-beta", "epsilons-not-a-list", "oob-error-above-one", "string-oob-coverage",
+         "non-string-warning", "warnings-not-a-list"],
 )
 def test_rules_malformed_model_fails_with_path(tmp_path, runner, doc, message):
     path = tmp_path / "model.json"

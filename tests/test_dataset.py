@@ -144,26 +144,39 @@ attributes:
 
 
 @pytest.mark.parametrize(
-    "old, new, message",
+    "old, quoted, unquoted",
     [
-        ("['no', 'yes']", "[no, yes]", "False was read as a boolean; quote it"),
-        ("positive_label: 'yes'", "positive_label: yes", "True was read as a boolean; quote it"),
-        ("['on', 'off']", "[on, off]", "True was read as a boolean; quote it"),
-        ("name: age", "name: off", "False was read as a boolean; quote it"),
-        ("class_attribute: outcome", "class_attribute: true", "True was read as a boolean; quote it"),
+        ("['no', 'yes']", "['no', 'yes']", "[no, yes]"),
+        ("positive_label: 'yes'", "positive_label: 'yes'", "positive_label: yes"),
+        ("['on', 'off']", "['on', 'off']", "[on, off]"),
+        ("name: age", "name: 'off'", "name: off"),
+        ("class_attribute: outcome", "class_attribute: 'true'", "class_attribute: true"),
     ],
     ids=["class-labels", "positive-label", "categories", "attribute-name", "class-attribute"],
 )
-def test_load_schema_refuses_a_yaml_boolean(tmp_path, old, new, message):
+def test_load_schema_refuses_a_yaml_boolean(tmp_path, old, quoted, unquoted):
+    """No sidecar value is read as a YAML boolean: an unquoted yes, no, on,
+    off or true loads as the same text as its quoted form."""
     path = tmp_path / "schema.yaml"
-    path.write_text(SIDECAR, encoding="utf-8")
-    schema = load_schema(path)  # quoted, the same words are strings
-    assert (schema.negative_label, schema.positive_label) == ("no", "yes")
-    assert schema.attributes[1].categories == ("on", "off")
-    path.write_text(SIDECAR.replace(old, new), encoding="utf-8")
-    with pytest.raises(DataError) as err:
-        load_schema(path)
-    assert str(err.value).startswith(f"schema file {path}: {message}")
+    path.write_text(SIDECAR.replace(old, quoted), encoding="utf-8")
+    schema = load_schema(path)
+    path.write_text(SIDECAR.replace(old, unquoted), encoding="utf-8")
+    assert load_schema(path) == schema
+
+
+def test_load_csv_reads_the_categories_a_sidecar_writes(tmp_path):
+    # unquoted, YAML would read these as null, 1.5 and the octal 8
+    (tmp_path / "schema.yaml").write_text(
+        "class_attribute: y\nclass_labels: [~, 010]\npositive_label: 010\n"
+        "attributes:\n- {name: c, kind: nominal, categories: [~, 1.50, 010]}\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "d.csv").write_text("c,y\n~,~\n1.50,010\n010,~\n", encoding="utf-8")
+    d = load_csv(tmp_path / "d.csv", tmp_path / "schema.yaml")
+    assert d.schema.attributes[0].categories == ("~", "1.50", "010")
+    assert (d.schema.negative_label, d.schema.positive_label) == ("~", "010")
+    assert d.values[:, 0].tolist() == [0.0, 1.0, 2.0]
+    assert d.labels.tolist() == [0, 1, 0]
 
 
 def test_csv_roundtrip(tmp_path):

@@ -45,7 +45,7 @@ def separable_dataset(rng, n=120):
 
 def leaf_tree(schema, neg_weight, pos_weight):
     node = TreeNode(class_weights=np.array([neg_weight, pos_weight], dtype=np.float64))
-    return DecisionTree(schema, node, TreeConfig())
+    return DecisionTree(schema, [node], TreeConfig())
 
 
 SCHEMA_1D = DatasetSchema((AttributeSpec("f0", NUMERIC),), "y", "neg", "pos")

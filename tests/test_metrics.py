@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crus.metrics import (
     ConfusionMatrix,
@@ -167,6 +169,33 @@ def test_compute_report_consistency():
     assert rep.weighted_precision == pytest.approx(
         weighted_class_average(rep.precision_pos, tn / (tn + fn), 3, 5)
     )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_swapping_the_classes_maps_the_report(data):
+    n = data.draw(st.integers(1, 30), label="n")
+    labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    truth = np.array(data.draw(labels, label="truth"))
+    predicted = np.array(data.draw(labels, label="predicted"))
+    # a few shared values, so scores tie across the classes
+    score = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-1e6, 1e6))
+    scores = np.array(data.draw(st.lists(score, min_size=n, max_size=n), label="scores"))
+    report = compute_report(truth, predicted, scores)
+    # the new positive class scores in reverse order; -scores, not
+    # 1 - scores, since 1 - s can round distinct scores to one
+    swapped = compute_report(1 - truth, 1 - predicted, -scores)
+    for name in ("accuracy", "g_mean", "op", "weighted_precision", "weighted_recall", "weighted_f"):
+        assert getattr(swapped, name) == getattr(report, name), name
+    assert (swapped.tpr, swapped.tnr) == (report.tnr, report.tpr)
+    # swapping the classes keeps the ranking's AUC; swapping only the
+    # labels, with the scores kept, turns it into 1 - AUC
+    relabelled = compute_report(1 - truth, 1 - predicted, scores)
+    if "auc" in report.degenerate:
+        assert "auc" in swapped.degenerate and "auc" in relabelled.degenerate
+    else:
+        assert abs(swapped.auc - report.auc) <= 1e-12
+        assert abs(relabelled.auc - (1.0 - report.auc)) <= 1e-12
 
 
 def test_combine_reports_weighted():

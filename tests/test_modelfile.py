@@ -48,8 +48,8 @@ def test_model_text_round_trips(kind):
     for got, want in zip(back.predict_batch(DATA.values), model.predict_batch(DATA.values)):
         assert np.array_equal(got, want)
     trees = [model] if isinstance(model, DecisionTree) else model.members
-    assert any(node.categories for t in trees for node in t.root.walk())
-    assert any(node.threshold is not None for t in trees for node in t.root.walk())
+    assert any(node.categories for t in trees for node in t.nodes)
+    assert any(node.threshold is not None for t in trees for node in t.nodes)
     if not isinstance(model, DecisionTree):
         assert back.weight_history == []  # a diagnostic the file does not keep
 
@@ -82,6 +82,10 @@ def test_every_classifier_kind_round_trips_on_small_mixed_data(data):
     doc = json.loads(text)
     trees, docs = ([model], [doc]) if isinstance(model, DecisionTree) else (model.members, doc["members"])
     assert [len(t["nodes"]) for t in docs] == [t.n_nodes() for t in trees]
+    for t in trees:  # each list is one tree: its child slots close at its last node, not before
+        assert sum(node.n_children for node in t.nodes) == len(t.nodes) - 1
+        open_slots = np.cumsum([node.n_children - 1 for node in t.nodes]) + 1
+        assert np.all(open_slots[:-1] > 0)
 
 
 def test_each_fact_is_stored_once():
@@ -158,7 +162,7 @@ def test_schema_document_round_trips_through_sidecar_and_model_files(tmp_path_fa
     path = tmp_path_factory.mktemp("schema") / "data.schema.yaml"
     save_schema(schema, path)
     assert load_schema(path) == schema
-    tree = DecisionTree(schema, TreeNode(class_weights=np.array([1.0, 2.0])), TreeConfig())
+    tree = DecisionTree(schema, [TreeNode(class_weights=np.array([1.0, 2.0]))], TreeConfig())
     ensemble = EnsembleModel("bagging", [tree], np.ones(1), "vote", 0)
     for model in (tree, ensemble):
         text = model_to_text(model)

@@ -69,7 +69,7 @@ def test_gain_ratio_hand_computed_nominal():
 def test_gain_ratio_numeric_scores_its_best_threshold():
     d = make_dataset([[1.0, 2.0, 3.0, 4.0]], [NUMERIC], [0, 0, 1, 1])
     assert root_gain_ratio(d) == pytest.approx(1.0)
-    assert fit_tree(d, TreeConfig(min_leaf_weight=1.0, use_pruning=False)).root.threshold == 2.5
+    assert fit_tree(d, TreeConfig(min_leaf_weight=1.0, use_pruning=False)).nodes[0].threshold == 2.5
     # one cut of four rows, 1 | 3: gain H(1/2) - 3/4 H(1/3) over H(1/4)
     d = make_dataset([[1.0, 2.0, 2.0, 2.0]], [NUMERIC], [0, 0, 1, 1])
     h = lambda p: -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
@@ -81,13 +81,13 @@ def test_gain_ratio_numeric_scores_its_best_threshold():
 def test_gain_ratio_constant_attribute_unusable():
     d = make_dataset([[0, 0, 0, 0]], [NOMINAL], [1, 0, 1, 0])
     assert root_gain_ratio(d) == 0.0
-    assert fit_tree(d, TreeConfig(min_leaf_weight=1.0)).root.is_leaf
+    assert fit_tree(d, TreeConfig(min_leaf_weight=1.0)).nodes[0].is_leaf
 
 
 def test_numeric_threshold_is_midpoint():
     d = make_dataset([[1.0, 3.0, 5.0, 7.0]], [NUMERIC], [0, 0, 1, 1])
     tree = fit_tree(d, TreeConfig(min_leaf_weight=1.0, use_pruning=False))
-    assert tree.root.threshold == pytest.approx(4.0)
+    assert tree.nodes[0].threshold == pytest.approx(4.0)
 
 
 def test_tie_breaks_prefer_lowest_attribute_then_threshold():
@@ -95,25 +95,25 @@ def test_tie_breaks_prefer_lowest_attribute_then_threshold():
     col = [1.0, 2.0, 3.0, 4.0]
     d = make_dataset([col, col], [NUMERIC, NUMERIC], [0, 0, 1, 1])
     tree = fit_tree(d, TreeConfig(min_leaf_weight=1.0, use_pruning=False))
-    assert tree.root.attribute == 0
+    assert tree.nodes[0].attribute == 0
     # two equally good thresholds on one attribute -> the lower one wins
     d2 = make_dataset([[1.0, 2.0, 3.0, 4.0]], [NUMERIC], [0, 1, 0, 1])
     tree2 = fit_tree(d2, TreeConfig(min_leaf_weight=1.0, use_pruning=False))
-    assert tree2.root.threshold == pytest.approx(1.5)
+    assert tree2.nodes[0].threshold == pytest.approx(1.5)
 
 
 def test_min_leaf_weight_blocks_small_splits():
     d = make_dataset([[1.0, 2.0, 3.0, 4.0]], [NUMERIC], [0, 0, 1, 1])
     blocked = fit_tree(d, TreeConfig(min_leaf_weight=3.0, use_pruning=False))
-    assert blocked.root.is_leaf
+    assert blocked.nodes[0].is_leaf
     allowed = fit_tree(d, TreeConfig(min_leaf_weight=2.0, use_pruning=False))
-    assert not allowed.root.is_leaf
+    assert not allowed.nodes[0].is_leaf
 
 
 def test_leaf_tie_predicts_negative():
     d = make_dataset([[1.0, 1.0]], [NUMERIC], [1, 0])
     tree = fit_tree(d, TreeConfig(use_pruning=False))
-    assert tree.root.is_leaf
+    assert tree.nodes[0].is_leaf
     labels, probs = tree.predict_batch(np.array([[1.0]]))
     assert labels[0] == 0
     assert probs[0] == pytest.approx(0.5)
@@ -155,7 +155,7 @@ def test_pruning_collapses_noise_leaves():
     n = 40
     d = make_dataset([rng.uniform(0, 1, n)], [NUMERIC], [1] + [0] * (n - 1))
     pruned = fit_tree(d, TreeConfig(min_leaf_weight=2.0, use_pruning=True))
-    assert pruned.root.is_leaf
+    assert pruned.nodes[0].is_leaf
 
 
 def test_fit_tree_weighted_equals_duplicated():
@@ -188,8 +188,8 @@ def test_nominal_unseen_category_uses_fallback():
         categories={0: ("a", "b", "c")},
     )
     tree = fit_tree(d, TreeConfig(min_leaf_weight=1.0, use_pruning=False))
-    assert not tree.root.is_leaf
-    assert tree.root.categories == (0, 1)  # only observed categories
+    assert not tree.nodes[0].is_leaf
+    assert tree.nodes[0].categories == (0, 1)  # only observed categories
     # category c (index 2) was never seen; routed to the heaviest child (a)
     assert tree.predict_batch(np.array([[2.0]]))[0][0] == 1
 
@@ -206,8 +206,9 @@ def test_zero_weight_rows_of_unobserved_category_reach_no_child():
     )
     w = np.array([1.0] * 8 + [0.0])
     tree = fit_tree(d, TreeConfig(min_leaf_weight=1.0, use_pruning=False), weights=w)
-    assert (tree.root.attribute, tree.root.categories, tree.root.fallback) == (0, (0, 1), 0)
-    assert tree.root.children[0].threshold == 2.0
+    root, first_child = tree.nodes[:2]
+    assert (root.attribute, root.categories, root.fallback) == (0, (0, 1), 0)
+    assert first_child.threshold == 2.0
 
 
 def test_export_rules_shapes():
@@ -222,16 +223,29 @@ def test_export_rules_shapes():
     assert rules[1] == "IF f0 > 2.5 THEN y = pos"
 
 
+def child_position(nodes: list[TreeNode], i: int, k: int) -> int:
+    """Position in the pre-order list of child k of node i: past k subtrees."""
+    j = i + 1
+    for _ in range(k):
+        pending = 1  # subtrees still to pass
+        while pending:
+            pending += nodes[j].n_children - 1
+            j += 1
+    return j
+
+
 def scalar_predict(tree: DecisionTree, x: np.ndarray) -> tuple[int, float]:
     """Reference walk: (class, probability of positive) for one row."""
-    node = tree.root
-    while not node.is_leaf:
+    i = 0
+    while not tree.nodes[i].is_leaf:
+        node = tree.nodes[i]
         if node.threshold is not None:
-            node = node.children[0 if x[node.attribute] <= node.threshold else 1]
+            k = 0 if x[node.attribute] <= node.threshold else 1
         else:
             cat = int(x[node.attribute])
-            cat = cat if cat in node.categories else node.fallback
-            node = node.children[node.categories.index(cat)]
+            k = node.categories.index(cat if cat in node.categories else node.fallback)
+        i = child_position(tree.nodes, i, k)
+    node = tree.nodes[i]
     return node.leaf_label(), node.leaf_probability()
 
 
@@ -239,6 +253,7 @@ def test_predict_batch_matches_scalar_predict():
     rng = np.random.default_rng(12)
     d = random_consistent_dataset(rng, n=100)
     tree = fit_tree(d, TreeConfig(min_leaf_weight=2.0, use_pruning=True))
+    assert tree.n_nodes() > 5
     labels, scores = tree.predict_batch(d.values)
     for i in range(len(d)):
         label, prob = scalar_predict(tree, d.values[i])
@@ -246,6 +261,11 @@ def test_predict_batch_matches_scalar_predict():
         assert scores[i] == pytest.approx(prob)
     assert np.all((scores >= 0) & (scores <= 1))
     assert np.array_equal(labels, (scores > 0.5).astype(labels.dtype))
+    # one row and no rows, so most subtrees get none
+    one = tree.predict_batch(d.values[7:8])
+    assert (one[0].tolist(), one[1].tolist()) == ([labels[7]], [scores[7]])
+    none = tree.predict_batch(np.empty((0, d.schema.n_attributes)))
+    assert none[0].shape == none[1].shape == (0,)
 
 
 def test_random_tree_deterministic_per_seed():
@@ -277,8 +297,9 @@ def test_default_subspace_size():
 
 
 # Reference split search: the per-attribute scorer, recursive grower and
-# recursive pruner that numeric blocks and explicit stacks replaced.  The
-# block scorer must reproduce its trees bit for bit.
+# recursive pruner that numeric blocks and list passes replaced.  They
+# build a nested (node, child subtrees) form and flatten it in pre-order.
+# The block scorer must reproduce their trees bit for bit.
 
 def _reference_binary_entropy(w_pos, w_tot):
     out = np.zeros_like(np.asarray(w_tot, dtype=np.float64))
@@ -319,30 +340,31 @@ def _reference_numeric_candidates(vals, y, w, min_leaf):
 
 class _ReferenceGrower(_Grower):
     def grow(self, idx, w):
+        """The tree as (node, list of child subtrees)."""
         y = self.d.labels[idx]
         cw = np.array([w[y == 0].sum(), w[y == 1].sum()])
-        node = TreeNode(class_weights=cw)
+        node, children = TreeNode(class_weights=cw), []
         if cw[0] == 0 or cw[1] == 0:
-            return node
+            return node, children
         best = self._best_split(idx, w)
         if best is None:
-            return node
+            return node, children
         attr, threshold = best
         vals = self.d.values[idx, attr]
         node.attribute = attr
         if threshold is not None:
             node.threshold = threshold
             mask = vals <= threshold
-            node.children = [self.grow(idx[mask], w[mask]), self.grow(idx[~mask], w[~mask])]
+            children += [self.grow(idx[mask], w[mask]), self.grow(idx[~mask], w[~mask])]
         else:
             cats = vals.astype(np.int64)
             w_tot = np.bincount(cats, weights=w)
             for cat in np.flatnonzero(w_tot > 0):
                 mask = cats == cat
                 node.categories += (int(cat),)
-                node.children.append(self.grow(idx[mask], w[mask]))
+                children.append(self.grow(idx[mask], w[mask]))
             node.fallback = int(np.argmax(w_tot))
-        return node
+        return node, children
 
     def _best_split(self, idx, w):
         y = self.d.labels[idx]
@@ -376,25 +398,32 @@ class _ReferenceGrower(_Grower):
         return best
 
 
-def _reference_prune(node, z):
+def _reference_prune(tree, z):
+    node, children = tree
     if node.is_leaf:
         return _estimated_errors(node, z)
-    subtree = sum(_reference_prune(c, z) for c in node.children)
+    subtree = sum(_reference_prune(c, z) for c in children)
     as_leaf = _estimated_errors(node, z)
     if as_leaf <= subtree:
         node.attribute = node.threshold = node.fallback = None
-        node.categories, node.children = (), []
+        node.categories = ()
+        children.clear()
         return as_leaf
     return subtree
+
+
+def _reference_preorder(tree):
+    node, children = tree
+    return [node] + [n for child in children for n in _reference_preorder(child)]
 
 
 def reference_fit_tree(d, cfg, weights=None):
     w = np.ones(len(d)) if weights is None else np.asarray(weights, dtype=np.float64)
     rng = None if cfg.random_subspace_size is None else np.random.default_rng(cfg.seed)
-    root = _ReferenceGrower(d, cfg, rng).grow(np.arange(len(d)), w)
+    tree = _ReferenceGrower(d, cfg, rng).grow(np.arange(len(d)), w)
     if cfg.use_pruning:
-        _reference_prune(root, _pruning_z(cfg.confidence_factor))
-    return DecisionTree(d.schema, root, cfg)
+        _reference_prune(tree, _pruning_z(cfg.confidence_factor))
+    return DecisionTree(d.schema, _reference_preorder(tree), cfg)
 
 
 def equivalence_case(seed):
@@ -482,7 +511,7 @@ def test_block_split_search_matches_reference_across_blocks():
 def test_deep_noisy_tree_fits_prunes_predicts_and_counts():
     # two attributes of pure label noise grow a chain thousands of nodes
     # deep, far past Python's recursion limit; it is grown once, saved and
-    # read back, then pruned in place, as fit_tree does with pruning on
+    # read back, then pruned, as fit_tree does with pruning on
     rng = np.random.default_rng(0)
     n = 20_000
     d = make_dataset([rng.uniform(0, 1, n), rng.uniform(0, 1, n)], [NUMERIC, NUMERIC],
@@ -493,7 +522,7 @@ def test_deep_noisy_tree_fits_prunes_predicts_and_counts():
     labels, probs = tree.predict_batch(d.values)
     assert np.array_equal(labels, (probs > 0.5).astype(labels.dtype))
     assert_text_round_trips(tree, d.values)
-    _prune(tree.root, _pruning_z(tree.config.confidence_factor))
+    tree.nodes = _prune(tree.nodes, _pruning_z(tree.config.confidence_factor))
     assert tree.n_nodes() == 2 * tree.n_leaves() - 1 < grown
     labels, probs = tree.predict_batch(d.values)
     assert labels.shape == probs.shape == (n,)
@@ -512,13 +541,12 @@ def assert_text_round_trips(model, X):
 def hand_built_chain(depth):
     """Node i sends f0 <= i + 0.5 to a leaf and the rest one level down."""
     schema = make_dataset([[0.0]], [NUMERIC], [0]).schema
-    root = node = TreeNode(class_weights=np.array([1.0, 1.0]))
+    nodes = []
     for i in range(depth):
-        node.attribute, node.threshold = 0, i + 0.5
-        node.children = [TreeNode(class_weights=np.array([1.0, float(i % 3)])),
-                         TreeNode(class_weights=np.array([1.0, 1.0]))]
-        node = node.children[1]
-    return DecisionTree(schema, root, TreeConfig())
+        nodes += [TreeNode(class_weights=np.array([1.0, 1.0]), attribute=0, threshold=i + 0.5),
+                  TreeNode(class_weights=np.array([1.0, float(i % 3)]))]
+    nodes.append(TreeNode(class_weights=np.array([1.0, 1.0])))
+    return DecisionTree(schema, nodes, TreeConfig())
 
 
 def test_deep_chain_exports_predicts_saves_and_reads_back(tmp_path):
