@@ -117,18 +117,22 @@ class ClusterModel:
 def _update_centroids(
     norm_values: np.ndarray, assign: np.ndarray, k: int, numeric: np.ndarray
 ) -> np.ndarray:
-    d = norm_values.shape[1]
-    centroids = np.zeros((k, d))
-    for c in range(k):
-        members = norm_values[assign == c]
-        for j in range(d):
-            col = members[:, j]
-            if numeric[j]:
-                centroids[c, j] = col.mean()
-            else:
-                # mode; ties broken by lowest category index
-                cats, counts = np.unique(col, return_counts=True)
-                centroids[c, j] = cats[np.argmax(counts)]
+    """Each cluster's mean of each numeric attribute and mode of each
+    nominal one, ties to the lowest category."""
+    centroids = np.zeros((k, norm_values.shape[1]))
+    sizes = np.bincount(assign, minlength=k)
+    # one contiguous row per numeric attribute, members grouped by cluster
+    # in row order, so each cluster's slice sums pairwise as its column
+    # mean does
+    cols = np.ascontiguousarray(norm_values[np.argsort(assign, kind="stable")][:, numeric].T)
+    ends = np.cumsum(sizes)
+    sums = np.array([cols[:, end - size:end].sum(axis=1) for size, end in zip(sizes, ends)])
+    centroids[:, numeric] = sums / sizes[:, np.newaxis]
+    for j in np.flatnonzero(~numeric):
+        codes = norm_values[:, j].astype(np.int64)
+        n_codes = int(codes.max()) + 1
+        counts = np.bincount(assign * n_codes + codes, minlength=k * n_codes).reshape(k, n_codes)
+        centroids[:, j] = np.argmax(counts, axis=1)
     return centroids
 
 

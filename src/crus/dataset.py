@@ -157,7 +157,7 @@ def schema_from_doc(doc: object, where: str) -> DatasetSchema:
         if isinstance(value, bool):
             raise DataError(
                 f"{where}: {value!r} was read as a boolean; quote it to keep it text "
-                "(YAML reads an unquoted yes, no, on, off, true or false as a boolean)"
+                "(JSON reads an unquoted true or false as a boolean)"
             )
         return str(value)
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .seeds import derive_seed, rng_for
-from .trees import DecisionTree, TreeConfig, fit_random_tree, fit_tree
+from .trees import DecisionTree, TreeConfig, fit_tree, fit_trees, random_tree_config
 
 # weight given to a member that classifies its training set perfectly
 PERFECT_MEMBER_WEIGHT = math.log(1e10)
@@ -92,27 +92,31 @@ def _bootstrap_indices(n: int, rng: np.random.Generator) -> np.ndarray:
 def fit_bagging(d: Dataset, cfg: EnsembleConfig = EnsembleConfig()) -> EnsembleModel:
     """Bootstrap aggregation of the configured base tree (vote combiner)."""
     n_members = cfg.resolve_members(default=10)
-    members = []
-    for i in range(n_members):
-        idx = _bootstrap_indices(len(d), rng_for(cfg.seed, "bootstrap", i))
-        base = replace(cfg.base, seed=derive_seed(cfg.seed, "tree", i))
-        members.append(fit_tree(d.subset(idx), base))
+    n = len(d)
+    members = fit_trees(d, (
+        (_bootstrap_indices(n, rng_for(cfg.seed, "bootstrap", i)), np.ones(n),
+         replace(cfg.base, seed=derive_seed(cfg.seed, "tree", i)))
+        for i in range(n_members)
+    ))
     return EnsembleModel("bagging", members, np.ones(n_members), "vote", cfg.seed)
 
 
 def fit_random_forest(d: Dataset, cfg: EnsembleConfig = EnsembleConfig()) -> EnsembleModel:
     """Bagged unpruned random trees with out-of-bag error tracking."""
     n_members = cfg.resolve_members(default=100)
-    members = []
     n = len(d)
+    def bootstrap(i: int) -> np.ndarray:
+        return _bootstrap_indices(n, rng_for(cfg.seed, "bootstrap", i))
+
+    members = fit_trees(d, (
+        (bootstrap(i), np.ones(n), random_tree_config(derive_seed(cfg.seed, "tree", i), d.schema.n_attributes, cfg.base))
+        for i in range(n_members)
+    ))
     oob_pos = np.zeros(n)
     oob_all = np.zeros(n)
-    for i in range(n_members):
-        idx = _bootstrap_indices(n, rng_for(cfg.seed, "bootstrap", i))
-        tree = fit_random_tree(d.subset(idx), derive_seed(cfg.seed, "tree", i), cfg.base)
-        members.append(tree)
+    for i, tree in enumerate(members):
         out_mask = np.ones(n, dtype=bool)
-        out_mask[idx] = False
+        out_mask[bootstrap(i)] = False
         if np.any(out_mask):
             labels, _ = tree.predict_batch(d.values[out_mask])
             oob_pos[out_mask] += labels == 1
@@ -189,5 +193,8 @@ def fit_random_committee(d: Dataset, cfg: EnsembleConfig = EnsembleConfig()) -> 
     """Random trees on the full training set with seeds seed+i; the committee
     averages the members' class probability estimates."""
     n_members = cfg.resolve_members(default=10)
-    members = [fit_random_tree(d, cfg.seed + i, cfg.base) for i in range(n_members)]
+    members = fit_trees(d, (
+        (np.arange(len(d)), np.ones(len(d)), random_tree_config(cfg.seed + i, d.schema.n_attributes, cfg.base))
+        for i in range(n_members)
+    ))
     return EnsembleModel("random_committee", members, np.ones(n_members), "average", cfg.seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, NUMERIC
-from .trees import _entropy, _gain_ratios, _numeric_candidates
+from .trees import _Columns, _entropy, _gain_ratios, _numeric_candidates
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def gain_ratio_rank(d: Dataset) -> list[AttributeRank]:
     if y.min() == y.max():
         raise ValueError("attribute ranking needs both classes present")
     attrs = np.arange(d.schema.n_attributes)
-    ratios, _ = _gain_ratios(d, d.values.T, attrs, np.arange(len(d)), np.ones(len(d)), min_leaf=0.0)
+    ratios, _ = _gain_ratios(d, _Columns(d), [(attrs, np.arange(len(d)), np.ones(len(d)), 0.0)])[0]
     ranks = [
         AttributeRank(i, spec.name, float(r) if r > -np.inf else 0.0)
         for i, (spec, r) in enumerate(zip(d.schema.attributes, ratios))

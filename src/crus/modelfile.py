@@ -5,7 +5,10 @@ a JSON object with sorted keys and one-space indents whose `kind` is
 "tree", "ensemble" or "cluster_model".  Each file holds its schema once,
 as the document `dataset.schema_to_doc` builds, and reads it back through
 `dataset.schema_from_doc`, so it gets every check a schema sidecar gets.
-A tree holds its `config` and its `nodes`, the pre-order list of
+A tree holds its `config`, whose fields the reader checks by type
+(a finite `min_leaf_weight` and `confidence_factor`, a boolean
+`use_pruning`, an integer `seed` and a null or integer
+`random_subspace_size`), and its `nodes`, the pre-order list of
 `TreeNode`s that is `DecisionTree.nodes` in memory, so its file nests no
 deeper for a deeper tree; an ensemble lists each member as just its
 `config` and `nodes`, under the ensemble's one schema.
@@ -145,8 +148,27 @@ def _tree_to_doc(tree: DecisionTree) -> dict:
     return {"kind": "tree", "schema": schema_to_doc(tree.schema), **_member_to_doc(tree)}
 
 
+# what each TreeConfig field must hold, and a test of it
+_CONFIG_FIELDS = {
+    "min_leaf_weight": ("a finite number", _is_finite),
+    "confidence_factor": ("a finite number", _is_finite),
+    "use_pruning": ("true or false", lambda v: type(v) is bool),
+    "random_subspace_size": ("null or an integer", lambda v: v is None or type(v) is int),
+    "seed": ("an integer", lambda v: type(v) is int),
+}
+
+
+def _config_from_doc(doc: object) -> TreeConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"config must be an object, got {doc!r}")
+    for key, (what, holds) in _CONFIG_FIELDS.items():
+        if key in doc and not holds(doc[key]):
+            raise ValueError(f"config {key} must be {what}, got {doc[key]!r}")
+    return TreeConfig(**doc)
+
+
 def _tree_from_doc(doc: dict) -> DecisionTree:
-    cfg = TreeConfig(**doc["config"])
+    cfg = _config_from_doc(doc["config"])
     schema = schema_from_doc(doc["schema"], "schema")
     return DecisionTree(schema, _nodes_from_doc(doc["nodes"], schema), cfg)
 
@@ -179,7 +201,7 @@ def _ensemble_from_doc(doc: dict) -> EnsembleModel:
     method, schema = doc["method"], schema_from_doc(doc["schema"], "schema")
     if method not in _ENSEMBLE_METHODS:
         raise ValueError(f"method must be one of {', '.join(_ENSEMBLE_METHODS)}, got {method!r}")
-    members = [DecisionTree(schema, _nodes_from_doc(m["nodes"], schema), TreeConfig(**m["config"]))
+    members = [DecisionTree(schema, _nodes_from_doc(m["nodes"], schema), _config_from_doc(m["config"]))
                for m in doc["members"]]
     if not members:
         raise ValueError("an ensemble needs at least one member")

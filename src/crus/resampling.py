@@ -59,8 +59,21 @@ def _minority_neighbors(norm: np.ndarray, numeric: np.ndarray, k: int) -> np.nda
         # the distance is symmetric; this way round the kernel's inner loops span all m rows
         d2 = _sq_distances(norm, norm[rows], numeric).T
         d2[np.arange(rows.size), rows] = np.inf
-        nn[rows] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        nn[rows] = _nearest(d2, k)
     return nn
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """The columns of the k smallest values of each row, smallest first and
+    ties to the lower column: a stable argsort's first k columns, found
+    without sorting whole rows."""
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    # every column up to the k-th value, ties at it included, in row-major order
+    row, col = np.nonzero(d2 <= kth)
+    order = np.lexsort((col, d2[row, col], row))
+    sizes = np.bincount(row, minlength=d2.shape[0])
+    first = np.cumsum(sizes) - sizes
+    return col[order][first[:, np.newaxis] + np.arange(k)]
 
 
 def smote_oversample(

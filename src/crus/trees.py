@@ -8,17 +8,33 @@ attribute index, then lowest threshold.  Instance weights flow through
 entropies, leaf distributions and the error estimates used by pruning, so
 the same grower serves boosting and bootstrap replicates.
 
-Split search scores all numeric candidate attributes of a node together,
-like SPRINT's all-attributes scan (Shafer, Agrawal & Mehta 1996) over
-C4.5's criterion, but sorting at each node.  The node's values form an
-(attributes x instances) block.  Each row is sorted, and cumulative class
-weights along it give the gain and split information of every cut; the
-first maximum of a row is its lowest best threshold.  A block holds at most
-_BLOCK_CELLS values, which bounds the temporaries at a large root.
-Nominal attributes are scored one at a time.  `_gain_ratios` gives every
-candidate's best ratio, and the first maximum in attribute order is the
-split.  Attribute ranking in `feature_selection` uses the same scorer at an
-unweighted root.
+Split search is SPRINT's all-attributes scan (Shafer, Agrawal & Mehta
+1996) over C4.5's criterion, sorting at each node, and one call scores
+many nodes.  `_gain_ratios` takes a batch of nodes, each with its rows,
+weights and candidate attributes, and makes each (node, attribute) pair a
+row.  Numeric rows are packed, longest first, into padded blocks of at
+most _BLOCK_CELLS values, which bounds the temporaries at a large root.
+A row is sorted by its values' codes (`_Columns`: ranks among the
+attribute's distinct values, found once per fit) with the column as
+tie-break; the keys are distinct integers, and their order is a stable
+sort's.  Cumulative class weights along a sorted row give the gain and
+split information of every admissible cut; the first maximum of a row is
+its lowest best threshold.  Nominal rows are scored in blocks too, each
+with one bincount over (row, category) keys.  Padding changes no number:
+pads sort last with weight 0, and each sum runs over exactly the values,
+in the order, that scoring the node alone would sum.  The first maximum
+over a node's candidates, in attribute order, is its split.  Attribute
+ranking in `feature_selection` is the one-node case.
+
+`fit_trees` grows a set of trees together, one scoring call per step over
+the open nodes of every tree that are ready; trees of more than
+_GROUP_ROWS training rows in all grow in groups, which bounds the memory
+their open nodes hold.  A tree without a random subspace draws nothing,
+so all its open nodes are ready and it grows one depth level per step.
+A random-subspace tree draws each node's attributes in pre-order, so only
+the node on top of its stack is ready.  `fit_tree` grows one tree;
+bagging, random forests and random committees grow their members
+together, each member a row map into the same columns.
 
 A tree is its node list in pre-order, as its model file holds it (see
 `crus.modelfile`): each split is followed by its children's subtrees.  A
@@ -26,15 +42,18 @@ split node holds its attribute and either a numeric threshold (two
 children) or the nominal categories observed at it (ascending, one child
 each) plus a fallback category for values without a child.
 `TreeNode.child_index` maps attribute values to child positions for
-growing and routing.  Growing, pruning, routing and rule export each pass
-over the list with a stack of what the subtrees still to come need, so
-nothing here recurses and random-subspace draws follow the node order.
+growing and routing.  Growing records each node's children and lists the
+nodes in pre-order at the end with a stack; pruning, routing and rule
+export each pass over the list with a stack of what the subtrees still to
+come need, so nothing here recurses.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import statistics
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,9 +165,37 @@ def _entropy(weights: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-# Most values scored in one numeric block: about ten float arrays of this
-# size live at once, which keeps a large root's temporaries small.
+# Most values scored in one numeric or nominal block, and most cuts whose
+# entropies are taken at once: about a dozen arrays of this size live at
+# once.  A node with more rows than this scores each attribute alone, and
+# scoring a row then holds about twenty arrays of the row's size.
 _BLOCK_CELLS = 8192
+
+# numpy adds up to this many values one after another, and longer arrays
+# pairwise, so zeros after at most this many values leave their sum as it is.
+_SEQUENTIAL_SUM = 7
+
+
+def _row_sums(A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of the first lengths[i] values of each row i of A, whose
+    later values are 0, bit for bit numpy's sum of exactly those values.
+
+    A trailing zero can change a pairwise sum, so rows longer than
+    _SEQUENTIAL_SUM are summed in one call per distinct length.  This
+    relies on two facts of numpy's sum (numpy 2.x): it adds up to
+    _SEQUENTIAL_SUM values one after another, and sum(axis=1) of a
+    C-contiguous array sums each row as it would that row alone.
+    `test_row_sums_equal_each_row_summed_alone` checks both.
+    """
+    if A.shape[1] <= _SEQUENTIAL_SUM or (lengths == A.shape[1]).all():
+        return A.sum(axis=1)
+    out = np.empty(lengths.size)
+    short = lengths <= _SEQUENTIAL_SUM
+    out[short] = A[short, :_SEQUENTIAL_SUM].sum(axis=1)
+    for n in np.unique(lengths[~short]):
+        rows = lengths == n
+        out[rows] = A[rows, :n].sum(axis=1)
+    return out
 
 
 def _fraction(part: np.ndarray, total: np.ndarray) -> np.ndarray:
@@ -157,177 +204,366 @@ def _fraction(part: np.ndarray, total: np.ndarray) -> np.ndarray:
 
 
 def _plogp(frac: np.ndarray) -> np.ndarray:
-    """frac * log2(frac) elementwise, 0 where frac is not positive."""
-    f = np.where(frac > 0, frac, 1.0)
-    return f * np.log2(f)
+    """frac * log2(frac) elementwise, 0 where frac is not positive.  Every
+    caller passes a temporary, so frac is overwritten to save memory."""
+    np.copyto(frac, 1.0, where=~(frac > 0))
+    out = np.log2(frac)
+    out *= frac
+    return out
 
 
 def _binary_entropy(w_pos: np.ndarray, w_tot: np.ndarray) -> np.ndarray:
     """Elementwise two-class entropy in bits for weight totals w_tot."""
-    w_pos = np.asarray(w_pos, dtype=np.float64)
-    w_tot = np.asarray(w_tot, dtype=np.float64)
     return (0.0 - _plogp(_fraction(w_pos, w_tot))) - _plogp(_fraction(w_tot - w_pos, w_tot))
 
 
+class _Columns:
+    """The sort codes of a dataset's values, one contiguous row per
+    attribute.  codes[a, i] is the position of value i of attribute a among
+    the attribute's distinct values, ascending, plus the number of distinct
+    values of the attributes before a; distinct[codes] gives the values
+    back.  The last code is a pad's: it follows every value's, and
+    distinct holds NaN for it."""
+
+    def __init__(self, d: Dataset) -> None:
+        self.codes = np.empty((d.schema.n_attributes, len(d)), dtype=np.int64)
+        distinct = []
+        offset = 0
+        for a, col in enumerate(d.values.T):
+            values, self.codes[a] = np.unique(col, return_inverse=True)
+            self.codes[a] += offset
+            offset += values.size
+            distinct.append(values)
+        self.distinct = np.concatenate(distinct + [np.array([np.nan])])
+
+
 def _numeric_block(
-    V: np.ndarray, w_pos: np.ndarray, w: np.ndarray, min_leaf: float
+    C: np.ndarray, distinct: np.ndarray, src: np.ndarray, w: np.ndarray, w_pos: np.ndarray,
+    lengths: np.ndarray, min_leaf: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Score every cut of each row of V (attributes x instances).
+    """Score the admissible cuts of each row of C.
 
-    w_pos is w restricted to the positive instances.  Returns the rows
-    sorted, and per cut between sorted positions c and c+1 (one column
-    fewer) its gain, its split information and whether it is admissible:
-    the values differ and both sides reach min_leaf and positive weight.
-    Cuts that are not admissible get finite but meaningless scores.
+    Row i holds the codes (see `_Columns`) of lengths[i] values of one
+    attribute, then pad codes; distinct maps codes to values, and a pad's
+    to NaN.  src gives the position of each value in w and w_pos, which
+    hold weights and positive-class weights; a pad's position holds 0 in
+    both.  min_leaf is the minimum leaf weight, one per row or one for
+    all.  A cut between sorted positions c and c+1 is admissible when the
+    values differ and both sides reach min_leaf and positive weight; no
+    cut next to a pad is, since a comparison with NaN is false.  Returns
+    the values of each row sorted, the flat (row, c) index of each
+    admissible cut in row-major order, and its gain and split information.
 
-    The results equal those of scoring each row alone: the weight arrays
-    are C-contiguous, so each row sum is numpy's pairwise sum of that row,
-    cumsum is sequential and every other step is elementwise.
+    The results equal those of scoring each row alone without pads: the
+    pads sort last, each row total is numpy's sum of that row's own values
+    (`_row_sums`), cumsum is sequential and every other step is
+    elementwise.  Every weight divided by here is positive (both sides of
+    an admissible cut, and the total of a row with weight), so fractions
+    are plain quotients.  Each row is sorted by (code, column): the keys
+    are distinct, so any sort gives the order of a stable sort of the
+    values, in which tied values keep their order and a NaN value comes
+    before its row's pads.
     """
-    order = np.argsort(V, axis=1, kind="stable")
-    v = V[np.arange(V.shape[0])[:, np.newaxis], order]
-    ww, wp = w[order], w_pos[order]
-    total = ww.sum(axis=1, keepdims=True)
-    total_pos = wp.sum(axis=1, keepdims=True)
-    left_w = np.cumsum(ww, axis=1)[:, :-1]
-    left_pos = np.cumsum(wp, axis=1)[:, :-1]
-    right_w, right_pos = total - left_w, total_pos - left_pos
-    smaller = np.minimum(left_w, right_w)
-    admissible = (v[:, 1:] > v[:, :-1]) & (smaller >= min_leaf) & (smaller > 0)
-    h_class = _binary_entropy(total_pos, total)
-    h_cond = (
-        left_w * _binary_entropy(left_pos, left_w)
-        + right_w * _binary_entropy(right_pos, right_w)
-    ) / total
-    split_info = -(_plogp(_fraction(left_w, total)) + _plogp(_fraction(right_w, total)))
-    return v, h_class - h_cond, split_info, admissible
+    width = C.shape[1]
+    flat = np.argsort(C * width + np.arange(width), axis=1)
+    flat += np.arange(0, C.size, width)[:, np.newaxis]
+    v, src = distinct.take(C.take(flat)), src.take(flat)
+    cum_w, cum_pos = w.take(src), w_pos.take(src)
+    total, total_pos = _row_sums(cum_w, lengths), _row_sums(cum_pos, lengths)
+    # in place, so that no weight array outlives its cumulative sums
+    np.cumsum(cum_w, axis=1, out=cum_w)
+    np.cumsum(cum_pos, axis=1, out=cum_pos)
+    left = cum_w[:, :-1]
+    left = np.minimum(left, total[:, np.newaxis] - left)  # the smaller side
+    cuts = np.flatnonzero((v[:, 1:] > v[:, :-1]) & (left >= min_leaf) & (left > 0))
+    row = cuts // max(1, width - 1)
+    at = cuts + row  # the same cuts in the arrays one column wider
+    row_w, row_pos = total.take(row), total_pos.take(row)
+    left_w, left_pos = cum_w.take(at), cum_pos.take(at)
+    # each admissible cut, then each whole row as a cut with all of it on
+    # both sides, whose left class entropy is the row's
+    n = cuts.size
+    left_w, left_pos = np.concatenate([left_w, total]), np.concatenate([left_pos, total_pos])
+    right_w = np.concatenate([row_w - left_w[:n], total])
+    right_pos = np.concatenate([row_pos - left_pos[:n], total_pos])
+    row_w = np.concatenate([row_w, total])
+    h_left, h_cond, split_info = np.empty(left_w.size), np.empty(left_w.size), np.empty(left_w.size)
+    for lo in range(0, left_w.size, _BLOCK_CELLS):
+        part = slice(lo, lo + _BLOCK_CELLS)
+        lw, lp, rw, rp, tw = left_w[part], left_pos[part], right_w[part], right_pos[part], row_w[part]
+        # the [positive, negative] fraction of each side's weight, and each
+        # side's fraction of the row's
+        frac = np.empty((6, lw.size))
+        np.divide(lp, lw, out=frac[0])
+        np.divide(lw - lp, lw, out=frac[1])
+        np.divide(rp, rw, out=frac[2])
+        np.divide(rw - rp, rw, out=frac[3])
+        np.divide(lw, tw, out=frac[4])
+        np.divide(rw, tw, out=frac[5])
+        plogp = _plogp(frac)
+        h_left[part] = (0.0 - plogp[0]) - plogp[1]
+        h_right = (0.0 - plogp[2]) - plogp[3]
+        h_cond[part] = (lw * h_left[part] + rw * h_right) / tw
+        split_info[part] = -(plogp[4] + plogp[5])
+    return v, cuts, h_left[n:].take(row) - h_cond[:n], split_info[:n]
 
 
 def _numeric_candidates(
     vals: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Admissible midpoint thresholds with their gains and split infos."""
-    v, gains, infos, ok = _numeric_block(vals[np.newaxis], w * (y == 1), w, min_leaf)
-    v, ok = v[0], ok[0]
-    return (v[:-1][ok] + v[1:][ok]) / 2.0, gains[0][ok], infos[0][ok]
+    if vals.size == 0:
+        return np.empty(0), np.empty(0), np.empty(0)
+    distinct, codes = np.unique(vals, return_inverse=True)
+    v, cut, gains, infos = _numeric_block(
+        codes[np.newaxis], np.append(distinct, np.nan), np.arange(vals.size)[np.newaxis], w, w * (y == 1),
+        np.array([vals.size]), min_leaf,
+    )
+    return (v[0, cut] + v[0, cut + 1]) / 2.0, gains, infos
 
 
-def _nominal_stats(
-    vals: np.ndarray, y: np.ndarray, w: np.ndarray, n_categories: int, min_leaf: float
-) -> tuple[float, float, np.ndarray] | None:
-    """(gain, split_info, per-category weight) of the multiway split, or None.
+def _nominal_ratios(
+    key: np.ndarray, w: np.ndarray, w_pos: np.ndarray, n_categories: np.ndarray, min_leaf: np.ndarray
+) -> np.ndarray:
+    """Gain ratio of the multiway split of each (node, nominal attribute) row.
 
-    None when fewer than two categories carry weight or fewer than two
-    children reach min_leaf.
+    Row i has n_categories[i] categories and minimum leaf weight
+    min_leaf[i].  key is i * max(n_categories) + category for each value,
+    w and w_pos the value's weight and positive-class weight.  A ratio is
+    -inf when fewer than two categories carry weight, fewer than two reach
+    min_leaf or the split information is 0.  Each sum is over exactly the
+    values a row scored alone would sum, in the same order.
     """
-    cats = vals.astype(np.int64)
-    w_tot = np.bincount(cats, weights=w, minlength=n_categories)
-    w_pos = np.bincount(cats, weights=w * (y == 1), minlength=n_categories)
+    shape = (n_categories.size, int(n_categories.max()))
+    w_tot = np.bincount(key, weights=w, minlength=shape[0] * shape[1]).reshape(shape)
+    w_pos = np.bincount(key, weights=w_pos, minlength=shape[0] * shape[1]).reshape(shape)
+    total = _row_sums(w_tot, n_categories)
+    # the class entropy of each category's weight, then of each row's
+    h = _binary_entropy(
+        np.concatenate([w_pos.ravel(), _row_sums(w_pos, n_categories)]), np.concatenate([w_tot.ravel(), total])
+    )
+    h_class = h[w_tot.size:]
+    h_cond = _row_sums(w_tot * h[:w_tot.size].reshape(shape), n_categories) / total
+    # The split information is the entropy of the observed categories'
+    # weights.  numpy adds up to _SEQUENTIAL_SUM categories one by one, so
+    # the zeros of the others change no sum; past that it adds pairwise,
+    # so the observed ones move to the front and are summed alone.
     observed = w_tot > 0
-    if observed.sum() < 2 or (w_tot >= min_leaf).sum() < 2:
-        return None
-    total = w_tot.sum()
-    h_class = _binary_entropy(np.array([w_pos.sum()]), np.array([total]))[0]
-    h_cond = float((w_tot * _binary_entropy(w_pos, w_tot)).sum() / total)
-    split_info = _entropy(w_tot[observed])
-    return h_class - h_cond, split_info, w_tot
+    n_observed = observed.sum(axis=1)
+    w_obs, total_obs = w_tot, total
+    if shape[1] > _SEQUENTIAL_SUM:
+        first = np.argsort(~observed, axis=1, kind="stable") + np.arange(0, w_tot.size, shape[1])[:, np.newaxis]
+        w_obs = w_tot.take(first)
+        total_obs = _row_sums(w_obs, n_observed)
+    total_obs = total_obs[:, np.newaxis]
+    split_info = -_row_sums(_plogp(_fraction(w_obs, total_obs)), n_observed)
+    usable = (n_observed >= 2) & ((w_tot >= min_leaf[:, np.newaxis]).sum(axis=1) >= 2) & (split_info > 0)
+    return np.where(usable, (h_class - h_cond) / np.where(usable, split_info, 1.0), -np.inf)
 
 
 def _gain_ratios(
-    d: Dataset, columns: np.ndarray, attrs: np.ndarray, idx: np.ndarray, w: np.ndarray, min_leaf: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best gain ratio of each attribute in attrs over the rows idx, and its threshold.
+    d: Dataset, columns: _Columns, batch: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Best gain ratio of each candidate attribute of each node, and its threshold.
 
-    columns holds d's values one row per attribute and w the weights of
-    the rows idx, of which there are at least two.  A ratio is -inf where
-    no cut is usable; a threshold means something only for a usable
-    numeric attribute, where it is the lowest best one.  Numeric attributes
-    are scored in blocks of at most _BLOCK_CELLS values.
+    columns holds the sort codes of d's values.  Each node of batch is
+    (attrs, idx, w, min_leaf): its candidate attributes, its rows (at least
+    two indices into d), their weights and its minimum leaf weight.
+    Returns each node's (ratios, thresholds), aligned with its attrs.  A
+    ratio is -inf where no cut is usable; a threshold means something only
+    for a usable numeric attribute, where it is the lowest best one.
+
+    Each (node, attribute) candidate is a row.  Numeric rows are scored in
+    blocks of at most _BLOCK_CELLS values (one row at least), longest
+    first, so rows of similar length share a block.  A block holds at most
+    _BLOCK_CELLS // 8 pads, which cost about as much to score as one more
+    block.  Nominal rows are scored in blocks, most categories first, whose
+    values plus (rows x categories) category totals stay within
+    _BLOCK_CELLS (one row at least).
     """
-    y = d.labels[idx]
-    is_numeric = d.schema.numeric_mask()[attrs]
-    ratios = np.full(attrs.size, -np.inf)
-    thresholds = np.zeros(attrs.size)
+    sizes = np.array([idx.size for _, idx, _, _ in batch])
+    starts = np.cumsum(sizes) - sizes  # each node's first value in idx and w below
+    # every node's rows and weights end to end, then a pad of weight 0
+    idx = np.concatenate([node_idx for _, node_idx, _, _ in batch] + [np.zeros(1, dtype=np.int64)])
+    w = np.concatenate([node_w for _, _, node_w, _ in batch] + [np.zeros(1)])
+    w_pos = w * (d.labels[idx] == 1)
+    min_leaf = np.array([node_min_leaf for *_, node_min_leaf in batch], dtype=np.float64)
+    n_candidates = [attrs.size for attrs, *_ in batch]
+    node_of = np.repeat(np.arange(len(batch)), n_candidates)
+    attr_of = np.concatenate([attrs for attrs, *_ in batch])
+    ratios = np.full(attr_of.size, -np.inf)
+    thresholds = np.zeros(attr_of.size)
+    is_numeric = d.schema.numeric_mask()[attr_of]
+
     numeric = np.flatnonzero(is_numeric)
-    w_pos = w * (y == 1)
-    step = max(1, _BLOCK_CELLS // idx.size)
-    for lo in range(0, numeric.size, step):
-        rows = numeric[lo:lo + step]
-        V = columns[attrs[rows, np.newaxis], idx]
-        v, gains, infos, ok = _numeric_block(V, w_pos, w, min_leaf)
-        usable = ok & (infos > 0)
-        r = np.where(usable, gains / np.where(usable, infos, 1.0), -np.inf)
+    numeric = numeric[np.argsort(-sizes[node_of[numeric]], kind="stable")]
+    numeric_sizes = sizes[node_of[numeric]]
+    lo = 0
+    while lo < numeric.size:
+        width = numeric_sizes[lo]
+        pads = np.cumsum(width - numeric_sizes[lo:lo + max(1, _BLOCK_CELLS // width)])
+        hi = lo + int(np.searchsorted(pads, _BLOCK_CELLS // 8, side="right"))
+        rows, lengths = numeric[lo:hi], numeric_sizes[lo:hi]
+        lo = hi
+        nodes = node_of[rows]
+        pos = starts[nodes, np.newaxis] + np.arange(width)
+        if lengths[-1] < width:
+            pad = np.arange(width) >= lengths[:, np.newaxis]
+            pos[pad] = idx.size - 1
+        C = columns.codes[attr_of[rows, np.newaxis], idx[pos]]
+        if lengths[-1] < width:
+            C[pad] = columns.distinct.size - 1
+        v, cuts, gains, infos = _numeric_block(
+            C, columns.distinct, pos, w, w_pos, lengths, min_leaf[nodes, np.newaxis]
+        )
+        r = np.full((rows.size, width - 1), -np.inf)
+        usable = infos > 0
+        r.ravel()[cuts[usable]] = gains[usable] / infos[usable]
         j = np.argmax(r, axis=1)  # first max: lowest threshold on ties
         k = np.arange(rows.size)
         ratios[rows] = r[k, j]
         thresholds[rows] = (v[k, j] + v[k, j + 1]) / 2.0
-    for i in np.flatnonzero(~is_numeric):
-        attr = attrs[i]
-        n_categories = len(d.schema.attributes[attr].categories)
-        stats = _nominal_stats(columns[attr, idx], y, w, n_categories, min_leaf)
-        if stats is not None and stats[1] > 0:
-            ratios[i] = stats[0] / stats[1]
-    return ratios, thresholds
+
+    nominal = np.flatnonzero(~is_numeric)
+    all_categories = np.array([len(a.categories) for a in d.schema.attributes])
+    nominal = nominal[np.argsort(-all_categories[attr_of[nominal]], kind="stable")]
+    lo = 0
+    while lo < nominal.size:
+        width = all_categories[attr_of[nominal[lo]]]  # the most categories in the block
+        # a row costs its values plus width category totals, at least width + 2
+        ahead = nominal[lo:lo + max(1, _BLOCK_CELLS // (width + 2))]
+        cells = np.cumsum(sizes[node_of[ahead]] + width)
+        hi = lo + max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+        rows = nominal[lo:hi]
+        lo = hi
+        # each row's values end to end: value t of a row is its node's value t
+        nodes, attrs = node_of[rows], attr_of[rows]
+        lengths = sizes[nodes]
+        first = np.cumsum(lengths) - lengths
+        pos = np.repeat(starts[nodes] - first, lengths) + np.arange(lengths.sum())
+        n_categories = all_categories[attrs]
+        cats = d.values[idx[pos], np.repeat(attrs, lengths)].astype(np.int64)
+        key = np.repeat(np.arange(rows.size) * n_categories[0], lengths) + cats
+        ratios[rows] = _nominal_ratios(key, w[pos], w_pos[pos], n_categories, min_leaf[nodes])
+
+    ends = itertools.accumulate(n_candidates)
+    return [(ratios[end - n:end], thresholds[end - n:end]) for n, end in zip(n_candidates, ends)]
 
 
-@dataclass
-class _Grower:
-    d: Dataset
-    cfg: TreeConfig
-    rng: np.random.Generator | None
+class _Tree:
+    """A tree being grown: its nodes so far, each one's children, and the
+    open nodes (with weight in both classes) whose split is not searched yet."""
 
-    def __post_init__(self) -> None:
-        # one contiguous row per attribute, so a block gathers contiguously
-        self.columns = np.ascontiguousarray(self.d.values.T)
-        self.numeric = self.d.schema.numeric_mask()
+    def __init__(self, labels: np.ndarray, idx: np.ndarray, w: np.ndarray, cfg: TreeConfig) -> None:
+        self.labels, self.cfg = labels, cfg
+        self.rng = None if cfg.random_subspace_size is None else np.random.default_rng(cfg.seed)
+        self.nodes: list[TreeNode] = []
+        self.children: list[list[int]] = []
+        self.open = self._add(idx, w)  # a stack: the node next in pre-order last
 
-    def grow(self, idx: np.ndarray, w: np.ndarray) -> list[TreeNode]:
-        """The node list of a tree grown depth-first: a node splits before its children."""
-        nodes = []
-        stack = [(idx, w)]  # the rows and weights of each subtree to come, the next one's last
-        while stack:
-            idx, w = stack.pop()
-            y = self.d.labels[idx]
-            node = TreeNode(class_weights=np.array([w[y == 0].sum(), w[y == 1].sum()]))
-            nodes.append(node)
-            if not node.class_weights.all():  # a pure node stays a leaf
-                continue
-            best = self._best_split(idx, w)
-            if best is None:
-                continue
-            node.attribute, node.threshold = best
-            vals = self.columns[node.attribute, idx]
-            if node.threshold is None:
-                w_tot = np.bincount(vals.astype(np.int64), weights=w)
-                node.categories = tuple(np.flatnonzero(w_tot > 0).tolist())
-                node.fallback = int(np.argmax(w_tot))
-            # rows of a category without weight at this node reach no child
-            to = node.child_index(vals, unseen=-1)
-            for k in reversed(range(node.n_children)):  # the first child is grown next
-                m = to == k
-                stack.append((idx[m], w[m]))
-        return nodes
+    def _add(self, idx: np.ndarray, w: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Append the node of rows idx; [(its position, idx, w)] if it is open, else []."""
+        y = self.labels[idx]
+        node = TreeNode(class_weights=np.array([w[y == 0].sum(), w[y == 1].sum()]))
+        self.nodes.append(node)
+        self.children.append([])
+        return [(len(self.nodes) - 1, idx, w)] if node.class_weights.all() else []
 
-    def _candidate_attributes(self, n_attrs: int) -> np.ndarray:
-        size = self.cfg.random_subspace_size
-        if size is None or self.rng is None:
+    def ready(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """The open nodes whose split can be searched now: all of them
+        (the next depth level), or with a random subspace the next one in
+        pre-order, since the subspaces are drawn in that order."""
+        if self.rng is None:
+            ready, self.open = self.open, []
+            return ready
+        return [self.open.pop()] if self.open else []
+
+    def candidates(self, n_attrs: int) -> np.ndarray:
+        if self.rng is None:
             return np.arange(n_attrs)
-        size = max(1, min(size, n_attrs))
+        size = max(1, min(self.cfg.random_subspace_size, n_attrs))
         return np.sort(self.rng.choice(n_attrs, size=size, replace=False))
 
-    def _best_split(self, idx: np.ndarray, w: np.ndarray) -> tuple[int, float | None] | None:
-        """(attribute, threshold or None) of the best split, or None.
+    def split(self, i: int, idx: np.ndarray, w: np.ndarray, attr: int, threshold: float | None,
+              vals: np.ndarray) -> None:
+        """Split node i on attr (vals: its values of the rows idx) and append its children."""
+        node = self.nodes[i]
+        node.attribute, node.threshold = attr, threshold
+        if threshold is None:
+            w_tot = np.bincount(vals.astype(np.int64), weights=w)
+            node.categories = tuple(np.flatnonzero(w_tot > 0).tolist())
+            node.fallback = int(np.argmax(w_tot))
+        # rows of a category without weight at this node reach no child
+        to = node.child_index(vals, unseen=-1)
+        opened = []
+        for k in range(node.n_children):
+            m = to == k
+            self.children[i].append(len(self.nodes))
+            opened += self._add(idx[m], w[m])
+        self.open += reversed(opened)  # the first child on top
 
-        Only called on nodes with weight in both classes, so idx holds at
-        least two instances.
-        """
-        attrs = self._candidate_attributes(self.d.schema.n_attributes)
-        ratios, thresholds = _gain_ratios(self.d, self.columns, attrs, idx, w, self.cfg.min_leaf_weight)
-        best = int(np.argmax(ratios))  # first max: lowest attribute on ties
-        if ratios[best] == -np.inf:
-            return None
-        attr = int(attrs[best])
-        return attr, float(thresholds[best]) if self.numeric[attr] else None
+    def preorder(self) -> list[TreeNode]:
+        nodes, stack = [], [0]  # the position of each subtree to come, the next one's last
+        while stack:
+            i = stack.pop()
+            nodes.append(self.nodes[i])
+            stack.extend(reversed(self.children[i]))
+        return nodes
+
+
+# Most training rows, over all trees, that grow together: the open nodes
+# of a group hold their rows and weights, and one step scores them all.
+_GROUP_ROWS = 2**16
+
+
+def fit_trees(d: Dataset, members: Iterable[tuple[np.ndarray, np.ndarray, TreeConfig]]) -> list[DecisionTree]:
+    """One tree per (idx, w, cfg), in order.
+
+    Each is the tree fit_tree(d.subset(idx), cfg, weights=w) grows: idx
+    lists rows of d (repeats allowed) and w their weights.  Members are
+    taken in turn, in groups of at most _GROUP_ROWS rows (one tree at
+    least), and the trees of a group grow together.
+    """
+    columns = _Columns(d)
+    trees: list[DecisionTree] = []
+    group: list[_Tree] = []
+    rows = 0
+    for idx, w, cfg in members:
+        if idx.size == 0:
+            raise ValueError("cannot fit a tree on an empty training set")
+        if group and rows + idx.size > _GROUP_ROWS:
+            trees += _grow(d, columns, group)
+            group, rows = [], 0
+        group.append(_Tree(d.labels, idx, w, cfg))
+        rows += idx.size
+    return trees + _grow(d, columns, group)
+
+
+def _grow(d: Dataset, columns: _Columns, grown: list[_Tree]) -> list[DecisionTree]:
+    """Grow the trees, each step scoring the open nodes that are ready in
+    all of them with one call, then prune them as configured."""
+    numeric = d.schema.numeric_mask()
+    n_attrs = d.schema.n_attributes
+    while True:
+        ready = [(tree, node) for tree in grown for node in tree.ready()]
+        if not ready:
+            break
+        batch = [(tree.candidates(n_attrs), idx, w, tree.cfg.min_leaf_weight) for tree, (_, idx, w) in ready]
+        scores = _gain_ratios(d, columns, batch)
+        for (tree, (i, idx, w)), (attrs, *_), (ratios, thresholds) in zip(ready, batch, scores):
+            best = int(np.argmax(ratios))  # first max: lowest attribute on ties
+            if ratios[best] == -np.inf:
+                continue
+            attr = int(attrs[best])
+            threshold = float(thresholds[best]) if numeric[attr] else None
+            tree.split(i, idx, w, attr, threshold, d.values[idx, attr])
+    trees = []
+    for tree in grown:
+        nodes = tree.preorder()
+        if tree.cfg.use_pruning:
+            nodes = _prune(nodes, _pruning_z(tree.cfg.confidence_factor))
+        trees.append(DecisionTree(d.schema, nodes, tree.cfg))
+    return trees
 
 
 def fit_tree(
@@ -344,22 +580,22 @@ def fit_tree(
             raise ValueError(f"weights shape {w.shape} does not match {len(d)} instances")
         if np.any(w < 0):
             raise ValueError("instance weights must be nonnegative")
-    rng = None
-    if cfg.random_subspace_size is not None:
-        rng = np.random.default_rng(cfg.seed)
-    nodes = _Grower(d, cfg, rng).grow(np.arange(len(d)), w)
-    if cfg.use_pruning:
-        nodes = _prune(nodes, _pruning_z(cfg.confidence_factor))
-    return DecisionTree(d.schema, nodes, cfg)
+    return fit_trees(d, [(np.arange(len(d)), w, cfg)])[0]
+
+
+def random_tree_config(seed: int, n_attributes: int, base: TreeConfig | None = None) -> TreeConfig:
+    """base (default TreeConfig()) unpruned, drawing a fresh random attribute
+    subset at every node: of base's size, else default_subspace_size."""
+    base = base or TreeConfig()
+    size = base.random_subspace_size
+    if size is None:
+        size = default_subspace_size(n_attributes)
+    return replace(base, use_pruning=False, random_subspace_size=size, seed=seed)
 
 
 def fit_random_tree(d: Dataset, seed: int, cfg: TreeConfig | None = None) -> DecisionTree:
     """Unpruned tree using a fresh random attribute subset at every node."""
-    base = cfg or TreeConfig()
-    size = base.random_subspace_size
-    if size is None:
-        size = default_subspace_size(d.schema.n_attributes)
-    return fit_tree(d, replace(base, use_pruning=False, random_subspace_size=size, seed=seed))
+    return fit_tree(d, random_tree_config(seed, d.schema.n_attributes, cfg))
 
 
 def _pruning_z(confidence_factor: float) -> float:

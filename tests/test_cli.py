@@ -570,8 +570,13 @@ def chain_text(depth):
     return f'{{"kind": "tree", "config": {{}}, "schema": {json.dumps(SCHEMA_DOC)}, "nodes": [{root}]}}'
 
 
-def ensemble_text(**changes):
-    member = {"config": {}, "nodes": [LEAF]}
+def config_text(**config):
+    """A leaf tree file with the given config."""
+    return json.dumps({"kind": "tree", "config": config, "schema": SCHEMA_DOC, "nodes": [LEAF]})
+
+
+def ensemble_text(member_config=None, **changes):
+    member = {"config": member_config or {}, "nodes": [LEAF]}
     doc = {"kind": "ensemble", "schema": SCHEMA_DOC, "method": "bagging", "combine": "vote", "seed": 0,
            "member_weights": [1.0, 1.0], "members": [member, member], **changes}
     return json.dumps(doc)
@@ -650,6 +655,16 @@ OLD_ENSEMBLE = json.dumps({"kind": "ensemble", "method": "bagging", "combine": "
         (ensemble_text(oob_coverage="0.5"), "oob_coverage must be null or a finite number in [0, 1], got '0.5'"),
         (ensemble_text(warnings=[3]), "warnings must be a list of strings, got [3]"),
         (ensemble_text(warnings="careful"), "warnings must be a list of strings, got 'careful'"),
+        (config_text(seed=2.7), "config seed must be an integer, got 2.7"),
+        (config_text(use_pruning="no"), "config use_pruning must be true or false, got 'no'"),
+        (config_text(min_leaf_weight=float("nan")), "config min_leaf_weight must be a finite number, got nan"),
+        (config_text(random_subspace_size=2.5), "config random_subspace_size must be null or an integer, got 2.5"),
+        (config_text(confidence_factor="0.25"), "config confidence_factor must be a finite number, got '0.25'"),
+        (ensemble_text(member_config={"seed": 2.7}), "config seed must be an integer, got 2.7"),
+        (ensemble_text(member_config={"use_pruning": "no"}), "config use_pruning must be true or false"),
+        (ensemble_text(member_config={"min_leaf_weight": float("nan")}), "config min_leaf_weight must be a finite"),
+        (ensemble_text(member_config={"random_subspace_size": 2.5}), "config random_subspace_size must be null"),
+        (ensemble_text(member_config=[1]), "config must be an object, got [1]"),
     ],
     ids=["tree-without-config", "ensemble-without-method", "unknown-config-key", "truncated",
          "attribute-outside-schema", "threshold-on-nominal", "categories-on-numeric",
@@ -662,7 +677,10 @@ OLD_ENSEMBLE = json.dumps({"kind": "ensemble", "method": "bagging", "combine": "
          "schema-categories-a-string", "schema-boolean-labels", "schema-unknown-positive", "old-tree-schema",
          "old-ensemble", "nan-member-weight", "negative-member-weight", "float-seed", "unknown-method",
          "epsilon-above-one", "nan-beta", "epsilons-not-a-list", "oob-error-above-one", "string-oob-coverage",
-         "non-string-warning", "warnings-not-a-list"],
+         "non-string-warning", "warnings-not-a-list", "float-config-seed", "string-use-pruning",
+         "nan-min-leaf-weight", "float-subspace-size", "string-confidence-factor", "member-float-seed",
+         "member-string-use-pruning", "member-nan-min-leaf-weight", "member-float-subspace-size",
+         "member-config-not-an-object"],
 )
 def test_rules_malformed_model_fails_with_path(tmp_path, runner, doc, message):
     path = tmp_path / "model.json"

@@ -162,6 +162,50 @@ def test_kernel_matches_kmeans_reference(monkeypatch, block_pairs):
     assert crossed >= 10
 
 
+def reference_update_centroids(norm_values, assign, k, numeric):
+    """The centroid update as it was written before it was vectorized: a
+    loop over clusters and attributes."""
+    d = norm_values.shape[1]
+    centroids = np.zeros((k, d))
+    for c in range(k):
+        members = norm_values[assign == c]
+        for j in range(d):
+            col = members[:, j]
+            if numeric[j]:
+                centroids[c, j] = col.mean()
+            else:
+                # mode; ties broken by lowest category index
+                cats, counts = np.unique(col, return_counts=True)
+                centroids[c, j] = cats[np.argmax(counts)]
+    return centroids
+
+
+def test_centroid_update_matches_per_cluster_reference():
+    ties = 0
+    for seed in range(150):
+        rng = np.random.default_rng(seed)
+        n_numeric, n_nominal = int(rng.integers(0, 12)), int(rng.integers(1, 5))
+        n = int(rng.integers(2, 400))
+        cols, kinds = mixed_columns(rng, n, n_numeric, n_nominal)
+        # few categories, some never seen: many clusters tie on their mode
+        for i, kind in enumerate(kinds):
+            if kind == NOMINAL:
+                cols[i] = rng.integers(0, int(rng.integers(1, 4)), n).astype(float) * int(rng.integers(1, 3))
+        d = make_dataset(cols, kinds, categories=("a", "b", "c", "d", "e"))
+        scaler = FeatureScaler.fit(d)
+        norm = scaler.transform(d.values)
+        k = int(rng.integers(1, min(n, 12) + 1))
+        assign = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])[rng.permutation(n)]
+        got = clustering._update_centroids(norm, assign, k, scaler.numeric)
+        want = reference_update_centroids(norm, assign, k, scaler.numeric)
+        assert got.tobytes() == want.tobytes(), seed
+        for c in range(k):
+            for j in np.flatnonzero(~scaler.numeric):
+                counts = np.unique(norm[assign == c, j], return_counts=True)[1]
+                ties += (counts == counts.max()).sum() > 1
+    assert ties > 100
+
+
 def test_kmeans_k1_centroid_is_mean_and_mode():
     d = make_dataset([[0.0, 5.0, 10.0], [0, 0, 1]], [NUMERIC, NOMINAL])
     model = kmeans_fit(d, k=1, seed=0)

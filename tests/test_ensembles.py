@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from crus import trees
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema
 from crus.ensembles import (
     PERFECT_MEMBER_WEIGHT,
@@ -19,8 +21,8 @@ from crus.ensembles import (
     theoretical_ensemble_accuracy,
 )
 from crus.modelfile import model_from_text, model_to_text
-from crus.seeds import derive_seed
-from crus.trees import DecisionTree, TreeConfig, TreeNode, fit_random_tree
+from crus.seeds import derive_seed, rng_for
+from crus.trees import DecisionTree, TreeConfig, TreeNode, fit_random_tree, fit_tree
 
 
 def make_dataset(columns, kinds, labels, categories=("a", "b", "c")):
@@ -235,6 +237,85 @@ def test_random_committee_seeds_and_average():
     _, scores = model.predict_batch(d.values[:5])
     per_member = np.stack([m.predict_batch(d.values[:5])[1] for m in model.members])
     assert np.allclose(scores, per_member.mean(axis=0))
+
+
+def members_one_by_one(d, method, cfg):
+    """Each member fitted alone with its seeds, on its bootstrap sample as a dataset of its own."""
+    n_members = cfg.resolve_members(default=10)
+    if method == "random_committee":
+        return [fit_random_tree(d, cfg.seed + i, cfg.base) for i in range(n_members)]
+    members = []
+    for i in range(n_members):
+        sample = d.subset(_bootstrap_indices(len(d), rng_for(cfg.seed, "bootstrap", i)))
+        seed = derive_seed(cfg.seed, "tree", i)
+        if method == "bagging":
+            members.append(fit_tree(sample, replace(cfg.base, seed=seed)))
+        else:
+            members.append(fit_random_tree(sample, seed, cfg.base))
+    return members
+
+
+def lockstep_case(style, rng, n=80):
+    if style == "separable":
+        return separable_dataset(rng, n)
+    if style == "tied-and-constant":
+        cols = [rng.integers(0, 3, n), np.full(n, 2.5), rng.normal(0, 1, n).round(1), rng.integers(0, 3, n)]
+        labels = (cols[0] + rng.normal(0, 1, n) > 1.5).astype(np.int8)
+        return make_dataset(cols, [NUMERIC, NUMERIC, NUMERIC, NOMINAL], labels)
+    cols = [rng.integers(0, 3, n) for _ in range(3)]
+    labels = ((cols[0] == 1) ^ (rng.random(n) < 0.2)).astype(np.int8)
+    return make_dataset(cols, [NOMINAL] * 3, labels)
+
+
+# 200 rows grow the 80-row members of an ensemble two at a time
+@pytest.mark.parametrize("group_rows", [trees._GROUP_ROWS, 200])
+@pytest.mark.parametrize("style", ["separable", "tied-and-constant", "nominal-only"])
+@pytest.mark.parametrize("n_members", [1, 50])
+@pytest.mark.parametrize("fit, method", [(fit_bagging, "bagging"), (fit_random_forest, "random_forest"),
+                                         (fit_random_committee, "random_committee")])
+def test_members_grown_together_equal_members_grown_alone(monkeypatch, fit, method, n_members, style, group_rows):
+    monkeypatch.setattr(trees, "_GROUP_ROWS", group_rows)
+    rng = np.random.default_rng(n_members)
+    d = lockstep_case(style, rng)
+    for base in (TreeConfig(), TreeConfig(min_leaf_weight=1.0, random_subspace_size=2, use_pruning=False)):
+        cfg = EnsembleConfig(n_members=n_members, base=base, seed=n_members + 4)
+        model = fit(d, cfg)
+        alone = members_one_by_one(d, method, cfg)
+        assert [model_to_text(m) for m in model.members] == [model_to_text(m) for m in alone]
+
+
+def test_ensemble_growth_stays_within_its_memory_bounds(monkeypatch):
+    # each group of trees holds at most _GROUP_ROWS rows, and each scoring
+    # block at most _BLOCK_CELLS cells, unless one tree or row is larger
+    monkeypatch.setattr(trees, "_GROUP_ROWS", 1000)
+    groups, numeric_cells, nominal_cells = [], [], []
+    grow, numeric_block, nominal_ratios = trees._grow, trees._numeric_block, trees._nominal_ratios
+
+    def record_grow(d, columns, grown):
+        groups.append((len(grown), sum(float(t.nodes[0].class_weights.sum()) for t in grown)))
+        return grow(d, columns, grown)
+
+    def record_numeric(C, *args):
+        numeric_cells.append((C.shape[0], C.size))
+        return numeric_block(C, *args)
+
+    def record_nominal(key, w, w_pos, n_categories, min_leaf):
+        nominal_cells.append((n_categories.size, key.size + n_categories.size * int(n_categories.max())))
+        return nominal_ratios(key, w, w_pos, n_categories, min_leaf)
+
+    monkeypatch.setattr(trees, "_grow", record_grow)
+    monkeypatch.setattr(trees, "_numeric_block", record_numeric)
+    monkeypatch.setattr(trees, "_nominal_ratios", record_nominal)
+    rng = np.random.default_rng(11)
+    n = 300
+    cols = [rng.normal(0, 1, n), rng.integers(0, 40, n), rng.integers(0, 3, n), rng.uniform(0, 1, n)]
+    labels = ((cols[0] > 0.3) ^ (rng.random(n) < 0.2)).astype(np.int8)
+    d = make_dataset(cols, [NUMERIC, NOMINAL, NOMINAL, NUMERIC], labels, categories=tuple(f"c{i}" for i in range(40)))
+    fit_random_forest(d, EnsembleConfig(n_members=30, seed=1))
+    fit_random_committee(d, EnsembleConfig(n_members=7, seed=1))
+    assert len(groups) == 10 + 3 and all(rows <= 1000 for _, rows in groups)
+    assert all(cells <= trees._BLOCK_CELLS for _, cells in numeric_cells + nominal_cells)
+    assert max(groups + numeric_cells)[0] > 1 and max(nominal_cells)[0] > 1
 
 
 def test_committee_mean_probability_fixture():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from crus.feature_selection import (
     gain_ratio_rank,
     symmetrical_uncertainty,
 )
-from crus.trees import _nominal_stats, _numeric_candidates
+from crus.trees import _numeric_candidates
+from test_trees import _nominal_stats  # the per-node nominal scorer, kept there as a reference
 
 
 def make_dataset(columns, kinds, labels, n_categories=3):
@@ -321,6 +323,13 @@ def test_best_first_validation():
     d = noisy_dataset(rng)
     with pytest.raises(ValueError):
         cfs_best_first(d, max_stale=0)
+
+
+def test_discretize_empty_dataset_has_no_codes():
+    d = make_dataset([[]], [NUMERIC], [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert discretize(d).shape == (0, 1)
 
 
 def test_discretize_codes():

@@ -216,6 +216,24 @@ def test_smote_neighbor_table_matches_reference(monkeypatch, block_pairs):
     assert crossed >= 10
 
 
+@pytest.mark.parametrize("block_pairs", [clustering._BLOCK_PAIRS, 211])
+def test_neighbor_table_keeps_ties_in_index_order_up_to_the_largest_k(monkeypatch, block_pairs):
+    # integer-valued columns of few values: many rows tie at the k-th distance
+    monkeypatch.setattr(resampling, "_BLOCK_PAIRS", block_pairs)
+    monkeypatch.setattr(clustering, "_BLOCK_PAIRS", block_pairs)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 120))
+        n_numeric, n_nominal = int(rng.integers(1, 4)), int(rng.integers(0, 3))
+        cols = [rng.integers(0, rng.integers(1, 4), m).astype(float) for _ in range(n_numeric + n_nominal)]
+        d = make_dataset(cols, [NUMERIC] * n_numeric + [NOMINAL] * n_nominal, np.ones(m, dtype=np.int8))
+        scaler = FeatureScaler.fit(d)
+        norm = scaler.transform(d.values)
+        for k in {1, int(rng.integers(1, m)), m - 1}:  # m - 1: every other row
+            nn = resampling._minority_neighbors(norm, scaler.numeric, k)
+            assert np.array_equal(nn, minority_knn(d, k)[1]), (seed, k)
+
+
 def test_smote_memory_grows_linearly_with_minority():
     rng = np.random.default_rng(21)
     m = 3000

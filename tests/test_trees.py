@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, DataError, Dataset, DatasetSchema
 from crus import trees
@@ -12,9 +15,9 @@ from crus.trees import (
     DecisionTree,
     TreeConfig,
     TreeNode,
-    _Grower,
+    _binary_entropy,
+    _entropy,
     _estimated_errors,
-    _nominal_stats,
     _prune,
     _pruning_z,
     default_subspace_size,
@@ -338,7 +341,46 @@ def _reference_numeric_candidates(vals, y, w, min_leaf):
     return thresholds, h_class - h_cond, split_info
 
 
-class _ReferenceGrower(_Grower):
+# The per-node nominal scorer the batched one replaced, as it was.
+def _nominal_stats(
+    vals: np.ndarray, y: np.ndarray, w: np.ndarray, n_categories: int, min_leaf: float
+) -> tuple[float, float, np.ndarray] | None:
+    """(gain, split_info, per-category weight) of the multiway split, or None.
+
+    None when fewer than two categories carry weight or fewer than two
+    children reach min_leaf.
+    """
+    cats = vals.astype(np.int64)
+    w_tot = np.bincount(cats, weights=w, minlength=n_categories)
+    w_pos = np.bincount(cats, weights=w * (y == 1), minlength=n_categories)
+    observed = w_tot > 0
+    if observed.sum() < 2 or (w_tot >= min_leaf).sum() < 2:
+        return None
+    total = w_tot.sum()
+    h_class = _binary_entropy(np.array([w_pos.sum()]), np.array([total]))[0]
+    h_cond = float((w_tot * _binary_entropy(w_pos, w_tot)).sum() / total)
+    split_info = _entropy(w_tot[observed])
+    return h_class - h_cond, split_info, w_tot
+
+
+@dataclass
+class _ReferenceGrower:
+    d: Dataset
+    cfg: TreeConfig
+    rng: np.random.Generator | None
+
+    def __post_init__(self) -> None:
+        # one contiguous row per attribute, so a block gathers contiguously
+        self.columns = np.ascontiguousarray(self.d.values.T)
+        self.numeric = self.d.schema.numeric_mask()
+
+    def _candidate_attributes(self, n_attrs: int) -> np.ndarray:
+        size = self.cfg.random_subspace_size
+        if size is None or self.rng is None:
+            return np.arange(n_attrs)
+        size = max(1, min(size, n_attrs))
+        return np.sort(self.rng.choice(n_attrs, size=size, replace=False))
+
     def grow(self, idx, w):
         """The tree as (node, list of child subtrees)."""
         y = self.d.labels[idx]
@@ -477,6 +519,18 @@ def equivalence_case(seed):
     return d, w, cfg
 
 
+def test_row_sums_equal_each_row_summed_alone():
+    # the padded rows of a block must total exactly what each node's own
+    # values sum to, whether numpy adds them one by one or pairwise
+    rng = np.random.default_rng(0)
+    for width in (1, 5, 7, 8, 9, 16, 40, 129, 300):
+        lengths = rng.integers(0, width + 1, 60)
+        A = rng.exponential(1.0, (60, width)) * rng.choice([1e-3, 1.0, 1e5], (60, width))
+        A[np.arange(width) >= lengths[:, np.newaxis]] = 0.0
+        want = np.array([A[i, :n].copy().sum() for i, n in enumerate(lengths)])
+        assert trees._row_sums(A, lengths).tobytes() == want.tobytes(), width
+
+
 @pytest.mark.parametrize("block_cells", [8192, 16])
 def test_block_split_search_matches_per_attribute_reference(monkeypatch, block_cells):
     # 16 cells per block puts each numeric attribute of a node in its own
@@ -506,6 +560,27 @@ def test_block_split_search_matches_reference_across_blocks():
     for cfg in (TreeConfig(min_leaf_weight=2.0), TreeConfig(use_pruning=False, seed=3,
                                                             random_subspace_size=3)):
         assert tree_to_doc(fit_tree(d, cfg, weights=w)) == tree_to_doc(reference_fit_tree(d, cfg, w))
+
+
+def test_many_category_splits_match_reference():
+    # from 8 categories on numpy sums a node's category weights pairwise, so
+    # the batched scorer must sum exactly the categories the node observed
+    split_nodes = 0
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        n = int(rng.choice([40, 150, 400]))
+        k = int(rng.integers(8, 20))
+        seen = rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False)
+        cols = [rng.choice(seen, n).astype(float), rng.integers(0, k, n).astype(float), rng.normal(0, 1, n)]
+        labels = ((cols[0] % 3 == 0) ^ (rng.random(n) < 0.2)).astype(np.int8)
+        names = tuple(f"c{c}" for c in range(k))
+        d = make_dataset(cols, [NOMINAL, NOMINAL, NUMERIC], labels, categories={0: names, 1: names})
+        w = rng.dirichlet(np.full(n, 0.7)) * n
+        cfg = TreeConfig(min_leaf_weight=1.0, use_pruning=bool(seed % 2))
+        got = fit_tree(d, cfg, weights=w)
+        assert tree_to_doc(got) == tree_to_doc(reference_fit_tree(d, cfg, w)), seed
+        split_nodes += got.n_nodes() - got.n_leaves()
+    assert split_nodes > 200
 
 
 def test_deep_noisy_tree_fits_prunes_predicts_and_counts():
@@ -570,3 +645,23 @@ def test_deep_chain_exports_predicts_saves_and_reads_back(tmp_path):
     result = CliRunner().invoke(main, ["rules", "--model", str(path)])
     assert result.exit_code == 0, result.output
     assert result.output.splitlines() == rules
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_unit_weight_tree_does_not_depend_on_row_order(data):
+    # with whole weights every sum is exact, so only the rows, not their
+    # order, can shape the tree
+    n_numeric = data.draw(st.integers(0, 4), label="n_numeric")
+    n_nominal = data.draw(st.integers(0 if n_numeric else 1, 2), label="n_nominal")
+    n = data.draw(st.integers(2, 80), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cols = [np.round(rng.normal(0, 1, n), int(rng.integers(0, 2))) for _ in range(n_numeric)]
+    cols += [rng.integers(0, 3, n).astype(float) for _ in range(n_nominal)]
+    labels = rng.integers(0, 2, n)
+    d = make_dataset(cols, [NUMERIC] * n_numeric + [NOMINAL] * n_nominal, labels)
+    shuffled = d.subset(rng.permutation(n))
+    size = data.draw(st.one_of(st.none(), st.integers(1, n_numeric + n_nominal)), label="subspace")
+    cfg = TreeConfig(min_leaf_weight=data.draw(st.sampled_from([1.0, 2.0]), label="min_leaf"),
+                     use_pruning=data.draw(st.booleans(), label="pruning"), random_subspace_size=size, seed=3)
+    assert model_to_text(fit_tree(shuffled, cfg)) == model_to_text(fit_tree(d, cfg))
