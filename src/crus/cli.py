@@ -14,7 +14,8 @@ Subcommands:
 Every command is deterministic given its config and seed: reruns produce
 byte-identical files, whatever ``--jobs`` is.  Tasks may run in parallel
 worker processes; all report and model writing happens afterwards, single
-threaded, in grid order.
+threaded, in grid order.  Every CSV table a command writes is laid out by
+one writer, `_csv`, and every metric cell has one format, six decimals.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .evaluation import (
     run_fold,
 )
 from .feature_selection import cfs_best_first, gain_ratio_rank
-from .metrics import METRIC_COLUMNS, format_report_row, report_values
+from .metrics import METRIC_COLUMNS, MetricsReport
 from .modelfile import model_from_text, model_to_text
 from .seeds import derive_seed
 
@@ -226,6 +227,21 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
+def _metric_cells(report: MetricsReport) -> list[str]:
+    """The report's METRIC_COLUMNS cells, in column order."""
+    return [_fmt(getattr(report, c)) for c in METRIC_COLUMNS]
+
+
+def _csv(header: list[str], rows) -> str:
+    """CSV text: the header line, then one line per row of string cells."""
+    return "".join(",".join(line) + "\n" for line in [header, *rows])
+
+
+def _write(path: Path, text: str) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8")
+
+
 class _Reports:
     """Accumulates report files so the manifest can list them."""
 
@@ -234,64 +250,30 @@ class _Reports:
         self.names: list[str] = []
 
     def write(self, rel_name: str, text: str) -> None:
-        path = self.out_dir / rel_name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        _write(self.out_dir / rel_name, text)
         self.names.append(rel_name)
 
 
 def _folds_csv(cells, results) -> str:
-    lines = [
-        "sampler,classifier,fold,group,n_test,n_train,n_synthetic_train,"
-        + ",".join(METRIC_COLUMNS)
-        + ",degenerate"
-    ]
-    for (s_name, c_name, _, _), res in zip(cells, results):
-        for fr in res.folds:
-            prefix = [
-                s_name,
-                c_name,
-                str(fr.fold),
-                fr.group,
-                str(int(fr.truth.size)),
-                str(int(fr.train_indices.size) + fr.n_synthetic_train),
-                str(fr.n_synthetic_train),
-            ]
-            lines.append(format_report_row(prefix, fr.report) + "," + ";".join(fr.report.degenerate))
-    return "\n".join(lines) + "\n"
-
-
-def _summary_csv(cells, results) -> str:
-    head = (
-        "sampler,classifier,"
-        + ",".join(f"mean_{c}" for c in METRIC_COLUMNS)
-        + ","
-        + ",".join(f"pooled_{c}" for c in METRIC_COLUMNS)
+    header = ["sampler", "classifier", "fold", "group", "n_test", "n_train", "n_synthetic_train",
+              *METRIC_COLUMNS, "degenerate"]
+    rows = (
+        [s_name, c_name, str(fr.fold), fr.group, str(fr.truth.size),
+         str(fr.train_indices.size + fr.n_synthetic_train), str(fr.n_synthetic_train),
+         *_metric_cells(fr.report), ";".join(fr.report.degenerate)]
+        for (s_name, c_name), res in zip(cells, results)
+        for fr in res.folds
     )
-    lines = [head]
-    for (s_name, c_name, _, _), res in zip(cells, results):
-        values = [_fmt(v) for v in report_values(res.mean)] + [_fmt(v) for v in report_values(res.pooled)]
-        lines.append(",".join([s_name, c_name] + values))
-    return "\n".join(lines) + "\n"
+    return _csv(header, rows)
 
 
-def _sampler_table_csv(sampler_name: str, cells, results) -> str:
-    lines = ["classifier," + ",".join(METRIC_COLUMNS)]
-    for (s_name, c_name, _, _), res in zip(cells, results):
-        if s_name == sampler_name:
-            lines.append(",".join([c_name] + [_fmt(v) for v in report_values(res.mean)]))
-    return "\n".join(lines) + "\n"
-
-
-def _p_matrix_csv(rep, adjusted: bool) -> str:
-    n = len(rep.treatments)
-    lines = ["," + ",".join(rep.treatments)]
-    for i in range(n):
-        row = [rep.treatments[i]]
-        for j in range(n):
-            row.append("" if i == j else f"{(rep.pair(i, j).p_holm if adjusted else rep.pair(i, j).p_raw):.6e}")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _p_matrix_csv(rep, field: str) -> str:
+    """The treatments' pairwise p-values `field` ("p_raw" or "p_holm"); the diagonal is empty."""
+    rows = (
+        [a, *("" if i == j else f"{getattr(rep.pair(i, j), field):.6e}" for j in range(len(rep.treatments)))]
+        for i, a in enumerate(rep.treatments)
+    )
+    return _csv(["", *rep.treatments], rows)
 
 
 def _stats_text(rep) -> str:
@@ -315,20 +297,6 @@ def _stats_text(rep) -> str:
     for clique in rep.cliques:
         lines.append("  {" + ", ".join(rep.treatments[t] for t in clique) + "}")
     return "\n".join(lines) + "\n"
-
-
-def _loss_csv(metric: str, names, mean_values, losses) -> str:
-    lines = [f"treatment,mean_{metric},loss_pct"]
-    for name, v, loss in zip(names, mean_values, losses if losses else [None] * len(names)):
-        lines.append(",".join([name, _fmt(v), "" if loss is None else _fmt(loss)]))
-    return "\n".join(lines) + "\n"
-
-
-def _combined_losses(metrics, losses) -> list[float] | None:
-    """Per-treatment average of the first two metrics' losses, when both exist."""
-    if len(metrics) < 2 or not losses[metrics[0]] or not losses[metrics[1]]:
-        return None
-    return [average_combined_loss(a, b) for a, b in zip(losses[metrics[0]], losses[metrics[1]])]
 
 
 def _loss_markdown(metrics, names, means, losses, combined) -> str:
@@ -465,12 +433,8 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
     except (DataError, ValueError, OSError) as exc:
         _fail(f"cannot evaluate {cfg.dataset}: {exc}")
 
-    cells = [
-        (s_name, c_name, s_spec, c_spec)
-        for s_name, s_spec in cfg.samplers
-        for c_name, c_spec in cfg.classifiers
-    ]
-    names = [f"{s}+{c}" for s, c, _, _ in cells]
+    cells = [(s_name, c_name) for s_name, _ in cfg.samplers for c_name, _ in cfg.classifiers]
+    names = [f"{s}+{c}" for s, c in cells]
     # refits first: they train on the most rows, so a pool finishes sooner
     samplers = range(len(cfg.samplers))
     tasks = [(s, None) for s in samplers if save_models]
@@ -487,12 +451,15 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
                 raise click.ClickException(f"evaluation failed for cell {name}, fold {f}: {run}")
         results.append(cv_result(runs, cfg.beta))
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     reports = _Reports(out_dir)
     reports.write("folds.csv", _folds_csv(cells, results))
-    reports.write("summary.csv", _summary_csv(cells, results))
+    reports.write("summary.csv", _csv(
+        ["sampler", "classifier", *(f"{kind}_{c}" for kind in ("mean", "pooled") for c in METRIC_COLUMNS)],
+        ([s, c, *_metric_cells(res.mean), *_metric_cells(res.pooled)] for (s, c), res in zip(cells, results)),
+    ))
     for s_name, _ in cfg.samplers:
-        reports.write(f"table_{s_name}.csv", _sampler_table_csv(s_name, cells, results))
+        rows = ([c, *_metric_cells(res.mean)] for (s, c), res in zip(cells, results) if s == s_name)
+        reports.write(f"table_{s_name}.csv", _csv(["classifier", *METRIC_COLUMNS], rows))
 
     run_warnings = [
         f"{name}: {w}" for name, res in zip(names, results) for w in res.warnings
@@ -505,20 +472,23 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
         except ValueError:
             losses[m] = None
             run_warnings.append(f"loss_{m}: best mean value is not positive; losses omitted")
-        reports.write(f"loss_{m}.csv", _loss_csv(m, names, means[m], losses[m]))
-    combined = _combined_losses(cfg.metrics, losses)
-    if combined:
-        m1, m2 = cfg.metrics[0], cfg.metrics[1]
-        lines = [f"treatment,loss_{m1},loss_{m2},average_combined_loss"]
-        for t, name in enumerate(names):
-            lines.append(",".join([name, _fmt(losses[m1][t]), _fmt(losses[m2][t]), _fmt(combined[t])]))
-        reports.write("loss_combined.csv", "\n".join(lines) + "\n")
+        rows = ([name, _fmt(v), "" if loss is None else _fmt(loss)]
+                for name, v, loss in zip(names, means[m], losses[m] or [None] * len(names)))
+        reports.write(f"loss_{m}.csv", _csv(["treatment", f"mean_{m}", "loss_pct"], rows))
+    # the first two metrics' losses and their per-treatment average, when both exist
+    pair = cfg.metrics[:2]
+    combined = None
+    if len(pair) == 2 and all(losses[m] for m in pair):
+        first, second = (losses[m] for m in pair)
+        combined = [average_combined_loss(a, b) for a, b in zip(first, second)]
+        rows = ([name, _fmt(a), _fmt(b), _fmt(c)] for name, a, b, c in zip(names, first, second, combined))
+        reports.write("loss_combined.csv",
+                      _csv(["treatment", *(f"loss_{m}" for m in pair), "average_combined_loss"], rows))
     reports.write("loss.md", _loss_markdown(list(cfg.metrics), names, means, losses, combined))
-
-    tpr_lines = ["treatment,tpr,tnr"]
-    for name, res in zip(names, results):
-        tpr_lines.append(",".join([name, _fmt(res.mean.tpr), _fmt(res.mean.tnr)]))
-    reports.write("tpr_tnr.csv", "\n".join(tpr_lines) + "\n")
+    reports.write("tpr_tnr.csv", _csv(
+        ["treatment", "tpr", "tnr"],
+        ([name, _fmt(res.mean.tpr), _fmt(res.mean.tnr)] for name, res in zip(names, results)),
+    ))
 
     comparisons = "written"
     if len(cells) >= 2:
@@ -528,8 +498,8 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
             )
             rep = compare_treatments(ScoreMatrix(values, tuple(names), metric=m), cfg.alpha)
             reports.write(f"stats_{m}.txt", _stats_text(rep))
-            reports.write(f"pvalues_{m}_raw.csv", _p_matrix_csv(rep, adjusted=False))
-            reports.write(f"pvalues_{m}_holm.csv", _p_matrix_csv(rep, adjusted=True))
+            for kind in ("raw", "holm"):
+                reports.write(f"pvalues_{m}_{kind}.csv", _p_matrix_csv(rep, f"p_{kind}"))
             cd = cd_diagram(rep)
             reports.write(f"cd_{m}.svg", cd.to_svg())
             reports.write(f"cd_{m}.txt", cd.to_text())
@@ -561,7 +531,7 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
         "treatments": names,
         "outputs": sorted(reports.names + ["manifest.yaml"]),
     }
-    (out_dir / "manifest.yaml").write_text(yaml.safe_dump(manifest, sort_keys=True), encoding="utf-8")
+    _write(out_dir / "manifest.yaml", yaml.safe_dump(manifest, sort_keys=True))
     click.echo(f"evaluated {len(cells)} cells; wrote {len(reports.names) + 1} files")
 
 
@@ -602,9 +572,7 @@ def gen_synth(config_path: Path | None, out: Path, schema_out: Path | None,
     schema_path.parent.mkdir(parents=True, exist_ok=True)
     save_schema(data.dataset.schema, schema_path)
     if blob_out is not None:
-        blob_out.parent.mkdir(parents=True, exist_ok=True)
-        lines = ["row,blob"] + [f"{i},{b}" for i, b in enumerate(data.blob_of)]
-        blob_out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(blob_out, _csv(["row", "blob"], ([str(i), str(b)] for i, b in enumerate(data.blob_of))))
     for b, ir in enumerate(data.realized_irs):
         click.echo(f"blob {b}: size {cfg.blob_sizes[b]}, imbalance ratio {ir:.4f}")
     click.echo(f"global imbalance ratio: {imbalance_ratio(data.dataset):.4f}")
@@ -634,16 +602,14 @@ def featsel(config_path: Path, out_dir: Path) -> None:
         cfs = cfs_best_first(d, max_stale=max_stale)
     except (DataError, ValueError, OSError) as exc:
         _fail(f"feature selection failed: {exc}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["rank,attribute,gain_ratio"]
-    lines += [f"{i + 1},{r.name},{r.score:.6f}" for i, r in enumerate(ranks)]
-    (out_dir / "gain_ratio_ranking.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ([str(i + 1), r.name, _fmt(r.score)] for i, r in enumerate(ranks))
+    _write(out_dir / "gain_ratio_ranking.csv", _csv(["rank", "attribute", "gain_ratio"], rows))
     cfs_text = (
         f"selected: {', '.join(cfs.names)}\n"
         f"merit: {cfs.merit:.6f}\n"
         f"subsets_evaluated: {cfs.n_evaluated}\n"
     )
-    (out_dir / "cfs_subset.txt").write_text(cfs_text, encoding="utf-8")
+    _write(out_dir / "cfs_subset.txt", cfs_text)
     click.echo(f"top attribute: {ranks[0].name} ({ranks[0].score:.6f})")
     click.echo(f"cfs selected {len(cfs.selected)} attributes, merit {cfs.merit:.6f}")
 
@@ -673,8 +639,7 @@ def rules(model_path: Path, out_path: Path | None) -> None:
             parts += ["  " + r for r in export_rules(member)]
         text = "\n".join(parts) + "\n"
     if out_path is not None:
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_text(text, encoding="utf-8")
+        _write(out_path, text)
         click.echo(f"wrote {out_path}")
     else:
         click.echo(text, nl=False)

@@ -4,7 +4,9 @@ Numeric attributes are min-max normalized to [0, 1] using statistics from
 the fitted (training) data; nominal attributes contribute 0/1 mismatch.
 Centroids live in the normalized space: per numeric attribute the mean of
 normalized member values, per nominal attribute the mode (lowest category
-index on ties).
+index on ties).  A cluster with no members keeps its centroid, so every
+centroid stays finite.  `kmeans_fit` keeps the best of a fixed 10 seeded
+Lloyd runs.
 
 One kernel, `_sq_distances`, computes this distance for every caller:
 k-means, `ClusterModel.assign`, `mixed_distance` and the nearest-neighbour
@@ -114,46 +116,49 @@ class ClusterModel:
         return np.argmin(d2, axis=1)
 
 
-def _update_centroids(
-    norm_values: np.ndarray, assign: np.ndarray, k: int, numeric: np.ndarray
-) -> np.ndarray:
+def _update_centroids(norm_values: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
+                      numeric: np.ndarray) -> np.ndarray:
     """Each cluster's mean of each numeric attribute and mode of each
-    nominal one, ties to the lowest category."""
-    centroids = np.zeros((k, norm_values.shape[1]))
+    nominal one, ties to the lowest category; a cluster with no members
+    keeps its centroid."""
+    k = len(centroids)
+    centroids = centroids.copy()
     sizes = np.bincount(assign, minlength=k)
+    full = sizes > 0
     # one contiguous row per numeric attribute, members grouped by cluster
     # in row order, so each cluster's slice sums pairwise as its column
     # mean does
     cols = np.ascontiguousarray(norm_values[np.argsort(assign, kind="stable")][:, numeric].T)
     ends = np.cumsum(sizes)
-    sums = np.array([cols[:, end - size:end].sum(axis=1) for size, end in zip(sizes, ends)])
-    centroids[:, numeric] = sums / sizes[:, np.newaxis]
+    sums = np.array([cols[:, end - size:end].sum(axis=1) for size, end in zip(sizes[full], ends[full])])
+    centroids[np.ix_(full, numeric)] = sums / sizes[full, np.newaxis]
     for j in np.flatnonzero(~numeric):
         codes = norm_values[:, j].astype(np.int64)
         n_codes = int(codes.max()) + 1
         counts = np.bincount(assign * n_codes + codes, minlength=k * n_codes).reshape(k, n_codes)
-        centroids[:, j] = np.argmax(counts, axis=1)
+        centroids[full, j] = np.argmax(counts[full], axis=1)
     return centroids
 
 
 # Most Lloyd iterations of one k-means run.
 _MAX_ITER = 100
+# Seeded k-means runs per fit; the lowest objective wins.
+_RESTARTS = 10
 
 
-def kmeans_fit(d: Dataset, k: int, seed: int, n_restarts: int = 1) -> ClusterModel:
+def kmeans_fit(d: Dataset, k: int, seed: int) -> ClusterModel:
     """Lloyd-style k-means under the mixed distance.
 
     Initial centroids are k distinct instances chosen uniformly by `seed`.
-    If a cluster empties, its centroid is reseeded to the point farthest
-    from it (lowest index on ties).  Converges when no assignment changes,
-    or stops after `_MAX_ITER` (100) iterations.  With n_restarts > 1 the
-    fit is repeated with seeds seed, seed+1, ... and the run with the
-    lowest objective wins (earliest on ties).
+    If a cluster empties at assignment, its centroid is reseeded to the
+    point farthest from it (lowest index on ties); a cluster that a later
+    reseed empties keeps its centroid at the update.  Converges when no
+    assignment changes, or stops after `_MAX_ITER` (100) iterations.  The
+    fit is run `_RESTARTS` (10) times, with seeds seed, seed+1, ..., and
+    the run with the lowest objective wins (earliest on ties).
     """
-    if n_restarts < 1:
-        raise ValueError(f"n_restarts must be at least 1, got {n_restarts}")
     best: ClusterModel | None = None
-    for r in range(n_restarts):
+    for r in range(_RESTARTS):
         model = _kmeans_single(d, k, seed + r)
         if best is None or model.objective < best.objective:
             best = model
@@ -185,6 +190,6 @@ def _kmeans_single(d: Dataset, k: int, seed: int) -> ClusterModel:
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        centroids = _update_centroids(norm, assign, k, numeric)
+        centroids = _update_centroids(norm, assign, centroids, numeric)
     objective = float(_sq_distances(norm, centroids, numeric).min(axis=1).sum())
     return ClusterModel(d.schema, centroids, scaler, seed, n_iter, repairs, objective)

@@ -23,6 +23,7 @@ that flags nothing reproduces the unclustered run exactly.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
@@ -80,7 +81,7 @@ def _is_a(v: object, kind: type) -> bool:
 
 def _check_numbers(spec: object, reals: tuple[str, ...], integers: tuple[str, ...]) -> None:
     """Reject a field of spec that is not a number (an integer for `integers`),
-    NaN included.
+    NaN included, or that is an infinite real.
 
     None passes where it is the field's default, as for optional fields.
     """
@@ -88,8 +89,12 @@ def _check_numbers(spec: object, reals: tuple[str, ...], integers: tuple[str, ..
     for names, kind, what in ((reals, numbers.Real, "a number"), (integers, numbers.Integral, "an integer")):
         for name in names:
             v = getattr(spec, name)
-            if not _is_a(v, kind) and not (v is None and defaults[name] is None):
+            if v is None and defaults[name] is None:
+                continue
+            if not _is_a(v, kind):
                 raise ValueError(f"'{name}' must be {what}, got {v!r}")
+            if abs(v) == math.inf:  # not isfinite, which overflows on a huge integer
+                raise ValueError(f"'{name}' must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)

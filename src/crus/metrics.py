@@ -266,10 +266,3 @@ METRIC_COLUMNS: tuple[str, ...] = (
     "tnr",
 )
 
-
-def report_values(report: MetricsReport) -> list[float]:
-    return [getattr(report, c) for c in METRIC_COLUMNS]
-
-
-def format_report_row(prefix: list[str], report: MetricsReport) -> str:
-    return ",".join(prefix + [f"{v:.6f}" for v in report_values(report)])

@@ -25,10 +25,11 @@ def _rus_keep_indices(labels: np.ndarray, spread: float, rng: np.random.Generato
     """Indices to retain, in original order."""
     minority = np.flatnonzero(labels == 1)
     majority = np.flatnonzero(labels == 0)
-    target = math.floor(spread * minority.size)
-    if majority.size <= target:
+    # for an integer n, n <= floor(x) exactly when n <= x; testing first
+    # keeps a huge spread from flooring an infinite product
+    if majority.size <= spread * minority.size:
         return np.arange(labels.size)
-    kept_majority = rng.choice(majority, size=target, replace=False)
+    kept_majority = rng.choice(majority, size=math.floor(spread * minority.size), replace=False)
     return np.sort(np.concatenate([minority, kept_majority]))
 
 
@@ -172,7 +173,7 @@ def plan_cluster_partition(
     _check_policy(policy)
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    model = kmeans_fit(d, k, seed, n_restarts=10)
+    model = kmeans_fit(d, k, seed)
     assign = model.assign(d.values)
     warnings: list[str] = []
     pos, neg, irs = [], [], []

@@ -323,10 +323,18 @@ def test_run_bad_grid_entry_names_the_cell(tmp_path, runner):
             {"method": "clustering_rus", "reduction_fraction": float("nan")},
             "'reduction_fraction' must be a number, got nan",
         ),
+        ("classifiers", {"min_leaf_weight": float("inf")}, "'min_leaf_weight' must be finite, got inf"),
+        ("samplers", {"method": "rus", "spread": float("inf")}, "'spread' must be finite, got inf"),
+        ("samplers", {"method": "smote", "percentage": float("inf")}, "'percentage' must be finite, got inf"),
+        (
+            "samplers",
+            {"method": "clustering_rus", "threshold": float("-inf")},
+            "'threshold' must be finite, got -inf",
+        ),
     ],
     ids=["min_leaf_weight", "n_members", "confidence_factor", "confidence_range", "use_pruning", "spread", "policy",
          "nan-min_leaf_weight", "nan-confidence_factor", "nan-spread", "nan-percentage", "nan-threshold",
-         "nan-reduction_fraction"],
+         "nan-reduction_fraction", "inf-min_leaf_weight", "inf-spread", "inf-percentage", "inf-threshold"],
 )
 def test_run_wrongly_typed_grid_value_rejected_at_load(tmp_path, runner, key, entry, message):
     write_dataset(tmp_path)
@@ -366,8 +374,10 @@ def test_run_beta_must_be_positive_and_finite(tmp_path, runner, beta, message):
         ({"noise": "abc"}, "'noise' must be a number, got 'abc'"),
         ({"category_bias": float("nan")}, "'category_bias' must be a number, got nan"),
         ({"blob_irs": [2.0, float("nan")]}, "'blob_irs' must be a list of numbers, got [2.0, nan]"),
+        ({"noise": float("inf")}, "'noise' must be finite, got inf"),
+        ({"blob_spacing": float("-inf")}, "'blob_spacing' must be finite, got -inf"),
     ],
-    ids=["n_numeric", "blob_sizes", "noise", "nan-category_bias", "nan-blob_irs"],
+    ids=["n_numeric", "blob_sizes", "noise", "nan-category_bias", "nan-blob_irs", "inf-noise", "inf-blob_spacing"],
 )
 def test_gen_synth_wrongly_typed_config_value_rejected(tmp_path, runner, doc, message):
     gen = tmp_path / "gen.yaml"

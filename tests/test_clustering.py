@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crus import clustering
 from crus.clustering import (
@@ -15,6 +17,7 @@ from crus.clustering import (
 )
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema
 from crus.modelfile import model_from_text, model_to_text
+from crus.resampling import plan_cluster_partition
 
 
 def make_dataset(columns, kinds, labels=None, categories=("a", "b", "c")):
@@ -196,7 +199,8 @@ def test_centroid_update_matches_per_cluster_reference():
         norm = scaler.transform(d.values)
         k = int(rng.integers(1, min(n, 12) + 1))
         assign = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])[rng.permutation(n)]
-        got = clustering._update_centroids(norm, assign, k, scaler.numeric)
+        # every cluster has members, so none keeps its (NaN) old centroid
+        got = clustering._update_centroids(norm, assign, np.full((k, norm.shape[1]), np.nan), scaler.numeric)
         want = reference_update_centroids(norm, assign, k, scaler.numeric)
         assert got.tobytes() == want.tobytes(), seed
         for c in range(k):
@@ -264,6 +268,49 @@ def test_kmeans_empty_cluster_repair():
         assert set(np.unique(assign)) == {0, 1}
         repaired.append(model.repairs > 0)
     assert any(repaired)
+
+
+def test_kmeans_emptied_cluster_keeps_its_centroid():
+    # reseeding an empty cluster here empties a lower cluster that was
+    # already checked; its centroid must not become 0/0
+    d = make_dataset([[0.0, 0.0, 1.0, 1.0, 2.0]], [NUMERIC], labels=[1, 0, 1, 0, 1])
+    model = kmeans_fit(d, k=3, seed=1)
+    assert np.all(np.isfinite(model.centroids))
+    assert model.objective == 0.0
+    assign = model.assign(d.values)
+    assert assign[0] == assign[1] and assign[2] == assign[3]
+    assert len(set(assign.tolist())) == 3
+    part = plan_cluster_partition(d, k=3, threshold=10.0, seed=1)
+    assert part.warnings == ()
+    assert np.array_equal(model_from_text(model_to_text(part.model)).centroids, part.model.centroids)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_kmeans_objective_never_increases_and_centroids_stay_finite(data):
+    n = data.draw(st.integers(1, 12), label="n")
+    kinds = data.draw(st.lists(st.sampled_from([NUMERIC, NOMINAL]), min_size=1, max_size=3), label="kinds")
+    # few distinct values: duplicate rows tie and empty clusters
+    cols = [data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n), label=f"col{j}") for j in range(len(kinds))]
+    k = data.draw(st.integers(1, n), label="k")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    d = make_dataset([np.array(c, dtype=float) for c in cols], kinds)
+    objectives = []
+
+    def recording(A, B, numeric):
+        assert np.all(np.isfinite(B))
+        out = _sq_distances(A, B, numeric)
+        objectives.append(float(out.min(axis=1).sum()))
+        return out
+
+    # every distance k-means takes is from all n rows to the k centroids
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(clustering, "_sq_distances", recording)
+        model = clustering._kmeans_single(d, k, seed)
+    assert np.all(np.isfinite(model.centroids))
+    assert objectives[-1] == model.objective
+    for earlier, later in zip(objectives, objectives[1:]):
+        assert later <= earlier + 1e-9 * max(1.0, earlier)
 
 
 def test_kmeans_k_validation():

@@ -465,7 +465,7 @@ def test_gen_synthetic_realized_irs_and_blob_structure():
 def test_gen_synthetic_zero_noise_blobs_are_recoverable():
     cfg = SyntheticConfig(noise=0.0, seed=8)
     synth = gen_synthetic(cfg)
-    model = kmeans_fit(synth.dataset, 2, seed=0, n_restarts=10)
+    model = kmeans_fit(synth.dataset, 2, seed=0)
     assigned = model.assign(synth.dataset.values)
     agree = (assigned == synth.blob_of).mean()
     assert max(agree, 1 - agree) >= 0.99

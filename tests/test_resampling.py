@@ -383,6 +383,17 @@ def test_apply_zero_minority_flagged_union_drops_group():
     assert groups.low_group.n_positive == d.n_positive
 
 
+def test_apply_huge_spread_keeps_every_flagged_row():
+    rng = np.random.default_rng(18)
+    d = two_region_dataset(rng, low=(40, 20), high=(1000, 100))
+    part = plan_cluster_partition(d, k=2, threshold=4.5, seed=2)
+    flagged = np.array(part.flagged)[part.model.assign(d.values)]
+    # spread * minority size overflows to inf: no row may be dropped
+    groups = apply_clustering_rus(d, part, spread=1e308, seed=3)
+    assert np.array_equal(groups.high_group.row_ids, d.row_ids[flagged])
+    assert np.array_equal(groups.low_group.row_ids, d.row_ids[~flagged])
+
+
 def test_apply_spread_validation():
     rng = np.random.default_rng(20)
     d = two_region_dataset(rng)
