@@ -40,11 +40,12 @@ class EnsembleConfig:
     base: TreeConfig = field(default_factory=TreeConfig)
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.n_members is not None and self.n_members < 1:
+            raise ValueError(f"n_members must be at least 1, got {self.n_members}")
+
     def resolve_members(self, default: int) -> int:
-        n = default if self.n_members is None else self.n_members
-        if n < 1:
-            raise ValueError(f"ensemble needs at least one member, got {n}")
-        return n
+        return default if self.n_members is None else self.n_members
 
 
 @dataclass

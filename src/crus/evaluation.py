@@ -53,7 +53,7 @@ from .resampling import (
     HIGH_GROUP,
     LOW_GROUP,
     ClusterPartition,
-    _check_policy,
+    _check_sampler_args,
     apply_clustering_rus,
     plan_cluster_partition,
     rus_undersample,
@@ -114,6 +114,7 @@ class ClassifierSpec:
         _check_numbers(self, ("min_leaf_weight", "confidence_factor"), ("n_members", "subspace_size"))
         if not isinstance(self.use_pruning, bool):
             raise ValueError(f"'use_pruning' must be true or false, got {self.use_pruning!r}")
+        EnsembleConfig(n_members=self.n_members)  # for its range check
         # built once, so TreeConfig's range checks run when the spec is made
         tree = TreeConfig(
             min_leaf_weight=self.min_leaf_weight,
@@ -143,7 +144,11 @@ class SamplerSpec:
         _check_numbers(
             self, ("spread", "percentage", "threshold", "reduction_fraction"), ("k_neighbors", "cluster_k")
         )
-        _check_policy(self.policy)
+        _check_sampler_args(
+            self.spread, self.percentage, self.k_neighbors, self.threshold, self.reduction_fraction, self.policy
+        )
+        if self.cluster_k < 1:
+            raise ValueError(f"cluster_k must be at least 1, got {self.cluster_k}")
         if self.method == "clustering_rus":
             if self.threshold is None and self.reduction_fraction is None:
                 raise ValueError("clustering_rus needs either threshold or reduction_fraction")
@@ -157,14 +162,9 @@ def fit_classifier(train: Dataset, spec: ClassifierSpec, seed: int) -> DecisionT
         return fit_tree(train, replace(base, random_subspace_size=None))
     if spec.method == "random_tree":
         return fit_random_tree(train, seed, base)
-    cfg = EnsembleConfig(n_members=spec.n_members, base=base, seed=seed)
-    if spec.method == "bagging":
-        return fit_bagging(train, cfg)
-    if spec.method == "adaboost":
-        return fit_adaboost(train, cfg)
-    if spec.method == "random_forest":
-        return fit_random_forest(train, cfg)
-    return fit_random_committee(train, cfg)
+    fit = {"bagging": fit_bagging, "adaboost": fit_adaboost, "random_forest": fit_random_forest,
+           "random_committee": fit_random_committee}[spec.method]
+    return fit(train, EnsembleConfig(n_members=spec.n_members, base=base, seed=seed))
 
 
 def apply_sampler(train: Dataset, spec: SamplerSpec, seed: int) -> Dataset:
@@ -457,8 +457,8 @@ class SyntheticConfig:
             raise ValueError("need matching, non-empty blob_sizes and blob_irs")
         if any(s < 2 for s in self.blob_sizes):
             raise ValueError("each blob needs at least 2 instances")
-        if any(ir < 1 for ir in self.blob_irs):
-            raise ValueError("blob imbalance ratios must be at least 1")
+        if any(not 1 <= ir < math.inf for ir in self.blob_irs):
+            raise ValueError(f"'blob_irs' must be finite and at least 1, got {list(self.blob_irs)!r}")
         if self.n_numeric < 0 or self.n_nominal < 0 or self.n_numeric + self.n_nominal < 1:
             raise ValueError("need at least one attribute")
         if self.n_nominal > 0 and self.n_categories < 2:

@@ -33,14 +33,32 @@ def _rus_keep_indices(labels: np.ndarray, spread: float, rng: np.random.Generato
     return np.sort(np.concatenate([minority, kept_majority]))
 
 
+def _check_sampler_args(
+    spread: float = 4.0, percentage: float = 0.0, k_neighbors: int = 1, threshold: float | None = None,
+    reduction_fraction: float | None = None, policy: str = "above",
+) -> None:
+    """Refuse an out-of-range sampler argument, naming it; the defaults and None pass."""
+    if spread <= 0:
+        raise ValueError(f"spread must be positive, got {spread}")
+    if percentage < 0:
+        raise ValueError(f"percentage must be nonnegative, got {percentage}")
+    if k_neighbors < 1:
+        raise ValueError(f"k_neighbors must be at least 1, got {k_neighbors}")
+    if threshold is not None and threshold <= 0:
+        raise ValueError(f"threshold must be positive, got {threshold}")
+    if reduction_fraction is not None and not 0.0 <= reduction_fraction <= 1.0:
+        raise ValueError(f"reduction_fraction must be within [0, 1], got {reduction_fraction}")
+    if policy not in ("above", "invert"):
+        raise ValueError(f"unknown policy '{policy}' (expected 'above' or 'invert')")
+
+
 def rus_undersample(d: Dataset, spread: float = 4.0, seed: int = 0) -> Dataset:
     """Randomly drop majority instances down to spread * |minority|.
 
     A dataset already at or below the spread is returned unchanged.  The
     surviving instances keep their original order.
     """
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
+    _check_sampler_args(spread=spread)
     if d.n_positive == 0:
         raise DataError("undersampling needs at least one minority instance")
     if d.n_negative <= spread * d.n_positive:
@@ -91,10 +109,7 @@ def smote_oversample(
     neighbour search runs in blocks of minority rows, so its memory grows
     linearly with the minority count.
     """
-    if percentage < 0:
-        raise ValueError(f"percentage must be nonnegative, got {percentage}")
-    if k_neighbors < 1:
-        raise ValueError("k_neighbors must be at least 1")
+    _check_sampler_args(percentage=percentage, k_neighbors=k_neighbors)
     minority = np.flatnonzero(d.labels == 1)
     if minority.size <= k_neighbors:
         raise DataError(
@@ -129,8 +144,7 @@ def suggest_threshold(global_ir: float, reduction_fraction: float) -> float:
     """The global imbalance ratio scaled down by the requested reduction."""
     if global_ir <= 0:
         raise ValueError(f"global imbalance ratio must be positive, got {global_ir}")
-    if not 0.0 <= reduction_fraction <= 1.0:
-        raise ValueError(f"reduction fraction must be within [0, 1], got {reduction_fraction}")
+    _check_sampler_args(reduction_fraction=reduction_fraction)
     return global_ir * (1.0 - reduction_fraction)
 
 
@@ -146,11 +160,6 @@ class ClusterPartition:
     threshold: float
     policy: str
     warnings: tuple[str, ...] = ()
-
-
-def _check_policy(policy: str) -> None:
-    if policy not in ("above", "invert"):
-        raise ValueError(f"unknown policy '{policy}' (expected 'above' or 'invert')")
 
 
 def plan_cluster_partition(
@@ -170,9 +179,7 @@ def plan_cluster_partition(
     k-means runs, which makes the plan far less sensitive to a poor draw
     of initial centroids.
     """
-    _check_policy(policy)
-    if threshold <= 0:
-        raise ValueError(f"threshold must be positive, got {threshold}")
+    _check_sampler_args(threshold=threshold, policy=policy)
     model = kmeans_fit(d, k, seed)
     assign = model.assign(d.values)
     warnings: list[str] = []
@@ -222,8 +229,7 @@ def apply_clustering_rus(
     flagged union without minority instances undersamples to empty, which
     is reported as a warning and leaves that group without a model.
     """
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
+    _check_sampler_args(spread=spread)
     assign = partition.model.assign(d.values)
     flagged_mask = np.array(partition.flagged, dtype=bool)[assign]
     low_idx = np.flatnonzero(~flagged_mask)

@@ -26,15 +26,14 @@ in the order, that scoring the node alone would sum.  The first maximum
 over a node's candidates, in attribute order, is its split.  Attribute
 ranking in `feature_selection` is the one-node case.
 
-`fit_trees` grows a set of trees together, one scoring call per step over
-the open nodes of every tree that are ready; trees of more than
+`fit_trees` grows a set of trees together, a depth level per step: one
+scoring call takes the open nodes of every tree.  Trees of more than
 _GROUP_ROWS training rows in all grow in groups, which bounds the memory
-their open nodes hold.  A tree without a random subspace draws nothing,
-so all its open nodes are ready and it grows one depth level per step.
-A random-subspace tree draws each node's attributes in pre-order, so only
-the node on top of its stack is ready.  `fit_tree` grows one tree;
-bagging, random forests and random committees grow their members
-together, each member a row map into the same columns.
+their open nodes hold.  A random-subspace tree draws each node's
+attributes from its one generator in level order (breadth first,
+children in child order).  `fit_tree` grows one tree; bagging, random
+forests and random committees grow their members together, each member
+a row map into the same columns.
 
 A tree is its node list in pre-order, as its model file holds it (see
 `crus.modelfile`): each split is followed by its children's subtrees.  A
@@ -452,14 +451,15 @@ def _gain_ratios(
 
 class _Tree:
     """A tree being grown: its nodes so far, each one's children, and the
-    open nodes (with weight in both classes) whose split is not searched yet."""
+    open nodes (with weight in both classes) whose split is not searched
+    yet, in level order."""
 
     def __init__(self, labels: np.ndarray, idx: np.ndarray, w: np.ndarray, cfg: TreeConfig) -> None:
         self.labels, self.cfg = labels, cfg
         self.rng = None if cfg.random_subspace_size is None else np.random.default_rng(cfg.seed)
         self.nodes: list[TreeNode] = []
         self.children: list[list[int]] = []
-        self.open = self._add(idx, w)  # a stack: the node next in pre-order last
+        self.open = self._add(idx, w)
 
     def _add(self, idx: np.ndarray, w: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """Append the node of rows idx; [(its position, idx, w)] if it is open, else []."""
@@ -468,15 +468,6 @@ class _Tree:
         self.nodes.append(node)
         self.children.append([])
         return [(len(self.nodes) - 1, idx, w)] if node.class_weights.all() else []
-
-    def ready(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """The open nodes whose split can be searched now: all of them
-        (the next depth level), or with a random subspace the next one in
-        pre-order, since the subspaces are drawn in that order."""
-        if self.rng is None:
-            ready, self.open = self.open, []
-            return ready
-        return [self.open.pop()] if self.open else []
 
     def candidates(self, n_attrs: int) -> np.ndarray:
         if self.rng is None:
@@ -495,12 +486,10 @@ class _Tree:
             node.fallback = int(np.argmax(w_tot))
         # rows of a category without weight at this node reach no child
         to = node.child_index(vals, unseen=-1)
-        opened = []
         for k in range(node.n_children):
             m = to == k
             self.children[i].append(len(self.nodes))
-            opened += self._add(idx[m], w[m])
-        self.open += reversed(opened)  # the first child on top
+            self.open += self._add(idx[m], w[m])
 
     def preorder(self) -> list[TreeNode]:
         nodes, stack = [], [0]  # the position of each subtree to come, the next one's last
@@ -540,17 +529,16 @@ def fit_trees(d: Dataset, members: Iterable[tuple[np.ndarray, np.ndarray, TreeCo
 
 
 def _grow(d: Dataset, columns: _Columns, grown: list[_Tree]) -> list[DecisionTree]:
-    """Grow the trees, each step scoring the open nodes that are ready in
-    all of them with one call, then prune them as configured."""
+    """Grow the trees, each step scoring the open nodes of all of them with
+    one call, then prune them as configured."""
     numeric = d.schema.numeric_mask()
     n_attrs = d.schema.n_attributes
-    while True:
-        ready = [(tree, node) for tree in grown for node in tree.ready()]
-        if not ready:
-            break
-        batch = [(tree.candidates(n_attrs), idx, w, tree.cfg.min_leaf_weight) for tree, (_, idx, w) in ready]
+    while level := [(tree, node) for tree in grown for node in tree.open]:
+        for tree in grown:
+            tree.open = []
+        batch = [(tree.candidates(n_attrs), idx, w, tree.cfg.min_leaf_weight) for tree, (_, idx, w) in level]
         scores = _gain_ratios(d, columns, batch)
-        for (tree, (i, idx, w)), (attrs, *_), (ratios, thresholds) in zip(ready, batch, scores):
+        for (tree, (i, idx, w)), (attrs, *_), (ratios, thresholds) in zip(level, batch, scores):
             best = int(np.argmax(ratios))  # first max: lowest attribute on ties
             if ratios[best] == -np.inf:
                 continue

@@ -331,10 +331,23 @@ def test_run_bad_grid_entry_names_the_cell(tmp_path, runner):
             {"method": "clustering_rus", "threshold": float("-inf")},
             "'threshold' must be finite, got -inf",
         ),
+        ("samplers", {"method": "rus", "spread": -1}, "spread must be positive, got -1"),
+        ("samplers", {"method": "smote", "percentage": -5}, "percentage must be nonnegative, got -5"),
+        ("samplers", {"method": "smote", "k_neighbors": 0}, "k_neighbors must be at least 1, got 0"),
+        ("samplers", {"method": "clustering_rus", "threshold": 10, "cluster_k": 0}, "cluster_k must be at least 1, got 0"),
+        ("samplers", {"method": "clustering_rus", "threshold": -1}, "threshold must be positive, got -1"),
+        (
+            "samplers",
+            {"method": "clustering_rus", "reduction_fraction": 5},
+            "reduction_fraction must be within [0, 1], got 5",
+        ),
+        ("classifiers", {"method": "bagging", "n_members": 0}, "n_members must be at least 1, got 0"),
     ],
     ids=["min_leaf_weight", "n_members", "confidence_factor", "confidence_range", "use_pruning", "spread", "policy",
          "nan-min_leaf_weight", "nan-confidence_factor", "nan-spread", "nan-percentage", "nan-threshold",
-         "nan-reduction_fraction", "inf-min_leaf_weight", "inf-spread", "inf-percentage", "inf-threshold"],
+         "nan-reduction_fraction", "inf-min_leaf_weight", "inf-spread", "inf-percentage", "inf-threshold",
+         "range-spread", "range-percentage", "range-k_neighbors", "range-cluster_k", "range-threshold",
+         "range-reduction_fraction", "range-n_members"],
 )
 def test_run_wrongly_typed_grid_value_rejected_at_load(tmp_path, runner, key, entry, message):
     write_dataset(tmp_path)
@@ -376,8 +389,11 @@ def test_run_beta_must_be_positive_and_finite(tmp_path, runner, beta, message):
         ({"blob_irs": [2.0, float("nan")]}, "'blob_irs' must be a list of numbers, got [2.0, nan]"),
         ({"noise": float("inf")}, "'noise' must be finite, got inf"),
         ({"blob_spacing": float("-inf")}, "'blob_spacing' must be finite, got -inf"),
+        ({"blob_irs": [2, float("inf")]}, "'blob_irs' must be finite and at least 1, got [2, inf]"),
+        ({"blob_irs": [0.5, 2]}, "'blob_irs' must be finite and at least 1, got [0.5, 2]"),
     ],
-    ids=["n_numeric", "blob_sizes", "noise", "nan-category_bias", "nan-blob_irs", "inf-noise", "inf-blob_spacing"],
+    ids=["n_numeric", "blob_sizes", "noise", "nan-category_bias", "nan-blob_irs", "inf-noise", "inf-blob_spacing",
+         "inf-blob_irs", "range-blob_irs"],
 )
 def test_gen_synth_wrongly_typed_config_value_rejected(tmp_path, runner, doc, message):
     gen = tmp_path / "gen.yaml"

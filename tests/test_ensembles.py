@@ -318,6 +318,37 @@ def test_ensemble_growth_stays_within_its_memory_bounds(monkeypatch):
     assert max(groups + numeric_cells)[0] > 1 and max(nominal_cells)[0] > 1
 
 
+def node_depths(tree):
+    """The depth of each node of tree.nodes, in list order."""
+    depths, stack = [], [0]  # the depth of each subtree to come, the next one's last
+    for node in tree.nodes:
+        depths.append(stack.pop())
+        stack.extend([depths[-1] + 1] * node.n_children)
+    return depths
+
+
+@pytest.mark.parametrize("fit", [fit_random_committee, fit_random_forest])
+def test_random_subspace_members_grow_one_level_per_scoring_call(monkeypatch, fit):
+    # subspaces are drawn in level order, so one call scores every open
+    # node of a depth level, over all members of the group
+    batches = []
+    gain_ratios = trees._gain_ratios
+
+    def count(d, columns, batch):
+        batches.append(len(batch))
+        return gain_ratios(d, columns, batch)
+
+    monkeypatch.setattr(trees, "_gain_ratios", count)
+    d = lockstep_case("tied-and-constant", np.random.default_rng(3), n=200)
+    assert 8 * len(d) <= trees._GROUP_ROWS  # one group
+    model = fit(d, EnsembleConfig(n_members=8, seed=5))
+    nodes = [(node, depth) for tree in model.members for node, depth in zip(tree.nodes, node_depths(tree))]
+    open_depths = [depth for node, depth in nodes if node.class_weights.all()]
+    assert sum(batches) == len(open_depths)
+    assert len(batches) == len(set(open_depths)) <= max(depth for _, depth in nodes) + 1
+    assert len(batches) < len(open_depths)
+
+
 def test_committee_mean_probability_fixture():
     members = [leaf_tree(SCHEMA_1D, 1.0, 9.0), leaf_tree(SCHEMA_1D, 8.0, 2.0)]
     model = EnsembleModel("random_committee", members, np.ones(2), "average", 0)

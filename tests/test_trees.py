@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,8 +300,8 @@ def test_default_subspace_size():
         default_subspace_size(0)
 
 
-# Reference split search: the per-attribute scorer, recursive grower and
-# recursive pruner that numeric blocks and list passes replaced.  They
+# Reference split search: the per-attribute scorer, breadth-first grower
+# and recursive pruner that numeric blocks and list passes replaced.  They
 # build a nested (node, child subtrees) form and flatten it in pre-order.
 # The block scorer must reproduce their trees bit for bit.
 
@@ -382,31 +383,37 @@ class _ReferenceGrower:
         return np.sort(self.rng.choice(n_attrs, size=size, replace=False))
 
     def grow(self, idx, w):
-        """The tree as (node, list of child subtrees)."""
-        y = self.d.labels[idx]
-        cw = np.array([w[y == 0].sum(), w[y == 1].sum()])
-        node, children = TreeNode(class_weights=cw), []
-        if cw[0] == 0 or cw[1] == 0:
-            return node, children
-        best = self._best_split(idx, w)
-        if best is None:
-            return node, children
-        attr, threshold = best
-        vals = self.d.values[idx, attr]
-        node.attribute = attr
-        if threshold is not None:
-            node.threshold = threshold
-            mask = vals <= threshold
-            children += [self.grow(idx[mask], w[mask]), self.grow(idx[~mask], w[~mask])]
-        else:
-            cats = vals.astype(np.int64)
-            w_tot = np.bincount(cats, weights=w)
-            for cat in np.flatnonzero(w_tot > 0):
-                mask = cats == cat
-                node.categories += (int(cat),)
-                children.append(self.grow(idx[mask], w[mask]))
-            node.fallback = int(np.argmax(w_tot))
-        return node, children
+        """The tree as (node, list of child subtrees), grown breadth first,
+        children in child order, so random subspaces are drawn in level order."""
+        root = []
+        queue = deque([(root, idx, w)])  # (the list the node joins, its rows, their weights)
+        while queue:
+            siblings, idx, w = queue.popleft()
+            y = self.d.labels[idx]
+            cw = np.array([w[y == 0].sum(), w[y == 1].sum()])
+            node, children = TreeNode(class_weights=cw), []
+            siblings.append((node, children))
+            if cw[0] == 0 or cw[1] == 0:
+                continue
+            best = self._best_split(idx, w)
+            if best is None:
+                continue
+            attr, threshold = best
+            vals = self.d.values[idx, attr]
+            node.attribute = attr
+            if threshold is not None:
+                node.threshold = threshold
+                mask = vals <= threshold
+                queue += [(children, idx[mask], w[mask]), (children, idx[~mask], w[~mask])]
+            else:
+                cats = vals.astype(np.int64)
+                w_tot = np.bincount(cats, weights=w)
+                for cat in np.flatnonzero(w_tot > 0):
+                    mask = cats == cat
+                    node.categories += (int(cat),)
+                    queue.append((children, idx[mask], w[mask]))
+                node.fallback = int(np.argmax(w_tot))
+        return root[0]
 
     def _best_split(self, idx, w):
         y = self.d.labels[idx]
