@@ -4,9 +4,11 @@ Subcommands:
 
 * ``run``: evaluate a grid of (sampler, classifier) cells on one dataset
   with shared stratified folds and write a fixed set of report files.
-  The work runs as one task per (sampler, fold), plus one refit task per
-  sampler under ``--save-models``; a task resamples its training set once
-  and every classifier of the sampler trains on that resampled set.
+  The work runs as tasks that each cover one sampler's folds, or a chunk
+  of them, plus one refit task per sampler under ``--save-models``.  A
+  task resamples each of its training sets once, every classifier of the
+  sampler trains on that resampled set, and all the trees of the task grow
+  in one lockstep.
 * ``gen-synth``: write a synthetic imbalanced dataset (CSV plus schema).
 * ``featsel``: emit a gain-ratio ranking and a CFS subset report.
 * ``rules``: print the rule list of a saved tree or ensemble model.
@@ -51,11 +53,12 @@ from .evaluation import (
     SamplerSpec,
     SyntheticConfig,
     _is_a,
+    _number_hint,
     _outcome,
     cv_result,
     fit_pipelines,
     gen_synthetic,
-    run_fold,
+    run_folds,
 )
 from .feature_selection import cfs_best_first, gain_ratio_rank
 from .metrics import METRIC_COLUMNS, MetricsReport
@@ -115,7 +118,8 @@ def _as_number(doc: dict, key: str, default: int | float, where: str) -> int | f
     v = doc.get(key, default)
     kind, what = (numbers.Integral, "an integer") if isinstance(default, int) else (numbers.Real, "a number")
     if not _is_a(v, kind):
-        _fail(f"{where}: '{key}' must be {what}, got {v!r}")
+        hint = _number_hint(v) if kind is numbers.Real else ""
+        _fail(f"{where}: '{key}' must be {what}, got {v!r}{hint}")
     return v if kind is numbers.Integral else float(v)
 
 
@@ -358,16 +362,25 @@ def _save_cell_models(d: Dataset, sampler_name: str, sampler: SamplerSpec,
     ]
 
 
-def _run_task(d: Dataset, split: FoldSplit, cfg: RunConfig, task: tuple[int, int | None]) -> list:
-    """Run one task, (sampler index, fold), with fold None for the refit.
+def _run_task(d: Dataset, split: FoldSplit, cfg: RunConfig, task: tuple[int, tuple[int, ...] | None]) -> list:
+    """Run one task, (sampler index, folds), with folds None for the refit.
 
-    Returns one entry per classifier: see run_fold and _save_cell_models.
+    Returns one entry per classifier for the refit (see _save_cell_models),
+    else one list of entries per fold (see run_folds).
     """
-    s, fold = task
+    s, folds = task
     s_name, sampler = cfg.samplers[s]
-    if fold is None:
+    if folds is None:
         return _save_cell_models(d, s_name, sampler, cfg.classifiers, cfg.seed)
-    return run_fold(d, split, fold, [spec for _, spec in cfg.classifiers], sampler, cfg.seed, cfg.beta)
+    return run_folds(d, split, folds, [spec for _, spec in cfg.classifiers], sampler, cfg.seed, cfg.beta)
+
+
+def _fold_chunks(k_folds: int, n_samplers: int, workers: int) -> list[tuple[int, ...]]:
+    """One sampler's folds in min(k_folds, ceil(workers / n_samplers))
+    chunks of consecutive folds, so that the samplers' chunks fill the
+    workers; one chunk when there are at least as many samplers."""
+    n = min(k_folds, -(-workers // n_samplers))
+    return [tuple(range(c * k_folds // n, (c + 1) * k_folds // n)) for c in range(n)]
 
 
 _worker_args: tuple = ()  # (dataset, split, config), set in each pool worker by _init_worker
@@ -378,7 +391,7 @@ def _init_worker(*args) -> None:
     _worker_args = args
 
 
-def _pool_task(task: tuple[int, int | None]) -> list:
+def _pool_task(task: tuple[int, tuple[int, ...] | None]) -> list:
     return _run_task(*_worker_args, task)
 
 
@@ -413,8 +426,8 @@ def main() -> None:
 @click.option("--seed", type=click.IntRange(min=0), default=None, help="Override the config seed.")
 @click.option("--alpha", type=float, default=None, help="Override the comparison alpha.")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes for the (sampler, fold) and refit tasks; every "
-                   "classifier of a sampler shares the sampler's resampled set.")
+              help="Worker processes for the tasks: each sampler's folds, split into "
+                   "chunks when there are fewer samplers than workers, and its refit.")
 @click.option("--save-models", is_flag=True,
               help="Also refit each cell on the full dataset and save the model files.")
 def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float | None,
@@ -432,14 +445,25 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
         split = stratified_kfold(d, cfg.k_folds, derive_seed(cfg.seed, "folds"))
     except (DataError, ValueError, OSError) as exc:
         _fail(f"cannot evaluate {cfg.dataset}: {exc}")
+    smallest = len(d) - int(np.bincount(split.fold_of).max())  # the smallest training split
+    for s_name, sampler in cfg.samplers:
+        if sampler.method == "clustering_rus" and sampler.cluster_k > smallest:
+            _fail(f"sampler '{s_name}': cluster_k {sampler.cluster_k} exceeds the {smallest} rows "
+                  f"of the smallest training split")
 
     cells = [(s_name, c_name) for s_name, _ in cfg.samplers for c_name, _ in cfg.classifiers]
     names = [f"{s}+{c}" for s, c in cells]
     # refits first: they train on the most rows, so a pool finishes sooner
     samplers = range(len(cfg.samplers))
+    chunks = _fold_chunks(cfg.k_folds, len(cfg.samplers), _worker_count(jobs, len(cfg.samplers) * cfg.k_folds))
     tasks = [(s, None) for s in samplers if save_models]
-    tasks += [(s, f) for s in samplers for f in range(cfg.k_folds)]
-    outcomes = dict(zip(tasks, _run_tasks(d, split, cfg, tasks, jobs)))
+    tasks += [(s, chunk) for s in samplers for chunk in chunks]
+    outcomes = {}  # (sampler, fold or None for the refit) -> its classifiers' entries
+    for (s, folds), outcome in zip(tasks, _run_tasks(d, split, cfg, tasks, jobs)):
+        if folds is None:
+            outcomes[s, None] = outcome
+        else:
+            outcomes.update(((s, f), runs) for f, runs in zip(folds, outcome))
 
     # cell i is (sampler s, classifier c) in grid order
     where = [divmod(i, len(cfg.classifiers)) for i in range(len(cells))]

@@ -1,17 +1,22 @@
 """Cross-validated evaluation of sampler/classifier pipelines.
 
-One pipeline fits every model: `fit_pipelines` resamples a training set
-once and fits one model per group for each classifier, so every classifier
-of a sampler trains on the same resampled set.  The plain samplers give
-the single group "n/a"; cluster-aware undersampling fits the cluster
+One pipeline fits every model: it resamples each training set once and
+fits one model per group for each classifier, so every classifier of a
+sampler trains on the same resampled set.  The plain samplers give the
+single group "n/a"; cluster-aware undersampling fits the cluster
 partition on the training set alone, undersamples the flagged group and
-routes instances by nearest centroid.  `run_fold` is the one fold step
-and `cv_result` assembles a cell's folds; `run_experiment` runs them for
-one cell.  Folds are created before any resampling and the pipeline sees
-only each training split, so synthetic or dropped instances never touch a
-test fold.  A fold's report is the test-count weighted average of its
-group reports.  The CLI runs `run_fold` per (sampler, fold), and its
-`--save-models` refit runs `fit_pipelines` on the full dataset.
+routes instances by nearest centroid.  The resampled sets are row maps
+into one task dataset, the data followed by every split's synthetic
+rows, and the trees of every (split, classifier, group) grow in one
+lockstep (`ensembles.fit_together`).  `run_folds` runs several folds of
+one sampler that way, `run_fold` is its one-fold case and `cv_result`
+assembles a cell's folds; `run_experiment` runs them for one cell.  Folds
+are created before any resampling and the pipeline sees only each
+training split, so synthetic or dropped instances never touch a test
+fold.  A fold's report is the test-count weighted average of its group
+reports.  The CLI runs `run_folds` per sampler or chunk of its folds, and
+its `--save-models` refit runs `fit_pipelines` (one split: the full
+dataset).
 
 Seed discipline: from one master seed, the fold split uses
 derive_seed(seed, "folds") and fold f uses derive_seed(seed, "sampler", f),
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -40,13 +45,19 @@ from .dataset import (
     imbalance_ratio,
     stratified_kfold,
 )
+from . import trees
 from .ensembles import (
+    DEFAULT_MEMBERS,
     EnsembleConfig,
     EnsembleModel,
-    fit_adaboost,
-    fit_bagging,
-    fit_random_committee,
-    fit_random_forest,
+    Requests,
+    adaboost_requests,
+    bagging_requests,
+    fit_alone,
+    fit_together,
+    random_committee_requests,
+    random_forest_requests,
+    tree_requests,
 )
 from .metrics import MetricsReport, combine_reports, compute_report
 from .resampling import (
@@ -61,7 +72,11 @@ from .resampling import (
     suggest_threshold,
 )
 from .seeds import derive_seed
-from .trees import DecisionTree, TreeConfig, fit_random_tree, fit_tree
+from .trees import DecisionTree, TreeConfig, random_tree_config
+
+# Not called here: the benchmark tracer (perfbench/tracer.py) patches these names.
+from .ensembles import fit_adaboost, fit_bagging, fit_random_committee, fit_random_forest  # noqa: F401
+from .trees import fit_tree  # noqa: F401
 
 CLASSIFIER_METHODS = (
     "tree",
@@ -79,6 +94,22 @@ def _is_a(v: object, kind: type) -> bool:
     return isinstance(v, kind) and not isinstance(v, bool) and v == v
 
 
+def _number_hint(v: object) -> str:
+    """For text that reads as a finite number, such as 1e300 (which YAML
+    reads as text, since its mantissa has no dot and its exponent no sign),
+    a hint giving the form YAML reads as a number; else ''."""
+    try:
+        x = float(v) if isinstance(v, str) else math.nan
+    except ValueError:
+        return ""
+    if not math.isfinite(x):
+        return ""
+    mantissa, e, exponent = repr(x).partition("e")
+    if "." not in mantissa:
+        mantissa += ".0"
+    return f"; YAML reads {v} as text: write it as {mantissa}{e}{exponent}"
+
+
 def _check_numbers(spec: object, reals: tuple[str, ...], integers: tuple[str, ...]) -> None:
     """Reject a field of spec that is not a number (an integer for `integers`),
     NaN included, or that is an infinite real.
@@ -92,7 +123,8 @@ def _check_numbers(spec: object, reals: tuple[str, ...], integers: tuple[str, ..
             if v is None and defaults[name] is None:
                 continue
             if not _is_a(v, kind):
-                raise ValueError(f"'{name}' must be {what}, got {v!r}")
+                hint = _number_hint(v) if kind is numbers.Real else ""
+                raise ValueError(f"'{name}' must be {what}, got {v!r}{hint}")
             if abs(v) == math.inf:  # not isfinite, which overflows on a huge integer
                 raise ValueError(f"'{name}' must be finite, got {v!r}")
 
@@ -156,15 +188,27 @@ class SamplerSpec:
                 raise ValueError("give either threshold or reduction_fraction, not both")
 
 
-def fit_classifier(train: Dataset, spec: ClassifierSpec, seed: int) -> DecisionTree | EnsembleModel:
+def classifier_requests(d: Dataset, idx: np.ndarray, spec: ClassifierSpec, seed: int) -> Requests:
+    """The request sequence of fit_classifier(d.subset(idx), spec, seed)."""
     base = replace(spec.tree_config, seed=seed)
     if spec.method == "tree":
-        return fit_tree(train, replace(base, random_subspace_size=None))
+        return tree_requests(idx, replace(base, random_subspace_size=None))
     if spec.method == "random_tree":
-        return fit_random_tree(train, seed, base)
-    fit = {"bagging": fit_bagging, "adaboost": fit_adaboost, "random_forest": fit_random_forest,
-           "random_committee": fit_random_committee}[spec.method]
-    return fit(train, EnsembleConfig(n_members=spec.n_members, base=base, seed=seed))
+        return tree_requests(idx, random_tree_config(seed, d.schema.n_attributes, base))
+    requests = {"bagging": bagging_requests, "adaboost": adaboost_requests, "random_forest": random_forest_requests,
+                "random_committee": random_committee_requests}[spec.method]
+    return requests(d, idx, EnsembleConfig(n_members=spec.n_members, base=base, seed=seed))
+
+
+def _first_request_trees(spec: ClassifierSpec) -> int:
+    """The trees a classifier's request sequence asks for first."""
+    if spec.method in ("tree", "random_tree", "adaboost"):
+        return 1
+    return spec.n_members if spec.n_members is not None else DEFAULT_MEMBERS[spec.method]
+
+
+def fit_classifier(train: Dataset, spec: ClassifierSpec, seed: int) -> DecisionTree | EnsembleModel:
+    return fit_alone(train, classifier_requests(train, np.arange(len(train)), spec, seed))
 
 
 def apply_sampler(train: Dataset, spec: SamplerSpec, seed: int) -> Dataset:
@@ -254,6 +298,120 @@ def _outcome(fit, *args):
         return exc
 
 
+def _resample(
+    d: Dataset, train_idx: np.ndarray, sampler: SamplerSpec, sampler_seed: int, cluster_seed: int, first_new: int
+) -> tuple[dict[str, np.ndarray], np.ndarray, ClusterPartition | None, tuple[str, ...]]:
+    """Resample the training rows train_idx of d.
+
+    Returns each group's training rows, the values of the synthetic rows
+    made here, the cluster partition (clustering_rus only) and the
+    warnings.  The rows index d followed by synthetic rows, of which those
+    made here start at first_new.
+    """
+    train = Dataset(d.schema, d.values[train_idx], d.labels[train_idx], train_idx)  # row ids: rows of d
+    partition, warnings = None, ()
+    if sampler.method == "clustering_rus":
+        threshold = sampler.threshold
+        if threshold is None:
+            threshold = suggest_threshold(imbalance_ratio(train), sampler.reduction_fraction)
+        partition = plan_cluster_partition(train, sampler.cluster_k, threshold, cluster_seed, sampler.policy)
+        grouped = apply_clustering_rus(train, partition, sampler.spread, sampler_seed)
+        group_sets = {LOW_GROUP: grouped.low_group, HIGH_GROUP: grouped.high_group}
+        warnings = partition.warnings + grouped.warnings
+    else:
+        group_sets = {PLAIN_GROUP: apply_sampler(train, sampler, sampler_seed)}
+    groups, new_rows = {}, []
+    for name, g in group_sets.items():
+        rows = g.row_ids.copy()
+        rows[g.synthetic] = first_new + np.arange(g.synthetic.sum())
+        groups[name] = rows
+        new_rows.append(g.values[g.synthetic])
+    return groups, np.concatenate(new_rows), partition, warnings
+
+
+def _fit_splits(
+    d: Dataset,
+    splits: Sequence[tuple[np.ndarray, tuple[int, int, int]]],
+    classifiers: Sequence[ClassifierSpec],
+    sampler: SamplerSpec,
+) -> Iterator[list[PipelineModel | ValueError] | ValueError]:
+    """Fit every classifier on each training split of d, the trees of
+    many splits growing in one lockstep; yield each split's entry in order.
+
+    Each split is (its rows of d, its sampler, cluster and classifier
+    seeds).  Every split is resampled first, into row maps of one task
+    dataset: d followed by every split's synthetic rows.  Then the splits
+    are fit in waves, each in one lockstep (`_fit_wave`).  Splits whose
+    first requests fill a growth group of trees._GROUP_ROWS rows gain
+    nothing from growing together but would hold all their models at once,
+    so a wave takes only as many splits as fill one group, one at least.
+    """
+    resampled: list = []  # per split: (groups, partition, warnings), or the error that stopped it
+    new_rows = []
+    n_rows = len(d)
+    for train_idx, (sampler_seed, cluster_seed, _) in splits:
+        try:
+            groups, new, partition, warnings = _resample(d, train_idx, sampler, sampler_seed, cluster_seed, n_rows)
+        except ValueError as exc:
+            resampled.append(exc)
+            continue
+        resampled.append((groups, partition, warnings))
+        new_rows.append(new)
+        n_rows += len(new)
+    n_new = n_rows - len(d)
+    task = d if n_new == 0 else Dataset(
+        d.schema, np.vstack([d.values, *new_rows]), np.concatenate([d.labels, np.ones(n_new, dtype=np.int8)]),
+        np.concatenate([d.row_ids, -1 - np.arange(n_new, dtype=np.int64)]),
+    )
+    del new_rows  # the task dataset holds them now
+    first_rows = max(len(idx) for idx, _ in splits) * sum(_first_request_trees(c) for c in classifiers)
+    wave = max(1, trees._GROUP_ROWS // max(1, first_rows))
+    for lo in range(0, len(splits), wave):
+        seeds = [classifier_seed for _, (*_, classifier_seed) in splits[lo:lo + wave]]
+        yield from _fit_wave(task, resampled[lo:lo + wave], seeds, classifiers)
+
+
+def _fit_wave(
+    task: Dataset, resampled: list, classifier_seeds: list[int], classifiers: Sequence[ClassifierSpec]
+) -> list[list[PipelineModel | ValueError] | ValueError]:
+    """Fit every classifier on each resampled split, every (split,
+    classifier, group) fit running in one `fit_together`.
+
+    A split's entry is the DataError or ValueError that stopped its
+    resampling, or one entry per classifier: its pipeline, or the first
+    error of its group fits.
+    """
+    models: dict = {}  # (split, classifier, group) -> its model, or the error that stopped it
+    fits: dict = {}  # the same keys -> the request sequences still to run
+    for j, (r, seed) in enumerate(zip(resampled, classifier_seeds)):
+        if isinstance(r, ValueError):
+            continue
+        for c, spec in enumerate(classifiers):
+            for name, rows in r[0].items():
+                if rows.size:
+                    fit = _outcome(classifier_requests, task, rows, spec, seed)
+                    (models if isinstance(fit, ValueError) else fits)[j, c, name] = fit
+    models.update(zip(fits, fit_together(task, list(fits.values()))))
+
+    out: list = []
+    for j, r in enumerate(resampled):
+        if isinstance(r, ValueError):
+            out.append(r)
+            continue
+        groups, partition, warnings = r
+        ids = {name: task.row_ids[rows] for name, rows in groups.items() if rows.size}
+        pipes: list = []
+        for c in range(len(classifiers)):
+            fitted = {name: models[j, c, name] for name in ids}
+            error = next((m for m in fitted.values() if isinstance(m, ValueError)), None)
+            pipes.append(error if error is not None else PipelineModel(
+                {name: GroupModel(m, ids[name][ids[name] >= 0], int((ids[name] < 0).sum())) for name, m in fitted.items()},
+                warnings, partition,
+            ))
+        out.append(pipes)
+    return out
+
+
 def fit_pipelines(
     train: Dataset,
     classifiers: Sequence[ClassifierSpec],
@@ -272,31 +430,11 @@ def fit_pipelines(
     one classifier is returned in its place; one raised while resampling
     concerns every classifier and propagates.
     """
-    partition, warnings = None, ()
-    if sampler.method == "clustering_rus":
-        threshold = sampler.threshold
-        if threshold is None:
-            threshold = suggest_threshold(imbalance_ratio(train), sampler.reduction_fraction)
-        partition = plan_cluster_partition(train, sampler.cluster_k, threshold, cluster_seed, sampler.policy)
-        grouped = apply_clustering_rus(train, partition, sampler.spread, sampler_seed)
-        group_sets = {LOW_GROUP: grouped.low_group, HIGH_GROUP: grouped.high_group}
-        warnings = partition.warnings + grouped.warnings
-    else:
-        group_sets = {PLAIN_GROUP: apply_sampler(train, sampler, sampler_seed)}
-
-    def fit(classifier: ClassifierSpec) -> PipelineModel:
-        groups = {
-            name: GroupModel(
-                fit_classifier(g, classifier, classifier_seed),
-                g.row_ids[g.row_ids >= 0],
-                int(g.synthetic.sum()),
-            )
-            for name, g in group_sets.items()
-            if len(g) > 0
-        }
-        return PipelineModel(groups, warnings, partition)
-
-    return [_outcome(fit, c) for c in classifiers]
+    (pipes,) = _fit_splits(train, [(np.arange(len(train)), (sampler_seed, cluster_seed, classifier_seed))],
+                           classifiers, sampler)
+    if isinstance(pipes, ValueError):
+        raise pipes
+    return pipes
 
 
 @dataclass(frozen=True)
@@ -339,6 +477,39 @@ def _score_fold(d: Dataset, test_idx: np.ndarray, f: int, pipe: PipelineModel, b
     return FoldRun(tuple(parts), report, tuple(warnings))
 
 
+def run_folds(
+    d: Dataset,
+    split: FoldSplit,
+    folds: Sequence[int],
+    classifiers: Sequence[ClassifierSpec],
+    sampler: SamplerSpec,
+    seed: int = 0,
+    beta: float = 1.0,
+) -> list[list[FoldRun | ValueError]]:
+    """The given folds of every classifier of one sampler: resample each
+    fold's training split once, fit each classifier on it, the folds'
+    trees growing in lockstep (see _fit_splits), and score it on the test
+    split.
+
+    Returns one list per fold with one entry per classifier: its FoldRun,
+    or the DataError or ValueError that stopped it.  A failure while
+    resampling a fold is every classifier's entry of that fold.  Each
+    entry equals the one the fold gives alone.
+    """
+    seeds = [tuple(derive_seed(seed, step, f) for step in ("sampler", "cluster", "classifier")) for f in folds]
+    fitted = _fit_splits(d, [(split.train_indices(f), s) for f, s in zip(folds, seeds)], classifiers, sampler)
+    out = []
+    for f in folds:
+        pipes = next(fitted)
+        if isinstance(pipes, ValueError):
+            out.append([pipes] * len(classifiers))
+        else:
+            test_idx = split.test_indices(f)
+            out.append([p if isinstance(p, ValueError) else _outcome(_score_fold, d, test_idx, f, p, beta) for p in pipes])
+        del pipes  # no fold's models outlive its scoring while the next wave grows
+    return out
+
+
 def run_fold(
     d: Dataset,
     split: FoldSplit,
@@ -348,20 +519,8 @@ def run_fold(
     seed: int = 0,
     beta: float = 1.0,
 ) -> list[FoldRun | ValueError]:
-    """Fold f of every classifier of one sampler: resample the training split
-    once, fit each classifier on it and score it on the test split.
-
-    Returns one entry per classifier: its FoldRun, or the DataError or
-    ValueError that stopped it.  A failure while resampling is every
-    classifier's entry.
-    """
-    seeds = (derive_seed(seed, step, f) for step in ("sampler", "cluster", "classifier"))
-    try:
-        pipes = fit_pipelines(d.subset(split.train_indices(f)), classifiers, sampler, *seeds)
-    except ValueError as exc:
-        return [exc] * len(classifiers)
-    test_idx = split.test_indices(f)
-    return [p if isinstance(p, ValueError) else _outcome(_score_fold, d, test_idx, f, p, beta) for p in pipes]
+    """Fold f of every classifier of one sampler: run_folds for one fold."""
+    return run_folds(d, split, [f], classifiers, sampler, seed, beta)[0]
 
 
 def cv_result(runs: Sequence[FoldRun], beta: float = 1.0) -> CvResult:
@@ -392,12 +551,10 @@ def run_experiment(
     by their test counts.  The first fold's failure is raised.
     """
     split = stratified_kfold(d, k, derive_seed(seed, "folds"))
-    runs: list[FoldRun] = []
-    for f in range(k):
-        (run,) = run_fold(d, split, f, [classifier], sampler, seed, beta)
+    runs = [run for (run,) in run_folds(d, split, range(k), [classifier], sampler, seed, beta)]
+    for run in runs:
         if isinstance(run, ValueError):
             raise run
-        runs.append(run)
     return cv_result(runs, beta)
 
 

@@ -33,7 +33,8 @@ their open nodes hold.  A random-subspace tree draws each node's
 attributes from its one generator in level order (breadth first,
 children in child order).  `fit_tree` grows one tree; bagging, random
 forests and random committees grow their members together, each member
-a row map into the same columns.
+a row map into the same columns, and `ensembles.fit_together` grows the
+trees of many fits together, on columns it builds once.
 
 A tree is its node list in pre-order, as its model file holds it (see
 `crus.modelfile`): each split is followed by its children's subtrees.  A
@@ -217,7 +218,7 @@ def _binary_entropy(w_pos: np.ndarray, w_tot: np.ndarray) -> np.ndarray:
 
 
 class _Columns:
-    """The sort codes of a dataset's values, one contiguous row per
+    """The sort codes of a dataset's values, one contiguous int32 row per
     attribute.  codes[a, i] is the position of value i of attribute a among
     the attribute's distinct values, ascending, plus the number of distinct
     values of the attributes before a; distinct[codes] gives the values
@@ -225,7 +226,7 @@ class _Columns:
     distinct holds NaN for it."""
 
     def __init__(self, d: Dataset) -> None:
-        self.codes = np.empty((d.schema.n_attributes, len(d)), dtype=np.int64)
+        self.codes = np.empty((d.schema.n_attributes, len(d)), dtype=np.int32)
         distinct = []
         offset = 0
         for a, col in enumerate(d.values.T):
@@ -264,7 +265,8 @@ def _numeric_block(
     before its row's pads.
     """
     width = C.shape[1]
-    flat = np.argsort(C * width + np.arange(width), axis=1)
+    # int64: a code times the width can exceed the int32 range of the codes
+    flat = np.argsort(np.multiply(C, width, dtype=np.int64) + np.arange(width), axis=1)
     flat += np.arange(0, C.size, width)[:, np.newaxis]
     v, src = distinct.take(C.take(flat)), src.take(flat)
     cum_w, cum_pos = w.take(src), w_pos.take(src)
@@ -505,15 +507,20 @@ class _Tree:
 _GROUP_ROWS = 2**16
 
 
-def fit_trees(d: Dataset, members: Iterable[tuple[np.ndarray, np.ndarray, TreeConfig]]) -> list[DecisionTree]:
+def fit_trees(
+    d: Dataset, members: Iterable[tuple[np.ndarray, np.ndarray, TreeConfig]], columns: _Columns | None = None
+) -> list[DecisionTree]:
     """One tree per (idx, w, cfg), in order.
 
     Each is the tree fit_tree(d.subset(idx), cfg, weights=w) grows: idx
     lists rows of d (repeats allowed) and w their weights.  Members are
     taken in turn, in groups of at most _GROUP_ROWS rows (one tree at
-    least), and the trees of a group grow together.
+    least), and the trees of a group grow together.  columns, when given,
+    is _Columns(d), which callers growing many sets of trees on d build
+    once.
     """
-    columns = _Columns(d)
+    if columns is None:
+        columns = _Columns(d)
     trees: list[DecisionTree] = []
     group: list[_Tree] = []
     rows = 0

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -9,7 +10,7 @@ import yaml
 from click.testing import CliRunner
 
 import crus.resampling as resampling
-from crus.cli import _worker_count, main
+from crus.cli import _fold_chunks, _worker_count, main
 from crus.dataset import (
     NOMINAL,
     NUMERIC,
@@ -201,14 +202,14 @@ def test_run_failure_names_cell_and_fold_at_any_jobs(tmp_path, runner):
 def test_run_failure_of_one_classifier_names_its_cell(tmp_path, runner, monkeypatch):
     import crus.evaluation as evaluation
 
-    real = evaluation.fit_classifier
+    real = evaluation.classifier_requests
 
-    def fit(train, spec, seed):
+    def requests(d, idx, spec, seed):
         if spec.method == "bagging":
             raise ValueError("bagging refused")
-        return real(train, spec, seed)
+        return real(d, idx, spec, seed)
 
-    monkeypatch.setattr(evaluation, "fit_classifier", fit)
+    monkeypatch.setattr(evaluation, "classifier_requests", requests)
     write_dataset(tmp_path)
     cfg = write_run_config(tmp_path)
     result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -242,6 +243,66 @@ def test_worker_count_is_capped_by_tasks_and_cores():
     assert _worker_count(1000, 24) == min(24, cores)
     assert _worker_count(1000, 1) == 1
     assert _worker_count(1, 24) == 1
+
+
+def test_fold_chunks_cover_every_fold_once():
+    for k_folds in (2, 3, 5, 10):
+        for n_samplers in (1, 2, 3, 4, 7):
+            for workers in (1, 2, 3, 4, 8, 16):
+                chunks = _fold_chunks(k_folds, n_samplers, workers)
+                assert len(chunks) == min(k_folds, math.ceil(workers / n_samplers))
+                assert all(chunks) and [f for chunk in chunks for f in chunk] == list(range(k_folds))
+
+
+def test_run_one_cell_grid_in_fold_chunks_is_byte_identical(tmp_path, runner, monkeypatch):
+    """A one-cell grid at --jobs 2 runs as several fold chunks, whose
+    reports and models equal those of the one-task run."""
+    import crus.cli as cli
+
+    chunkings = []
+    real = cli._fold_chunks
+
+    def chunks(*args):
+        chunkings.append(real(*args))
+        return chunkings[-1]
+
+    monkeypatch.setattr(cli, "_fold_chunks", chunks)
+    write_dataset(tmp_path)
+    cfg = write_run_config(
+        tmp_path,
+        samplers=[{"name": "crus", "method": "clustering_rus", "threshold": 3.0, "cluster_k": 2}],
+        classifiers=[{"name": "boost", "method": "adaboost", "n_members": 3}],
+    )
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out), "--jobs", jobs, "--save-models"])
+        assert result.exit_code == 0, result.output
+        outs.append(read_tree(out))
+    assert outs[0] == outs[1]
+    assert [len(c) for c in chunkings] == [1, min(2, len(os.sched_getaffinity(0)))]
+
+
+def test_run_refuses_cluster_k_above_the_smallest_training_split(tmp_path, runner, monkeypatch):
+    """Checked right after the fold split, before any fit: 26 rows in 3
+    folds leave 17 training rows in the smallest split."""
+    calls = []
+    monkeypatch.setattr(resampling, "kmeans_fit", lambda *args: calls.append(args))
+    write_dataset(tmp_path, SyntheticConfig(blob_sizes=(10, 16), blob_irs=(2.0, 3.0), seed=3))
+    cfg = write_run_config(
+        tmp_path,
+        samplers=[
+            {"name": "none", "method": "none"},
+            {"name": "crus", "method": "clustering_rus", "threshold": 10, "cluster_k": 30},
+        ],
+    )
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out), "--save-models"])
+    assert result.exit_code == 2
+    assert result.output.endswith(
+        "Error: sampler 'crus': cluster_k 30 exceeds the 17 rows of the smallest training split\n"
+    )
+    assert calls == [] and not out.exists()
 
 
 def test_run_missing_schema_fails_with_path(tmp_path, runner):
@@ -342,12 +403,17 @@ def test_run_bad_grid_entry_names_the_cell(tmp_path, runner):
             "reduction_fraction must be within [0, 1], got 5",
         ),
         ("classifiers", {"method": "bagging", "n_members": 0}, "n_members must be at least 1, got 0"),
+        (
+            "classifiers",
+            {"min_leaf_weight": "1e300"},
+            "'min_leaf_weight' must be a number, got '1e300'; YAML reads 1e300 as text: write it as 1.0e+300",
+        ),
     ],
     ids=["min_leaf_weight", "n_members", "confidence_factor", "confidence_range", "use_pruning", "spread", "policy",
          "nan-min_leaf_weight", "nan-confidence_factor", "nan-spread", "nan-percentage", "nan-threshold",
          "nan-reduction_fraction", "inf-min_leaf_weight", "inf-spread", "inf-percentage", "inf-threshold",
          "range-spread", "range-percentage", "range-k_neighbors", "range-cluster_k", "range-threshold",
-         "range-reduction_fraction", "range-n_members"],
+         "range-reduction_fraction", "range-n_members", "yaml-min_leaf_weight"],
 )
 def test_run_wrongly_typed_grid_value_rejected_at_load(tmp_path, runner, key, entry, message):
     write_dataset(tmp_path)
@@ -365,8 +431,9 @@ def test_run_wrongly_typed_grid_value_rejected_at_load(tmp_path, runner, key, en
         (-1.5, "'beta' must be positive and finite, got -1.5"),
         (float("inf"), "'beta' must be positive and finite, got inf"),
         (float("nan"), "'beta' must be a number, got nan"),
+        ("2e1", "'beta' must be a number, got '2e1'; YAML reads 2e1 as text: write it as 20.0"),
     ],
-    ids=["zero", "negative", "inf", "nan"],
+    ids=["zero", "negative", "inf", "nan", "yaml"],
 )
 def test_run_beta_must_be_positive_and_finite(tmp_path, runner, beta, message):
     # empty data files: the config is refused before any data is read

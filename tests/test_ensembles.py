@@ -14,11 +14,15 @@ from crus.ensembles import (
     EnsembleConfig,
     EnsembleModel,
     _bootstrap_indices,
+    adaboost_requests,
+    bagging_requests,
     fit_adaboost,
     fit_bagging,
     fit_random_committee,
     fit_random_forest,
+    fit_together,
     theoretical_ensemble_accuracy,
+    tree_requests,
 )
 from crus.modelfile import model_from_text, model_to_text
 from crus.seeds import derive_seed, rng_for
@@ -282,6 +286,28 @@ def test_members_grown_together_equal_members_grown_alone(monkeypatch, fit, meth
         model = fit(d, cfg)
         alone = members_one_by_one(d, method, cfg)
         assert [model_to_text(m) for m in model.members] == [model_to_text(m) for m in alone]
+
+
+def test_fit_together_keeps_a_failing_sequence_to_itself():
+    """A sequence that fails after its first round stops alone; the others,
+    AdaBoost's later rounds included, finish as they would alone."""
+    d = lockstep_case("tied-and-constant", np.random.default_rng(5))
+    rows = np.arange(10, len(d))
+    cfg = EnsembleConfig(n_members=4, base=TreeConfig(use_pruning=False, min_leaf_weight=1.0), seed=2)
+
+    def failing():
+        yield [(rows, np.ones(rows.size), TreeConfig())]
+        raise ValueError("round 2 refused")
+
+    boost, failed, bag, tree = fit_together(
+        d, [adaboost_requests(d, rows, cfg), failing(), bagging_requests(d, rows, cfg), tree_requests(rows, TreeConfig())]
+    )
+    assert isinstance(failed, ValueError) and str(failed) == "round 2 refused"
+    assert len(boost.epsilons) > 2
+    sub = d.subset(rows)
+    assert model_to_text(boost) == model_to_text(fit_adaboost(sub, cfg))
+    assert model_to_text(bag) == model_to_text(fit_bagging(sub, cfg))
+    assert model_to_text(tree) == model_to_text(fit_tree(sub, TreeConfig()))
 
 
 def test_ensemble_growth_stays_within_its_memory_bounds(monkeypatch):

@@ -1,18 +1,30 @@
 from __future__ import annotations
 
+import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema, imbalance_ratio, stratified_kfold
+from crus.dataset import (
+    NOMINAL,
+    NUMERIC,
+    AttributeSpec,
+    DataError,
+    Dataset,
+    DatasetSchema,
+    imbalance_ratio,
+    stratified_kfold,
+)
 from crus.clustering import kmeans_fit
 from crus.evaluation import (
     ClassifierSpec,
     SamplerSpec,
     SyntheticConfig,
+    _fit_splits,
     apply_sampler,
     fit_classifier,
     fit_pipelines,
@@ -21,9 +33,12 @@ from crus.evaluation import (
     run_cv_clustered,
     run_experiment,
     run_fold,
+    run_folds,
 )
 from crus.metrics import combine_reports, compute_report
 from crus.modelfile import model_to_text
+from crus.seeds import derive_seed
+from crus.trees import DecisionTree
 
 
 def constant_attribute_dataset(n_pos=10, n_neg=90):
@@ -343,14 +358,14 @@ def test_fit_pipelines_equals_one_fit_pipeline_per_classifier(sampler):
 def test_fit_pipelines_returns_a_classifier_failure_in_its_place(monkeypatch):
     import crus.evaluation as evaluation
 
-    real = evaluation.fit_classifier
+    real = evaluation.classifier_requests
 
-    def fit(train, spec, seed):
+    def requests(d, idx, spec, seed):
         if spec.method == "bagging":
             raise ValueError("bagging refused")
-        return real(train, spec, seed)
+        return real(d, idx, spec, seed)
 
-    monkeypatch.setattr(evaluation, "fit_classifier", fit)
+    monkeypatch.setattr(evaluation, "classifier_requests", requests)
     d = small_imbalanced_dataset(np.random.default_rng(10))
     classifiers = [ClassifierSpec("tree"), ClassifierSpec("bagging", n_members=3), ClassifierSpec("tree")]
     tree, bag, tree_again = fit_pipelines(d, classifiers, SamplerSpec("rus"), 1, 2, 3)
@@ -358,6 +373,167 @@ def test_fit_pipelines_returns_a_classifier_failure_in_its_place(monkeypatch):
     assert model_to_text(tree.groups["n/a"].model) == model_to_text(tree_again.groups["n/a"].model)
     (alone,) = fit_pipelines(d, classifiers[1:2], SamplerSpec("rus"), 1, 2, 3)
     assert isinstance(alone, ValueError) and str(alone) == "bagging refused"
+
+
+def conflicting_pair_dataset(seed=0):
+    """Attributes an unpruned tree separates, plus one pair of identical
+    rows with different labels: AdaBoost stops after a perfect first round
+    in a fold that trains on one row of the pair, and goes on in a fold
+    that trains on both."""
+    rng = np.random.default_rng(seed)
+    schema = DatasetSchema(
+        (AttributeSpec("x0", NUMERIC), AttributeSpec("x1", NUMERIC), AttributeSpec("c", NOMINAL, ("a", "b", "c"))),
+        "y", "neg", "pos",
+    )
+    values = np.column_stack([rng.normal(size=90), rng.normal(size=90), rng.integers(0, 3, 90)])
+    labels = (values[:, 0] + 0.5 * values[:, 2] + rng.normal(0, 0.3, 90) > 1.2).astype(np.int8)
+    return Dataset(schema, np.vstack([values, values[:1], values[:1]]), np.append(labels, [1, 0]))
+
+
+# every classifier kind; unpruned AdaBoost stops early in some folds of conflicting_pair_dataset
+EVERY_CLASSIFIER = [
+    ClassifierSpec("tree"),
+    ClassifierSpec("random_tree"),
+    ClassifierSpec("bagging", n_members=3),
+    ClassifierSpec("adaboost", n_members=4, use_pruning=False, min_leaf_weight=1.0),
+    ClassifierSpec("random_forest", n_members=3),
+    ClassifierSpec("random_committee", n_members=2),
+]
+
+
+def fold_seeds(seed, f):
+    return tuple(derive_seed(seed, step, f) for step in ("sampler", "cluster", "classifier"))
+
+
+def assert_same_run(a, b):
+    """Two run_fold entries are equal: the same error, or equal FoldRuns."""
+    if isinstance(a, ValueError) or isinstance(b, ValueError):
+        assert (type(a), str(a)) == (type(b), str(b))
+        return
+    assert repr(a.report) == repr(b.report) and a.warnings == b.warnings
+    assert len(a.parts) == len(b.parts)
+    for p, q in zip(a.parts, b.parts):
+        assert (p.fold, p.group, p.n_synthetic_train, repr(p.report)) == (q.fold, q.group, q.n_synthetic_train, repr(q.report))
+        for field in ("truth", "predicted", "scores", "test_indices", "train_indices"):
+            assert np.array_equal(getattr(p, field), getattr(q, field)), field
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        SamplerSpec("none"),
+        SamplerSpec("rus", spread=2.0),
+        SamplerSpec("smote", percentage=100.0, k_neighbors=3),
+        SamplerSpec("clustering_rus", threshold=2.0, cluster_k=2, spread=1.0),
+    ],
+    ids=lambda s: s.method,
+)
+def test_run_folds_equals_run_fold_fold_by_fold(sampler):
+    """Growing every fold's trees in one lockstep changes no model and no
+    fold result, AdaBoost included where it stops at different rounds."""
+    d = conflicting_pair_dataset()
+    split = stratified_kfold(d, 5, derive_seed(3, "folds"))
+    together = run_folds(d, split, range(5), EVERY_CLASSIFIER, sampler, seed=3)
+    assert len(together) == 5
+    for f, runs in enumerate(together):
+        for run, alone in zip(runs, run_fold(d, split, f, EVERY_CLASSIFIER, sampler, seed=3), strict=True):
+            assert not isinstance(run, ValueError), run
+            assert_same_run(run, alone)
+
+    splits = [(split.train_indices(f), fold_seeds(3, f)) for f in range(5)]
+    rounds = set()
+    for f, pipes in enumerate(_fit_splits(d, splits, EVERY_CLASSIFIER, sampler)):
+        alone = fit_pipelines(d.subset(split.train_indices(f)), EVERY_CLASSIFIER, sampler, *fold_seeds(3, f))
+        for spec, pipe, other in zip(EVERY_CLASSIFIER, pipes, alone, strict=True):
+            assert list(pipe.groups) == list(other.groups) and pipe.warnings == other.warnings
+            for name, group in pipe.groups.items():
+                assert model_to_text(group.model) == model_to_text(other.groups[name].model)
+                assert np.array_equal(group.train_ids, other.groups[name].train_ids)
+                assert group.n_synthetic == other.groups[name].n_synthetic
+                if spec.method == "adaboost":
+                    rounds.add(len(group.model.epsilons))
+    assert len(rounds) > 1
+
+
+def test_run_folds_keeps_each_failure_in_its_own_entry(monkeypatch):
+    import crus.evaluation as evaluation
+
+    d = conflicting_pair_dataset()
+    split = stratified_kfold(d, 5, derive_seed(3, "folds"))
+    classifiers = [ClassifierSpec("tree"), ClassifierSpec("bagging", n_members=3), EVERY_CLASSIFIER[3]]
+    sampler = SamplerSpec("rus", spread=2.0)
+    expected = run_folds(d, split, range(5), classifiers, sampler, seed=3)
+    real_requests, real_sampler = evaluation.classifier_requests, evaluation.apply_sampler
+    bagging_fold, failing_fold = 1, 3
+
+    def requests(d, idx, spec, seed):
+        if spec.method == "bagging" and seed == fold_seeds(3, bagging_fold)[2]:
+            raise ValueError("bagging refused")
+        return real_requests(d, idx, spec, seed)
+
+    def apply_sampler(train, spec, seed):
+        if seed == fold_seeds(3, failing_fold)[0]:
+            raise DataError("fold refused")
+        return real_sampler(train, spec, seed)
+
+    monkeypatch.setattr(evaluation, "classifier_requests", requests)
+    monkeypatch.setattr(evaluation, "apply_sampler", apply_sampler)
+    for f, (runs, want) in enumerate(zip(run_folds(d, split, range(5), classifiers, sampler, seed=3), expected)):
+        for c, (run, ref) in enumerate(zip(runs, want, strict=True)):
+            if f == failing_fold:
+                assert isinstance(run, DataError) and str(run) == "fold refused"
+            elif (f, c) == (bagging_fold, 1):
+                assert isinstance(run, ValueError) and str(run) == "bagging refused"
+            else:
+                assert_same_run(run, ref)
+
+
+@pytest.mark.parametrize("wave", [5, 2, 1])
+def test_one_sampler_task_grows_each_request_round_with_one_call(monkeypatch, wave):
+    """The folds of a wave grow their trees, forest members and AdaBoost
+    round r in one fit_trees call, so a wave makes as many calls as its
+    folds' most AdaBoost rounds.  A wave holds as many folds as fill one
+    growth group of trees._GROUP_ROWS rows with their first requests."""
+    import crus.ensembles as ensembles
+    from crus import trees
+
+    d = conflicting_pair_dataset()
+    split = stratified_kfold(d, 5, derive_seed(3, "folds"))
+    classifiers = [ClassifierSpec("tree"), ClassifierSpec("random_forest", n_members=3), EVERY_CLASSIFIER[3]]
+    first_rows = max(split.train_indices(f).size for f in range(5)) * (1 + 3 + 1)
+    monkeypatch.setattr(trees, "_GROUP_ROWS", wave * first_rows)
+    grown = []  # a weak reference to every tree grown here
+
+    class Tracked(DecisionTree):
+        def __init__(self, *args):
+            super().__init__(*args)
+            grown.append(weakref.ref(self))
+
+    live = []  # the trees alive at each fit_trees call
+    real = ensembles.fit_trees
+
+    def fit_trees(*args):
+        live.append(sum(ref() is not None for ref in grown))
+        return real(*args)
+
+    monkeypatch.setattr(trees, "DecisionTree", Tracked)
+    monkeypatch.setattr(ensembles, "fit_trees", fit_trees)
+    together = run_folds(d, split, range(5), classifiers, SamplerSpec("none"), seed=3)
+    n_calls = len(live)
+    rounds = [
+        len(fit_pipelines(d.subset(split.train_indices(f)), classifiers[2:], SamplerSpec("none"), *fold_seeds(3, f))[0]
+            .groups["n/a"].model.epsilons)
+        for f in range(5)
+    ]
+    assert len(set(rounds)) > 1
+    wave_calls = [max(rounds[lo:lo + wave]) for lo in range(0, 5, wave)]
+    assert n_calls == sum(wave_calls)
+    # no model of an earlier wave is alive when a wave starts growing
+    firsts = list(itertools.accumulate(wave_calls, initial=0))[:-1]
+    assert {live[i] for i in firsts} == {live[0]}
+    for f, runs in enumerate(together):
+        for run, alone in zip(runs, run_fold(d, split, f, classifiers, SamplerSpec("none"), seed=3), strict=True):
+            assert_same_run(run, alone)
 
 
 def test_weighted_group_combination_fixture():

@@ -22,6 +22,15 @@ ALLOWED = {
     "run_cv": "imported by the acceptance gate",
     "run_cv_clustered": "imported by the acceptance gate",
     "mixed_distance": "a building block the README documents",
+    # each runs its own tree request sequence alone; the package runs many
+    # sequences together instead (ensembles.fit_together)
+    "fit_random_tree": "a building block the README documents",
+    "fit_bagging": "a building block the README documents",
+    "fit_random_forest": "imported by the acceptance gate",
+    "fit_adaboost": "imported by the acceptance gate",
+    "fit_random_committee": "a building block the README documents",
+    "fit_classifier": "patched by the benchmark tracer (perfbench/tracer.py)",
+    "run_fold": "a building block the README documents: run_folds for one fold",
 }
 
 

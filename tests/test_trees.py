@@ -538,6 +538,29 @@ def test_row_sums_equal_each_row_summed_alone():
         assert trees._row_sums(A, lengths).tobytes() == want.tobytes(), width
 
 
+def test_sort_keys_past_the_int32_range_sort_as_with_int64_codes():
+    # the codes are int32, but a block's sort keys, code * width + column,
+    # pass 2**31 here and must not wrap
+    rng = np.random.default_rng(1)
+    width = 4096
+    n_distinct = 2**31 // width + 2000
+    distinct = np.append(np.arange(n_distinct, dtype=np.float64), np.nan)
+    C = rng.integers(n_distinct - 3000, n_distinct, (2, width)).astype(np.int32)
+    assert int(C.max()) * width > 2**31
+    C[1, width - 100:] = n_distinct  # pads
+    src = np.arange(2 * width).reshape(2, width)
+    w = rng.exponential(1.0, 2 * width)
+    w_pos = w * (rng.random(2 * width) < 0.3)
+    w[src[1, width - 100:]] = w_pos[src[1, width - 100:]] = 0.0
+    lengths = np.array([width, width - 100])
+    got = trees._numeric_block(C, distinct, src, w, w_pos, lengths, 2.0)
+    want = trees._numeric_block(C.astype(np.int64), distinct, src, w, w_pos, lengths, 2.0)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert np.all(np.diff(got[0][0]) >= 0)
+    assert trees._Columns(make_dataset([[0.5, 1.5, 0.5]], [NUMERIC], [0, 1, 0])).codes.dtype == np.int32
+
+
 @pytest.mark.parametrize("block_cells", [8192, 16])
 def test_block_split_search_matches_per_attribute_reference(monkeypatch, block_cells):
     # 16 cells per block puts each numeric attribute of a node in its own
