@@ -25,7 +25,6 @@ from __future__ import annotations
 import numbers
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -407,6 +406,9 @@ def _run_tasks(d: Dataset, split: FoldSplit, cfg: RunConfig, tasks: list, jobs: 
     workers = _worker_count(jobs, len(tasks))
     if workers == 1:
         return list(map(partial(_run_task, d, split, cfg), tasks))
+    # imported here: the pool module costs a one-process run milliseconds of import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(d, split, cfg)) as ex:
         return list(ex.map(_pool_task, tasks))
 

@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -243,6 +246,24 @@ def test_worker_count_is_capped_by_tasks_and_cores():
     assert _worker_count(1000, 24) == min(24, cores)
     assert _worker_count(1000, 1) == 1
     assert _worker_count(1, 24) == 1
+
+
+def test_run_at_one_job_never_imports_the_process_pool(tmp_path):
+    write_dataset(tmp_path)
+    config = write_run_config(tmp_path)
+    probe = (
+        "import sys\n"
+        "from crus.cli import main\n"
+        f"main(args=['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'out')!r}, '--jobs', '1'],"
+        " standalone_mode=False)\n"
+        "print('concurrent.futures.process' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "out").is_dir()
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_fold_chunks_cover_every_fold_once():

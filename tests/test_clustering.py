@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from crus.clustering import (
 )
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema
 from crus.modelfile import model_from_text, model_to_text
-from crus.resampling import plan_cluster_partition
+from crus.resampling import plan_cluster_partition, smote_oversample
 
 
 def make_dataset(columns, kinds, labels=None, categories=("a", "b", "c")):
@@ -210,6 +211,155 @@ def test_centroid_update_matches_per_cluster_reference():
     assert ties > 100
 
 
+# k-means as it was written before the attribute-major kernel: a distance
+# kernel that reads A through a strided transpose, a scaler fitted and the
+# data normalized per run, argmin, a sort-based centroid update and the
+# objective recomputed after the loop.  The current code must agree bit
+# for bit.
+def earlier_sq_distances(A, B, numeric):
+    out = np.empty((len(B), len(A)))
+    step = max(1, clustering._BLOCK_PAIRS // len(B))
+    for lo in range(0, len(A), step):
+        a = A[lo:lo + step].T
+        sq = np.zeros((len(B), a.shape[1]))
+        for j in np.flatnonzero(numeric):
+            diff = B[:, j, None] - a[j]
+            sq += diff * diff
+        mismatches = np.zeros(sq.shape, dtype=np.int64)
+        for j in np.flatnonzero(~numeric):
+            mismatches += B[:, j, None] != a[j]
+        out[:, lo:lo + step] = sq + mismatches
+    return out.T
+
+
+def earlier_update_centroids(norm_values, assign, centroids, numeric):
+    k = len(centroids)
+    centroids = centroids.copy()
+    sizes = np.bincount(assign, minlength=k)
+    full = sizes > 0
+    cols = np.ascontiguousarray(norm_values[np.argsort(assign, kind="stable")][:, numeric].T)
+    ends = np.cumsum(sizes)
+    sums = np.array([cols[:, end - size:end].sum(axis=1) for size, end in zip(sizes[full], ends[full])])
+    centroids[np.ix_(full, numeric)] = sums / sizes[full, np.newaxis]
+    for j in np.flatnonzero(~numeric):
+        codes = norm_values[:, j].astype(np.int64)
+        n_codes = int(codes.max()) + 1
+        counts = np.bincount(assign * n_codes + codes, minlength=k * n_codes).reshape(k, n_codes)
+        centroids[full, j] = np.argmax(counts[full], axis=1)
+    return centroids
+
+
+def earlier_kmeans_fit(d, k, seed):
+    best = None
+    for r in range(clustering._RESTARTS):
+        model = earlier_kmeans_single(d, k, seed + r)
+        if best is None or model.objective < best.objective:
+            best = model
+    return best
+
+
+def earlier_kmeans_single(d, k, seed):
+    n = len(d)
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be between 1 and the number of instances ({n}), got {k}")
+    scaler = FeatureScaler.fit(d)
+    norm = scaler.transform(d.values)
+    numeric = scaler.numeric
+    rng = np.random.default_rng(seed)
+    centroids = norm[np.sort(rng.choice(n, size=k, replace=False))].copy()
+    assign = np.full(n, -1, dtype=np.int64)
+    repairs = 0
+    n_iter = 0
+    for n_iter in range(1, clustering._MAX_ITER + 1):
+        d2 = earlier_sq_distances(norm, centroids, numeric)
+        new_assign = np.argmin(d2, axis=1)
+        for c in range(k):
+            if not np.any(new_assign == c):
+                far = int(np.argmax(d2[:, c]))
+                centroids[c] = norm[far]
+                repairs += 1
+                d2 = earlier_sq_distances(norm, centroids, numeric)
+                new_assign = np.argmin(d2, axis=1)
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        centroids = earlier_update_centroids(norm, assign, centroids, numeric)
+    objective = float(earlier_sq_distances(norm, centroids, numeric).min(axis=1).sum())
+    return ClusterModel(d.schema, centroids, scaler, seed, n_iter, repairs, objective)
+
+
+def kmeans_case(seed):
+    """A seeded dataset and k: numeric-only, nominal-only or mixed
+    attributes, constant columns, duplicated rows, k from 1 to n."""
+    rng = np.random.default_rng(seed)
+    shape = seed % 3
+    n_numeric = 0 if shape == 1 else int(rng.integers(1, 9))
+    n_nominal = 0 if shape == 0 else int(rng.integers(1, 4))
+    k_is_n = seed % 5 == 1
+    n = int(rng.integers(1, 40 if k_is_n else 250))
+    cols, kinds = mixed_columns(rng, n, n_numeric, n_nominal)
+    d = make_dataset(cols, kinds)
+    if seed % 4 == 0:
+        # few distinct rows: duplicate initial centroids empty clusters
+        d = d.subset(rng.integers(0, min(n, 4), n))
+    if k_is_n:
+        return d, n
+    return d, 1 if seed % 5 == 0 else int(rng.integers(1, min(n, 12) + 1))
+
+
+def test_kmeans_fit_bit_identical_to_earlier_code(monkeypatch):
+    seen = {"repairs": 0, "max_iter": 0, "k1": 0, "kn": 0, "const": 0, "nominal_only": 0, "numeric_only": 0}
+    for seed in range(120):
+        d, k = kmeans_case(seed)
+        if seed >= 100:
+            monkeypatch.setattr(clustering, "_MAX_ITER", seed % 3 + 1)
+        got = kmeans_fit(d, k, seed)
+        want = earlier_kmeans_fit(d, k, seed)
+        assert got.centroids.tobytes() == want.centroids.tobytes(), seed
+        assert (got.n_iter, got.repairs, got.seed) == (want.n_iter, want.repairs, want.seed), seed
+        assert got.objective == want.objective, seed
+        numeric = d.schema.numeric_mask()
+        seen["repairs"] += got.repairs > 0
+        seen["max_iter"] += got.n_iter == clustering._MAX_ITER
+        seen["k1"] += k == 1
+        seen["kn"] += k == len(d) > 1
+        seen["const"] += any(np.ptp(d.values[:, j]) == 0 for j in np.flatnonzero(numeric))
+        seen["nominal_only"] += not numeric.any()
+        seen["numeric_only"] += numeric.all()
+    assert min(seen.values()) >= 5, seen
+
+
+def test_kmeans_fit_fits_its_scaler_once(monkeypatch):
+    fits = []
+    fit = FeatureScaler.fit
+    monkeypatch.setattr(FeatureScaler, "fit", staticmethod(lambda d: fits.append(d) or fit(d)))
+    d, _ = two_blob_dataset(np.random.default_rng(3))
+    kmeans_fit(d, k=3, seed=0)
+    assert len(fits) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cell_refused_by_scaler_kmeans_and_smote(bad):
+    rng = np.random.default_rng(5)
+    d = make_dataset([rng.normal(size=40), rng.integers(0, 3, 40)], [NUMERIC, NOMINAL],
+                     labels=np.arange(40) % 4 == 0)
+    values = d.values.copy()
+    values[7, 0] = bad
+    d = Dataset(d.schema, values, d.labels)
+    message = f"row 7 has {bad}, not a finite number, for attribute 'f0'"
+    for call in (FeatureScaler.fit, lambda d: kmeans_fit(d, 2, 0),
+                 lambda d: plan_cluster_partition(d, 2, 10.0, 0), lambda d: smote_oversample(d, 100, 3, 0)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(d)
+
+
+
+def test_scaler_refuses_a_range_wider_than_the_largest_float():
+    # finite cells whose difference overflows would normalize to NaN
+    d = make_dataset([[0.0, 1.0, 2.0], [-1e308, 0.0, 1e308]], [NUMERIC, NUMERIC])
+    with pytest.raises(ValueError, match="attribute 'f1' spans -1e.308 to 1e.308, a range wider than the largest float"):
+        kmeans_fit(d, 2, 0)
+
 def test_kmeans_k1_centroid_is_mean_and_mode():
     d = make_dataset([[0.0, 5.0, 10.0], [0, 0, 1]], [NUMERIC, NOMINAL])
     model = kmeans_fit(d, k=1, seed=0)
@@ -306,7 +456,7 @@ def test_kmeans_objective_never_increases_and_centroids_stay_finite(data):
     # every distance k-means takes is from all n rows to the k centroids
     with pytest.MonkeyPatch.context() as m:
         m.setattr(clustering, "_sq_distances", recording)
-        model = clustering._kmeans_single(d, k, seed)
+        model = clustering._kmeans_single(d.schema, scaler := FeatureScaler.fit(d), scaler.transform(d.values), k, seed)
     assert np.all(np.isfinite(model.centroids))
     assert objectives[-1] == model.objective
     for earlier, later in zip(objectives, objectives[1:]):
