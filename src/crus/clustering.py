@@ -162,6 +162,15 @@ def _nearest_centroids(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return nearest, least
 
 
+def _take_reseeded(d2_c: np.ndarray, c: int, nearest: np.ndarray, least: np.ndarray) -> None:
+    """Update in place the pick (nearest, least) of `_nearest_centroids` for
+    a new distance row d2_c of centroid c, which no column had as its
+    nearest: a column moves to c where d2_c is below its least, or equal
+    to it with its nearest above c (lowest row on ties)."""
+    np.copyto(nearest, c, where=(d2_c < least) | ((d2_c == least) & (nearest > c)))
+    np.minimum(least, d2_c, out=least)
+
+
 def _update_centroids(norm_values: np.ndarray, assign: np.ndarray, centroids: np.ndarray,
                       numeric: np.ndarray) -> np.ndarray:
     """Each cluster's mean of each numeric attribute and mode of each
@@ -233,8 +242,9 @@ def _kmeans_single(schema: DatasetSchema, scaler: FeatureScaler, norm: np.ndarra
             if empty[c]:
                 centroids[c] = norm[int(np.argmax(d2[c]))]
                 repairs += 1
-                d2 = _sq_distances(norm, centroids, numeric).T
-                new_assign, least = _nearest_centroids(d2)
+                # only row c changes, and no row had c as its nearest
+                d2[c] = _sq_distances(norm, centroids[c:c + 1], numeric)[:, 0]
+                _take_reseeded(d2[c], c, new_assign, least)
                 empty = np.bincount(new_assign, minlength=k) == 0
         if np.array_equal(new_assign, assign):
             break
@@ -242,5 +252,5 @@ def _kmeans_single(schema: DatasetSchema, scaler: FeatureScaler, norm: np.ndarra
         centroids = _update_centroids(norm, assign, centroids, numeric)
     else:
         # stopped at _MAX_ITER: the distances predate the last update
-        least = _sq_distances(norm, centroids, numeric).min(axis=1)
+        _, least = _nearest_centroids(_sq_distances(norm, centroids, numeric).T)
     return ClusterModel(schema, centroids, scaler, seed, n_iter, repairs, float(least.sum()))

@@ -18,13 +18,19 @@ A row is sorted by its values' codes (`_Columns`: ranks among the
 attribute's distinct values, found once per fit) with the column as
 tie-break; the keys are distinct integers, and their order is a stable
 sort's.  Cumulative class weights along a sorted row give the gain and
-split information of every admissible cut; the first maximum of a row is
-its lowest best threshold.  Nominal rows are scored in blocks too, each
-with one bincount over (row, category) keys.  Padding changes no number:
-pads sort last with weight 0, and each sum runs over exactly the values,
-in the order, that scoring the node alone would sum.  The first maximum
-over a node's candidates, in attribute order, is its split.  Attribute
-ranking in `feature_selection` is the one-node case.
+split information of its admissible cuts.  Only cuts that can win are
+scored: a cut inside a run of rows of one class scores strictly below
+the better end of the run (Fayyad & Irani 1992; Elomaa & Rousu 1999), so
+it is skipped when both its rows stand alone at their values and weigh
+at least _SKIP_FLOOR of the row's total, and the row's lighter class
+does too; the floors keep rounding from tying two cuts.  The first
+maximum of a row is its lowest best threshold.  Nominal rows are scored
+in blocks too, each with one bincount over (row, category) keys.
+Padding changes no number: pads sort last with weight 0, and each sum
+runs over exactly the values, in the order, that scoring the node alone
+would sum.  The first maximum over a node's candidates, in attribute
+order, is its split.  Attribute ranking in `feature_selection` is the
+one-node case.
 
 `fit_trees` grows a set of trees together, a depth level per step: one
 scoring call takes the open nodes of every tree.  Trees of more than
@@ -171,6 +177,11 @@ def _entropy(weights: np.ndarray) -> float:
 # scoring a row then holds about twenty arrays of the row's size.
 _BLOCK_CELLS = 8192
 
+# A cut inside a run of one class is skipped only where its two rows, and
+# the lighter class of its block row, each weigh at least this share of the
+# block row's total weight (see `_numeric_block`).
+_SKIP_FLOOR = 2.0**-20
+
 # numpy adds up to this many values one after another, and longer arrays
 # pairwise, so zeros after at most this many values leave their sum as it is.
 _SEQUENTIAL_SUM = 7
@@ -241,7 +252,7 @@ def _numeric_block(
     C: np.ndarray, distinct: np.ndarray, src: np.ndarray, w: np.ndarray, w_pos: np.ndarray,
     lengths: np.ndarray, min_leaf: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Score the admissible cuts of each row of C.
+    """Score the admissible cuts of each row of C that can be a row's best.
 
     Row i holds the codes (see `_Columns`) of lengths[i] values of one
     attribute, then pad codes; distinct maps codes to values, and a pad's
@@ -251,8 +262,24 @@ def _numeric_block(
     all.  A cut between sorted positions c and c+1 is admissible when the
     values differ and both sides reach min_leaf and positive weight; no
     cut next to a pad is, since a comparison with NaN is false.  Returns
-    the values of each row sorted, the flat (row, c) index of each
-    admissible cut in row-major order, and its gain and split information.
+    the values of each row sorted, the flat (row, c) index of each scored
+    cut in row-major order, and its gain and split information.
+
+    Every admissible cut is scored except one inside a run of rows of one
+    class: cut c is skipped when cuts c-1 and c+1 are admissible too (so
+    values c and c+1 stand alone), rows c and c+1 are of one class and
+    each weighs at least _SKIP_FLOOR of its row's total, and so does the
+    row's lighter class.  Moving the cut through such a run moves weight
+    of one class only, so the gain is convex and the split information
+    strictly concave in the left weight, and the gain ratio (or the gain)
+    of a cut inside the run is strictly below that of the better of the
+    run's ends, which are scored (Fayyad & Irani 1992; Elomaa & Rousu
+    1999).  The floors keep that true in floating point: with the rows'
+    floor each cumulative sum grows by a row's weight, so no two cuts of a
+    run round to the same sums and tie, and with the lighter class's floor
+    no gain is as small as its rounding error.  Each row's first best
+    scored cut is therefore its first best admissible one, which
+    tests/test_trees.py checks against a full scan.
 
     The results equal those of scoring each row alone without pads: the
     pads sort last, each row total is numpy's sum of that row's own values
@@ -271,17 +298,40 @@ def _numeric_block(
     v, src = distinct.take(C.take(flat)), src.take(flat)
     cum_w, cum_pos = w.take(src), w_pos.take(src)
     total, total_pos = _row_sums(cum_w, lengths), _row_sums(cum_pos, lengths)
+    # rows of the positive class, and rows weighing at least _SKIP_FLOOR of
+    # their row's total (never one without weight, even where the floor
+    # would round to 0); none in a row whose lighter class weighs less, as
+    # its gains are no larger than their rounding errors
+    positive = cum_pos > 0
+    floor = np.maximum(total * _SKIP_FLOOR, np.finfo(np.float64).tiny)
+    floor[np.minimum(total_pos, total - total_pos) < floor] = np.inf
+    heavy = cum_w >= floor[:, np.newaxis]
     # in place, so that no weight array outlives its cumulative sums
     np.cumsum(cum_w, axis=1, out=cum_w)
     np.cumsum(cum_pos, axis=1, out=cum_pos)
     left = cum_w[:, :-1]
     left = np.minimum(left, total[:, np.newaxis] - left)  # the smaller side
-    cuts = np.flatnonzero((v[:, 1:] > v[:, :-1]) & (left >= min_leaf) & (left > 0))
-    row = cuts // max(1, width - 1)
-    at = cuts + row  # the same cuts in the arrays one column wider
+    # the admissible cuts, in arrays as wide as the rows whose last column
+    # holds no cut, so that neighbours in the flat array are of one row
+    keep = np.zeros(C.shape, dtype=bool)
+    np.greater(v[:, 1:], v[:, :-1], out=keep[:, :-1])
+    keep[:, :-1] &= left >= min_leaf
+    keep[:, :-1] &= left > 0
+    # skip each admissible cut between admissible ones whose two rows are
+    # heavy and of one class
+    keep, positive, heavy = keep.ravel(), positive.ravel(), heavy.ravel()
+    inside = positive[1:-1] == positive[2:]
+    inside &= heavy[1:-1]
+    inside &= heavy[2:]
+    inside &= keep[:-2]
+    inside &= keep[2:]
+    keep[1:-1] &= ~inside
+    at = np.flatnonzero(keep)
+    row = at // width
+    cuts = at - row  # the flat (row, c) index in arrays one column narrower
     row_w, row_pos = total.take(row), total_pos.take(row)
     left_w, left_pos = cum_w.take(at), cum_pos.take(at)
-    # each admissible cut, then each whole row as a cut with all of it on
+    # each scored cut, then each whole row as a cut with all of it on
     # both sides, whose left class entropy is the row's
     n = cuts.size
     left_w, left_pos = np.concatenate([left_w, total]), np.concatenate([left_pos, total_pos])
@@ -312,7 +362,10 @@ def _numeric_block(
 def _numeric_candidates(
     vals: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Admissible midpoint thresholds with their gains and split infos."""
+    """Midpoint thresholds of the cuts `_numeric_block` scores, ascending,
+    with their gains and split infos: every admissible cut but those inside
+    a run of one class, which can be neither the best gain nor the best
+    gain ratio."""
     if vals.size == 0:
         return np.empty(0), np.empty(0), np.empty(0)
     distinct, codes = np.unique(vals, return_inverse=True)

@@ -446,16 +446,27 @@ def test_kmeans_objective_never_increases_and_centroids_stay_finite(data):
     seed = data.draw(st.integers(0, 2**16), label="seed")
     d = make_dataset([np.array(c, dtype=float) for c in cols], kinds)
     objectives = []
+    nearest_centroids, take_reseeded = clustering._nearest_centroids, clustering._take_reseeded
 
-    def recording(A, B, numeric):
+    def finite(A, B, numeric):
         assert np.all(np.isfinite(B))
-        out = _sq_distances(A, B, numeric)
-        objectives.append(float(out.min(axis=1).sum()))
-        return out
+        return _sq_distances(A, B, numeric)
 
-    # every distance k-means takes is from all n rows to the k centroids
+    def full_pick(d2):
+        nearest, least = nearest_centroids(d2)
+        objectives.append(float(least.sum()))
+        return nearest, least
+
+    def one_row_pick(d2_c, c, nearest, least):
+        take_reseeded(d2_c, c, nearest, least)
+        objectives.append(float(least.sum()))
+
+    # the objective after every pick of nearest centroids: over all k
+    # distance rows, or after a reseed over its one new row
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(clustering, "_sq_distances", recording)
+        m.setattr(clustering, "_sq_distances", finite)
+        m.setattr(clustering, "_nearest_centroids", full_pick)
+        m.setattr(clustering, "_take_reseeded", one_row_pick)
         model = clustering._kmeans_single(d.schema, scaler := FeatureScaler.fit(d), scaler.transform(d.values), k, seed)
     assert np.all(np.isfinite(model.centroids))
     assert objectives[-1] == model.objective

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, DataError, Dataset, DatasetSchema
 from crus import trees
-from crus.feature_selection import gain_ratio_rank
+from crus.feature_selection import discretize, gain_ratio_rank
 from crus.trees import (
     DecisionTree,
     TreeConfig,
@@ -559,6 +559,166 @@ def test_sort_keys_past_the_int32_range_sort_as_with_int64_codes():
         assert a.tobytes() == b.tobytes()
     assert np.all(np.diff(got[0][0]) >= 0)
     assert trees._Columns(make_dataset([[0.5, 1.5, 0.5]], [NUMERIC], [0, 1, 0])).codes.dtype == np.int32
+
+
+def _full_scan_numeric_block(C, distinct, src, w, w_pos, lengths, min_leaf):
+    """`trees._numeric_block` as it was before it skipped cuts inside runs
+    of one class: every admissible cut is scored."""
+    width = C.shape[1]
+    flat = np.argsort(np.multiply(C, width, dtype=np.int64) + np.arange(width), axis=1)
+    flat += np.arange(0, C.size, width)[:, np.newaxis]
+    v, src = distinct.take(C.take(flat)), src.take(flat)
+    cum_w, cum_pos = w.take(src), w_pos.take(src)
+    total, total_pos = trees._row_sums(cum_w, lengths), trees._row_sums(cum_pos, lengths)
+    np.cumsum(cum_w, axis=1, out=cum_w)
+    np.cumsum(cum_pos, axis=1, out=cum_pos)
+    left = cum_w[:, :-1]
+    left = np.minimum(left, total[:, np.newaxis] - left)
+    cuts = np.flatnonzero((v[:, 1:] > v[:, :-1]) & (left >= min_leaf) & (left > 0))
+    row = cuts // max(1, width - 1)
+    at = cuts + row
+    row_w, row_pos = total.take(row), total_pos.take(row)
+    left_w, left_pos = cum_w.take(at), cum_pos.take(at)
+    n = cuts.size
+    left_w, left_pos = np.concatenate([left_w, total]), np.concatenate([left_pos, total_pos])
+    right_w = np.concatenate([row_w - left_w[:n], total])
+    right_pos = np.concatenate([row_pos - left_pos[:n], total_pos])
+    row_w = np.concatenate([row_w, total])
+    frac = np.empty((6, left_w.size))
+    np.divide(left_pos, left_w, out=frac[0])
+    np.divide(left_w - left_pos, left_w, out=frac[1])
+    np.divide(right_pos, right_w, out=frac[2])
+    np.divide(right_w - right_pos, right_w, out=frac[3])
+    np.divide(left_w, row_w, out=frac[4])
+    np.divide(right_w, row_w, out=frac[5])
+    plogp = trees._plogp(frac)
+    h_left = (0.0 - plogp[0]) - plogp[1]
+    h_right = (0.0 - plogp[2]) - plogp[3]
+    h_cond = (left_w * h_left + right_w * h_right) / row_w
+    split_info = -(plogp[4] + plogp[5])
+    return v, cuts, h_left[n:].take(row) - h_cond[:n], split_info[:n]
+
+
+def _block_picks(v, cuts, gains, infos):
+    """Each row's best gain ratio and its threshold (NaN where no cut is
+    usable) from a numeric block's scores, picked over the full width as
+    `_gain_ratios` picks them."""
+    r = np.full((v.shape[0], v.shape[1] - 1), -np.inf)
+    usable = infos > 0
+    r.ravel()[cuts[usable]] = gains[usable] / infos[usable]
+    j = np.argmax(r, axis=1)
+    k = np.arange(v.shape[0])
+    ratios = r[k, j]
+    return ratios, np.where(ratios > -np.inf, (v[k, j] + v[k, j + 1]) / 2.0, np.nan)
+
+
+def _skip_case(rng):
+    """A padded block of seeded rows: continuous, tied, integer-valued or
+    sorted columns whose classes come in long runs, under unit, bootstrap,
+    Dirichlet, exponential-with-zeros, {1e-12, 1, 1e6} or log-normal
+    weights, and a minimum leaf weight from 0 to 20."""
+    n_rows = int(rng.choice([1, 1, 3, 12]))
+    lengths = np.sort(rng.integers(2, int(rng.choice([8, 40, 200])) + 1, n_rows))[::-1]
+    values, w, y = [], [], []
+    for n in lengths:
+        kind = rng.choice(["continuous", "tied", "integers", "runs"])
+        if kind == "continuous":
+            vals, labels = rng.normal(0, 1, n), rng.random(n) < rng.uniform(0.05, 0.5)
+        elif kind == "tied":
+            vals, labels = rng.integers(0, 4, n).astype(float), rng.random(n) < 0.3
+        elif kind == "integers":
+            vals, labels = rng.integers(0, n, n).astype(float), rng.random(n) < 0.2
+        else:  # sorted, with classes in a few long runs
+            vals = np.sort(rng.normal(0, 1, n))
+            labels = np.cumsum(rng.random(n) < 3.0 / n) % 2 == 1
+        weighting = rng.choice(["unit", "bootstrap", "dirichlet", "exponential", "spread", "lognormal"])
+        if weighting == "unit":
+            weights = np.ones(n)
+        elif weighting == "bootstrap":
+            weights = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
+        elif weighting == "dirichlet":
+            weights = rng.dirichlet(np.ones(n))
+        elif weighting == "exponential":
+            weights = rng.exponential(1.0, n) * (rng.random(n) < 0.8)
+        elif weighting == "spread":
+            weights = rng.choice([1e-12, 1.0, 1e6], n)
+        else:
+            weights = rng.lognormal(0.0, rng.uniform(1.0, 15.0), n)
+        # an open node has weight in both classes
+        both = rng.choice(n, 2, replace=False)
+        labels[both] = [False, True]
+        weights[both] = np.where(weights[both] > 0, weights[both], 1.0)
+        values.append(vals)
+        w.append(weights)
+        y.append(labels)
+    distinct, codes = np.unique(np.concatenate(values), return_inverse=True)
+    distinct = np.append(distinct, np.nan)
+    w = np.append(np.concatenate(w), 0.0)  # the last position is the pads'
+    w_pos = w * np.append(np.concatenate(y), False)
+    width = int(lengths[0])
+    pad = np.arange(width) >= lengths[:, np.newaxis]
+    src = np.cumsum(lengths)[:, np.newaxis] - lengths[:, np.newaxis] + np.arange(width)
+    src[pad] = w.size - 1
+    C = np.append(codes, distinct.size - 1).take(src)
+    min_leaf = float(rng.choice([0.0, 0.0, 1e-9, 1.0, 2.0, 5.0, 20.0]))
+    return C, distinct, src, w, w_pos, lengths, min_leaf
+
+
+def test_skipping_cuts_inside_runs_of_one_class_never_changes_a_pick():
+    rng = np.random.default_rng(19)
+    skipped = 0
+    for case in range(2500):
+        args = _skip_case(rng)
+        want, got = _full_scan_numeric_block(*args), trees._numeric_block(*args)
+        want_ratios, want_thresholds = _block_picks(*want)
+        got_ratios, got_thresholds = _block_picks(*got)
+        assert got_ratios.tobytes() == want_ratios.tobytes(), case
+        assert got_thresholds.tobytes() == want_thresholds.tobytes(), case
+        skipped += want[1].size - got[1].size
+    assert skipped > 0
+
+
+def test_a_run_of_one_class_is_scored_at_its_ends_only():
+    # 50 negatives then 50 positives at distinct values: of the 99 cuts,
+    # the first, the class boundary and the last are scored
+    C = np.arange(100)[np.newaxis]
+    distinct = np.append(np.arange(100.0), np.nan)
+    w = np.append(np.ones(100), 0.0)
+    w_pos = w * (np.arange(101) >= 50)
+    scored = trees._numeric_block(C, distinct, C, w, w_pos, np.array([100]), 0.0)
+    assert scored[1].tolist() == [0, 49, 98]
+    assert _block_picks(*scored)[1][0] == 49.5
+
+
+def test_a_row_whose_lighter_class_is_below_the_floor_is_scored_in_full():
+    # the one negative weighs 1e-12 of 3e6: every gain rounds to 0 or
+    # below, so cut 2, inside the run of positives, ties cut 3 and is the pick
+    C = np.arange(6)[np.newaxis]
+    distinct = np.append(np.arange(6.0), np.nan)
+    w = np.array([1e-12, 1.0, 1e6, 1e6, 1e-12, 1e6, 0.0])
+    w_pos = w * np.array([0, 1, 1, 1, 1, 1, 0])
+    args = (C, distinct, C, w, w_pos, np.array([6]), 1.0)
+    scored = trees._numeric_block(*args)
+    assert scored[1].tolist() == _full_scan_numeric_block(*args)[1].tolist() == [1, 2, 3, 4]
+    assert _block_picks(*scored)[1][0] == 2.5
+
+
+def test_ranking_and_discretization_equal_a_full_scan(monkeypatch):
+    rng = np.random.default_rng(7)
+    datasets = []
+    for _ in range(40):
+        n = int(rng.integers(2, 300))
+        cols = [rng.normal(0, 1, n), rng.integers(0, 6, n), np.sort(rng.normal(0, 1, n)), np.arange(n) % 7]
+        labels = (np.cumsum(rng.random(n) < 4.0 / n) % 2).astype(np.int8)
+        labels[rng.integers(0, n)] ^= 1
+        datasets.append(make_dataset(cols + [rng.integers(0, 3, n)], [NUMERIC] * 4 + [NOMINAL], labels))
+    got = [(gain_ratio_rank(d), discretize(d)) for d in datasets if 0 < d.labels.sum() < len(d)]
+    monkeypatch.setattr(trees, "_numeric_block", _full_scan_numeric_block)
+    want = [(gain_ratio_rank(d), discretize(d)) for d in datasets if 0 < d.labels.sum() < len(d)]
+    assert len(got) > 30
+    for (ranks, codes), (want_ranks, want_codes) in zip(got, want):
+        assert ranks == want_ranks
+        assert np.array_equal(codes, want_codes)
 
 
 @pytest.mark.parametrize("block_cells", [8192, 16])
