@@ -40,8 +40,10 @@ def gain_ratio_rank(d: Dataset) -> list[AttributeRank]:
     y = np.asarray(d.labels)
     if y.min() == y.max():
         raise ValueError("attribute ranking needs both classes present")
-    attrs = np.arange(d.schema.n_attributes)
-    ratios, _ = _gain_ratios(d, _Columns(d), [(attrs, np.arange(len(d)), np.ones(len(d)), 0.0)])[0]
+    n = len(d)
+    rows, weights = np.append(np.arange(n), 0), np.append(np.ones(n), 0.0)  # then a pad of weight 0
+    candidates = np.ones((1, d.schema.n_attributes), dtype=bool)
+    (ratios,), _ = _gain_ratios(d, _Columns(d), rows, weights, np.array([n]), candidates, np.zeros(1))
     ranks = [
         AttributeRank(i, spec.name, float(r) if r > -np.inf else 0.0)
         for i, (spec, r) in enumerate(zip(d.schema.attributes, ratios))

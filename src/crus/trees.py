@@ -10,32 +10,39 @@ the same grower serves boosting and bootstrap replicates.
 
 Split search is SPRINT's all-attributes scan (Shafer, Agrawal & Mehta
 1996) over C4.5's criterion, sorting at each node, and one call scores
-many nodes.  `_gain_ratios` takes a batch of nodes, each with its rows,
-weights and candidate attributes, and makes each (node, attribute) pair a
-row.  Numeric rows are packed, longest first, into padded blocks of at
-most _BLOCK_CELLS values, which bounds the temporaries at a large root.
-A row is sorted by its values' codes (`_Columns`: ranks among the
-attribute's distinct values, found once per fit) with the column as
-tie-break; the keys are distinct integers, and their order is a stable
-sort's.  Cumulative class weights along a sorted row give the gain and
-split information of its admissible cuts.  Only cuts that can win are
-scored: a cut inside a run of rows of one class scores strictly below
-the better end of the run (Fayyad & Irani 1992; Elomaa & Rousu 1999), so
-it is skipped when both its rows stand alone at their values and weigh
-at least _SKIP_FLOOR of the row's total, and the row's lighter class
-does too; the floors keep rounding from tying two cuts.  The first
-maximum of a row is its lowest best threshold.  Nominal rows are scored
-in blocks too, each with one bincount over (row, category) keys.
-Padding changes no number: pads sort last with weight 0, and each sum
-runs over exactly the values, in the order, that scoring the node alone
-would sum.  The first maximum over a node's candidates, in attribute
-order, is its split.  Attribute ranking in `feature_selection` is the
-one-node case.
+every node of a growth step.  A step keeps its open nodes in flat
+arrays: the rows of every node end to end, their weights, and each
+node's row count (`_Level`).  `_gain_ratios` reads each node's part of
+those arrays for each of its candidate attributes, and makes each (node,
+attribute) pair a row.  Numeric rows are packed, longest first, into
+padded blocks of at most _BLOCK_CELLS values, which bounds the
+temporaries at a large root.  A row is sorted by its values' codes
+(`_Columns`: ranks among the attribute's distinct values, found once per
+fit) with the column as tie-break; the keys are distinct integers, and
+their order is a stable sort's.  Cumulative class weights along a sorted
+row give the gain and split information of its admissible cuts.  Only
+cuts that can win are scored: a cut inside a run of rows of one class
+scores strictly below the better end of the run (Fayyad & Irani 1992;
+Elomaa & Rousu 1999), so it is skipped when both its rows stand alone at
+their values and weigh at least _SKIP_FLOOR of the row's total, and the
+row's lighter class does too; the floors keep rounding from tying two
+cuts.  The first maximum of a row is its lowest best threshold.  Nominal
+rows are scored in blocks too, each with one bincount over (row,
+category) keys.  Padding changes no number: pads sort last with weight
+0, and each sum runs over exactly the values, in the order, that scoring
+the node alone would sum.  Attribute ranking in `feature_selection` is
+the one-node case.
 
-`fit_trees` grows a set of trees together, a depth level per step: one
-scoring call takes the open nodes of every tree.  Trees of more than
-_GROUP_ROWS training rows in all grow in groups, which bounds the memory
-their open nodes hold.  A random-subspace tree draws each node's
+`_split_level` then splits the whole step in one pass: each node at the
+first maximum over its candidates, in attribute order.  It finds every
+row's child, groups the rows by child with one stable sort, takes the new
+nodes' class weights as numpy would sum each node's own weights, and
+hands the rows of the open children on as the next step's arrays, in the
+same order as each tree alone would hold them.
+
+`fit_trees` grows a set of trees together, a depth level per step.
+Trees of more than _GROUP_ROWS training rows in all grow in groups, which
+bounds the rows a step holds.  A random-subspace tree draws each node's
 attributes from its one generator in level order (breadth first,
 children in child order).  `fit_tree` grows one tree; bagging, random
 forests and random committees grow their members together, each member
@@ -48,19 +55,20 @@ split node holds its attribute and either a numeric threshold (two
 children) or the nominal categories observed at it (ascending, one child
 each) plus a fallback category for values without a child.
 `TreeNode.child_index` maps attribute values to child positions for
-growing and routing.  Growing records each node's children and lists the
-nodes in pre-order at the end with a stack; pruning, routing and rule
-export each pass over the list with a stack of what the subtrees still to
-come need, so nothing here recurses.
+routing.  Growing appends each step's children to one node list and
+records where each split's children start; it lists each tree's nodes in
+pre-order at the end with a stack.  Pruning, routing and rule export each
+pass over the list with a stack of what the subtrees still to come need,
+so nothing here recurses.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import statistics
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +86,8 @@ class TreeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.min_leaf_weight <= 0:
-            raise ValueError("min_leaf_weight must be positive")
+        if not 0 < self.min_leaf_weight < math.inf:
+            raise ValueError(f"min_leaf_weight must be positive and finite, got {self.min_leaf_weight}")
         if not 0 < self.confidence_factor < 0.5:
             raise ValueError("confidence factor must be in (0, 0.5)")
         if self.random_subspace_size is not None and self.random_subspace_size < 1:
@@ -110,18 +118,16 @@ class TreeNode:
         """2 for a threshold split, one per category for a nominal split, 0 for a leaf."""
         return 2 if self.threshold is not None else len(self.categories)
 
-    def child_index(self, col: np.ndarray, unseen: int | None = None) -> np.ndarray:
+    def child_index(self, col: np.ndarray) -> np.ndarray:
         """Which child, counting from 0, each value of the split attribute
         goes to.  A nominal value without a child of its own goes to the
-        fallback category's child, or to `unseen` when given."""
+        fallback category's child."""
         if self.threshold is not None:
             return np.where(col <= self.threshold, 0, 1)
         cats = np.array(self.categories)
         codes = col.astype(np.int64)
         pos = np.minimum(np.searchsorted(cats, codes), cats.size - 1)
-        if unseen is None:
-            unseen = self.categories.index(self.fallback)
-        return np.where(cats[pos] == codes, pos, unseen)
+        return np.where(cats[pos] == codes, pos, self.categories.index(self.fallback))
 
     def leaf_label(self) -> int:
         # strict majority; exact tie goes to the negative class
@@ -234,9 +240,12 @@ class _Columns:
     the attribute's distinct values, ascending, plus the number of distinct
     values of the attributes before a; distinct[codes] gives the values
     back.  The last code is a pad's: it follows every value's, and
-    distinct holds NaN for it."""
+    distinct holds NaN for it.  numeric and n_categories give each
+    attribute's kind and number of categories (0 for a numeric one)."""
 
     def __init__(self, d: Dataset) -> None:
+        self.numeric = d.schema.numeric_mask()
+        self.n_categories = np.array([len(a.categories) for a in d.schema.attributes])
         self.codes = np.empty((d.schema.n_attributes, len(d)), dtype=np.int32)
         distinct = []
         offset = 0
@@ -292,8 +301,10 @@ def _numeric_block(
     before its row's pads.
     """
     width = C.shape[1]
-    # int64: a code times the width can exceed the int32 range of the codes
-    flat = np.argsort(np.multiply(C, width, dtype=np.int64) + np.arange(width), axis=1)
+    # int32 keys sort faster; int64 where a code times the width can exceed
+    # their range (the keys are distinct, so both sort them alike)
+    key = np.int32 if distinct.size * width <= 2**31 else np.int64
+    flat = np.argsort(np.multiply(C, width, dtype=key) + np.arange(width, dtype=key), axis=1)
     flat += np.arange(0, C.size, width)[:, np.newaxis]
     v, src = distinct.take(C.take(flat)), src.take(flat)
     cum_w, cum_pos = w.take(src), w_pos.take(src)
@@ -416,18 +427,22 @@ def _nominal_ratios(
 
 
 def _gain_ratios(
-    d: Dataset, columns: _Columns, batch: list[tuple[np.ndarray, np.ndarray, np.ndarray, float]]
-) -> list[tuple[np.ndarray, np.ndarray]]:
+    d: Dataset, columns: _Columns, idx: np.ndarray, w: np.ndarray, sizes: np.ndarray,
+    candidates: np.ndarray, min_leaf: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
     """Best gain ratio of each candidate attribute of each node, and its threshold.
 
-    columns holds the sort codes of d's values.  Each node of batch is
-    (attrs, idx, w, min_leaf): its candidate attributes, its rows (at least
-    two indices into d), their weights and its minimum leaf weight.
-    Returns each node's (ratios, thresholds), aligned with its attrs.  A
-    ratio is -inf where no cut is usable; a threshold means something only
-    for a usable numeric attribute, where it is the lowest best one.
+    The nodes' rows lie end to end in idx (indices into d, sizes[k] of them
+    for node k, at least two), then one pad row; w holds their weights, 0
+    for the pad.  candidates[k, a] says whether node k considers attribute
+    a, and min_leaf[k] is its minimum leaf weight.  columns holds the sort
+    codes of d's values.  Returns (ratios, thresholds), each shaped as
+    candidates.  A ratio is -inf where no cut is usable or the attribute is
+    no candidate; a threshold means something only for a usable numeric
+    attribute, where it is the lowest best one.
 
-    Each (node, attribute) candidate is a row.  Numeric rows are scored in
+    Each (node, candidate attribute) pair is a row, whose values are read
+    straight from the node's part of idx and w.  Numeric rows are scored in
     blocks of at most _BLOCK_CELLS values (one row at least), longest
     first, so rows of similar length share a block.  A block holds at most
     _BLOCK_CELLS // 8 pads, which cost about as much to score as one more
@@ -435,19 +450,12 @@ def _gain_ratios(
     values plus (rows x categories) category totals stay within
     _BLOCK_CELLS (one row at least).
     """
-    sizes = np.array([idx.size for _, idx, _, _ in batch])
-    starts = np.cumsum(sizes) - sizes  # each node's first value in idx and w below
-    # every node's rows and weights end to end, then a pad of weight 0
-    idx = np.concatenate([node_idx for _, node_idx, _, _ in batch] + [np.zeros(1, dtype=np.int64)])
-    w = np.concatenate([node_w for _, _, node_w, _ in batch] + [np.zeros(1)])
-    w_pos = w * (d.labels[idx] == 1)
-    min_leaf = np.array([node_min_leaf for *_, node_min_leaf in batch], dtype=np.float64)
-    n_candidates = [attrs.size for attrs, *_ in batch]
-    node_of = np.repeat(np.arange(len(batch)), n_candidates)
-    attr_of = np.concatenate([attrs for attrs, *_ in batch])
-    ratios = np.full(attr_of.size, -np.inf)
-    thresholds = np.zeros(attr_of.size)
-    is_numeric = d.schema.numeric_mask()[attr_of]
+    starts = np.cumsum(sizes) - sizes  # each node's first value in idx and w
+    w_pos = w * (d.labels.take(idx) == 1)
+    node_of, attr_of = np.nonzero(candidates)
+    ratios = np.full(candidates.shape, -np.inf)
+    thresholds = np.zeros(candidates.shape)
+    is_numeric = columns.numeric[attr_of]
 
     numeric = np.flatnonzero(is_numeric)
     numeric = numeric[np.argsort(-sizes[node_of[numeric]], kind="stable")]
@@ -459,12 +467,12 @@ def _gain_ratios(
         hi = lo + int(np.searchsorted(pads, _BLOCK_CELLS // 8, side="right"))
         rows, lengths = numeric[lo:hi], numeric_sizes[lo:hi]
         lo = hi
-        nodes = node_of[rows]
+        nodes, attrs = node_of[rows], attr_of[rows]
         pos = starts[nodes, np.newaxis] + np.arange(width)
         if lengths[-1] < width:
             pad = np.arange(width) >= lengths[:, np.newaxis]
             pos[pad] = idx.size - 1
-        C = columns.codes[attr_of[rows, np.newaxis], idx[pos]]
+        C = columns.codes.ravel().take(idx.take(pos) + (attrs * columns.codes.shape[1])[:, np.newaxis])
         if lengths[-1] < width:
             C[pad] = columns.distinct.size - 1
         v, cuts, gains, infos = _numeric_block(
@@ -475,15 +483,14 @@ def _gain_ratios(
         r.ravel()[cuts[usable]] = gains[usable] / infos[usable]
         j = np.argmax(r, axis=1)  # first max: lowest threshold on ties
         k = np.arange(rows.size)
-        ratios[rows] = r[k, j]
-        thresholds[rows] = (v[k, j] + v[k, j + 1]) / 2.0
+        ratios[nodes, attrs] = r[k, j]
+        thresholds[nodes, attrs] = (v[k, j] + v[k, j + 1]) / 2.0
 
     nominal = np.flatnonzero(~is_numeric)
-    all_categories = np.array([len(a.categories) for a in d.schema.attributes])
-    nominal = nominal[np.argsort(-all_categories[attr_of[nominal]], kind="stable")]
+    nominal = nominal[np.argsort(-columns.n_categories[attr_of[nominal]], kind="stable")]
     lo = 0
     while lo < nominal.size:
-        width = all_categories[attr_of[nominal[lo]]]  # the most categories in the block
+        width = columns.n_categories[attr_of[nominal[lo]]]  # the most categories in the block
         # a row costs its values plus width category totals, at least width + 2
         ahead = nominal[lo:lo + max(1, _BLOCK_CELLS // (width + 2))]
         cells = np.cumsum(sizes[node_of[ahead]] + width)
@@ -495,68 +502,157 @@ def _gain_ratios(
         lengths = sizes[nodes]
         first = np.cumsum(lengths) - lengths
         pos = np.repeat(starts[nodes] - first, lengths) + np.arange(lengths.sum())
-        n_categories = all_categories[attrs]
-        cats = d.values[idx[pos], np.repeat(attrs, lengths)].astype(np.int64)
-        key = np.repeat(np.arange(rows.size) * n_categories[0], lengths) + cats
-        ratios[rows] = _nominal_ratios(key, w[pos], w_pos[pos], n_categories, min_leaf[nodes])
-
-    ends = itertools.accumulate(n_candidates)
-    return [(ratios[end - n:end], thresholds[end - n:end]) for n, end in zip(n_candidates, ends)]
+        n_categories = columns.n_categories[attrs]
+        cats = d.values.ravel().take(idx.take(pos) * d.values.shape[1] + np.repeat(attrs, lengths))
+        key = np.repeat(np.arange(rows.size) * n_categories[0], lengths) + cats.astype(np.int64)
+        ratios[nodes, attrs] = _nominal_ratios(key, w[pos], w_pos[pos], n_categories, min_leaf[nodes])
+    return ratios, thresholds
 
 
-class _Tree:
-    """A tree being grown: its nodes so far, each one's children, and the
-    open nodes (with weight in both classes) whose split is not searched
-    yet, in level order."""
+class _Level(NamedTuple):
+    """The open nodes of a growth step in level order: tree-major, then
+    each tree's nodes in the order they were made.  Node k is at[k] in the
+    list of nodes grown and belongs to tree tree_of[k]; its sizes[k] rows
+    (indices into the dataset) and their weights follow those of the nodes
+    before it in idx and w, which end with a pad row of weight 0."""
 
-    def __init__(self, labels: np.ndarray, idx: np.ndarray, w: np.ndarray, cfg: TreeConfig) -> None:
-        self.labels, self.cfg = labels, cfg
-        self.rng = None if cfg.random_subspace_size is None else np.random.default_rng(cfg.seed)
-        self.nodes: list[TreeNode] = []
-        self.children: list[list[int]] = []
-        self.open = self._add(idx, w)
-
-    def _add(self, idx: np.ndarray, w: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Append the node of rows idx; [(its position, idx, w)] if it is open, else []."""
-        y = self.labels[idx]
-        node = TreeNode(class_weights=np.array([w[y == 0].sum(), w[y == 1].sum()]))
-        self.nodes.append(node)
-        self.children.append([])
-        return [(len(self.nodes) - 1, idx, w)] if node.class_weights.all() else []
-
-    def candidates(self, n_attrs: int) -> np.ndarray:
-        if self.rng is None:
-            return np.arange(n_attrs)
-        size = max(1, min(self.cfg.random_subspace_size, n_attrs))
-        return np.sort(self.rng.choice(n_attrs, size=size, replace=False))
-
-    def split(self, i: int, idx: np.ndarray, w: np.ndarray, attr: int, threshold: float | None,
-              vals: np.ndarray) -> None:
-        """Split node i on attr (vals: its values of the rows idx) and append its children."""
-        node = self.nodes[i]
-        node.attribute, node.threshold = attr, threshold
-        if threshold is None:
-            w_tot = np.bincount(vals.astype(np.int64), weights=w)
-            node.categories = tuple(np.flatnonzero(w_tot > 0).tolist())
-            node.fallback = int(np.argmax(w_tot))
-        # rows of a category without weight at this node reach no child
-        to = node.child_index(vals, unseen=-1)
-        for k in range(node.n_children):
-            m = to == k
-            self.children[i].append(len(self.nodes))
-            self.open += self._add(idx[m], w[m])
-
-    def preorder(self) -> list[TreeNode]:
-        nodes, stack = [], [0]  # the position of each subtree to come, the next one's last
-        while stack:
-            i = stack.pop()
-            nodes.append(self.nodes[i])
-            stack.extend(reversed(self.children[i]))
-        return nodes
+    idx: np.ndarray
+    w: np.ndarray
+    sizes: np.ndarray
+    tree_of: np.ndarray
+    at: np.ndarray
 
 
-# Most training rows, over all trees, that grow together: the open nodes
-# of a group hold their rows and weights, and one step scores them all.
+def _children(
+    labels: np.ndarray, idx: np.ndarray, w: np.ndarray, key: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The class weights of n new nodes, and the rows of the open ones.
+
+    idx and w end with a pad of weight 0; key[i] is 1 + the node (from 0)
+    that row idx[i] goes to, or 0 for none, in the smallest unsigned type
+    that holds n.  Returns (class_weights, is_open, idx, w, sizes):
+    class_weights[c] is node c's [negative, positive] weight, each numpy's
+    sum of its rows' weights in row order, and the open nodes (weight in
+    both classes) have their rows and weights end to end, in node order
+    and row order within a node, then a pad; sizes counts each open node's
+    rows.
+
+    numpy's sum adds up to _SEQUENTIAL_SUM values one after another from
+    0, as bincount does, so one bincount over (node, class) runs sums every
+    short run; a longer run, which numpy adds pairwise, is summed alone.
+    Stable sorts by node and by run group the rows; numpy sorts keys of 16
+    bits or fewer by radix.
+    """
+    idx, w = idx[:-1], w[:-1]
+    runs = np.multiply(key, 2, dtype=np.min_scalar_type(2 * n + 1))
+    runs += labels.take(idx) == 1
+    lengths = np.bincount(runs, minlength=2 * n + 2)
+    sums = np.bincount(runs, weights=w, minlength=2 * n + 2)
+    long = np.flatnonzero(lengths[2:] > _SEQUENTIAL_SUM) + 2  # rows that reach no node need no sum
+    if long.size:
+        values = w.take(np.argsort(runs, kind="stable"))
+        for run, end, size in zip(long.tolist(), np.cumsum(lengths)[long].tolist(), lengths[long].tolist()):
+            sums[run] = values[end - size:end].sum()
+        del values
+    class_weights = sums[2:].reshape(n, 2)
+    is_open = (class_weights != 0).all(axis=1)
+    counts = lengths[0::2] + lengths[1::2]
+    order = np.argsort(key, kind="stable")  # grouped by node, rows keep their order
+    order = order[counts[0]:] if is_open.all() else order[np.repeat(np.append(False, is_open), counts)]
+    next_idx, next_w = np.empty(order.size + 1, dtype=idx.dtype), np.empty(order.size + 1)
+    idx.take(order, out=next_idx[:-1])
+    w.take(order, out=next_w[:-1])
+    next_idx[-1], next_w[-1] = 0, 0.0
+    return class_weights, is_open, next_idx, next_w, counts[1:][is_open]
+
+
+def _split_level(
+    d: Dataset, columns: _Columns, nodes: list[TreeNode], first_child: dict[int, int], level: _Level,
+    ratios: np.ndarray, thresholds: np.ndarray,
+) -> _Level:
+    """Split each node of a step at its first best candidate (see
+    `_gain_ratios`), append all children to nodes, record where each
+    split's children start, and return the open children: the next step.
+
+    One pass serves the whole step.  A row goes to the first or second
+    child of a numeric split (<= and > the threshold), and at a nominal one
+    to the child of its category; the categories that carry weight at a
+    node have a child each, in order, found with one bincount over (node,
+    category) keys, which adds in row order as a node's own bincount does.
+    Rows of a category without weight reach no child.  The new nodes'
+    class weights come from `_children`, and are rows of one array.
+    """
+    m, sizes = level.sizes.size, level.sizes
+    best = np.argmax(ratios, axis=1)  # first max: lowest attribute on ties
+    is_split = ratios.max(axis=1) != -np.inf
+    is_numeric = columns.numeric.take(best) & is_split
+    is_nominal = is_split & ~is_numeric
+    nominal = np.flatnonzero(is_nominal)
+    idx = level.idx[:-1]
+    vals = d.values.ravel().take(idx * d.values.shape[1] + np.repeat(best, sizes))  # of each node's best
+    n_children = 2 * is_numeric
+    if nominal.size:
+        width = int(columns.n_categories.max())
+        rows = np.flatnonzero(np.repeat(is_nominal, sizes))
+        cat_key = np.repeat(np.arange(nominal.size) * width, sizes.take(nominal))
+        cat_key += vals.take(rows).astype(np.int64)
+        w_cat = np.bincount(cat_key, weights=level.w.take(rows), minlength=nominal.size * width)
+        w_cat = w_cat.reshape(-1, width)
+        observed = w_cat > 0
+        n_children[nominal] = observed.sum(axis=1)
+    first = np.cumsum(n_children) - n_children  # each node's first child in the step
+    n = int(n_children.sum())
+    # each row's key for `_children`: 1 + its child, 0 for none
+    left = np.where(is_numeric, first + 1, 0).astype(np.min_scalar_type(n))
+    key = np.where(
+        vals <= np.repeat(thresholds[np.arange(m), best], sizes), np.repeat(left, sizes),
+        np.repeat(left + is_numeric, sizes),
+    )
+    del vals  # before `_children` makes the next step's arrays
+    if nominal.size:
+        number = np.cumsum(observed, axis=1) + first.take(nominal)[:, np.newaxis]  # 1 + each category's child
+        key[rows] = np.where(observed.ravel().take(cat_key), number.ravel().take(cat_key), 0)
+    class_weights, is_open, next_idx, next_w, next_sizes = _children(d.labels, level.idx, level.w, key, n)
+
+    made = len(nodes)
+    split = np.flatnonzero(is_split)
+    first_child.update(zip(level.at.take(split).tolist(), (first.take(split) + made).tolist()))
+    nodes.extend(map(TreeNode, class_weights))
+    for i, attr, threshold in zip(
+        level.at[is_numeric].tolist(), best[is_numeric].tolist(),
+        thresholds[is_numeric, best[is_numeric]].tolist(),
+    ):
+        nodes[i].attribute, nodes[i].threshold = attr, threshold
+    if nominal.size:
+        categories = np.nonzero(observed)[1].tolist()  # each nominal split's, one after another
+        lo = 0
+        for i, attr, fallback, count in zip(
+            level.at.take(nominal).tolist(), best.take(nominal).tolist(), np.argmax(w_cat, axis=1).tolist(),
+            n_children.take(nominal).tolist(),
+        ):
+            nodes[i].attribute, nodes[i].fallback = attr, fallback
+            nodes[i].categories = tuple(categories[lo:lo + count])
+            lo += count
+    tree_of = np.repeat(level.tree_of, n_children)[is_open]
+    return _Level(next_idx, next_w, next_sizes, tree_of, made + np.flatnonzero(is_open))
+
+
+def _preorder(nodes: list[TreeNode], first_child: dict[int, int], root: int) -> list[TreeNode]:
+    """The subtree of nodes[root] in pre-order; a split's children follow
+    each other from nodes[first_child[split]] on."""
+    out, stack = [], [root]  # the position of each subtree to come, the next one's last
+    while stack:
+        i = stack.pop()
+        node = nodes[i]
+        out.append(node)
+        if not node.is_leaf:
+            first = first_child[i]
+            stack.extend(range(first + node.n_children - 1, first - 1, -1))
+    return out
+
+
+# Most training rows, over all trees, that grow together: a step holds the
+# rows and weights of the group's open nodes, and one call scores them all.
 _GROUP_ROWS = 2**16
 
 
@@ -575,7 +671,7 @@ def fit_trees(
     if columns is None:
         columns = _Columns(d)
     trees: list[DecisionTree] = []
-    group: list[_Tree] = []
+    group: list[tuple[np.ndarray, np.ndarray, TreeConfig]] = []
     rows = 0
     for idx, w, cfg in members:
         if idx.size == 0:
@@ -583,34 +679,53 @@ def fit_trees(
         if group and rows + idx.size > _GROUP_ROWS:
             trees += _grow(d, columns, group)
             group, rows = [], 0
-        group.append(_Tree(d.labels, idx, w, cfg))
+        group.append((idx, w, cfg))
         rows += idx.size
     return trees + _grow(d, columns, group)
 
 
-def _grow(d: Dataset, columns: _Columns, grown: list[_Tree]) -> list[DecisionTree]:
-    """Grow the trees, each step scoring the open nodes of all of them with
-    one call, then prune them as configured."""
-    numeric = d.schema.numeric_mask()
+def _grow(
+    d: Dataset, columns: _Columns, members: list[tuple[np.ndarray, np.ndarray, TreeConfig]]
+) -> list[DecisionTree]:
+    """Grow a tree for each (idx, w, cfg) of members, each step scoring the
+    open nodes of all of them with one call and splitting them with one
+    more, then prune them as configured."""
     n_attrs = d.schema.n_attributes
-    while level := [(tree, node) for tree in grown for node in tree.open]:
-        for tree in grown:
-            tree.open = []
-        batch = [(tree.candidates(n_attrs), idx, w, tree.cfg.min_leaf_weight) for tree, (_, idx, w) in level]
-        scores = _gain_ratios(d, columns, batch)
-        for (tree, (i, idx, w)), (attrs, *_), (ratios, thresholds) in zip(level, batch, scores):
-            best = int(np.argmax(ratios))  # first max: lowest attribute on ties
-            if ratios[best] == -np.inf:
-                continue
-            attr = int(attrs[best])
-            threshold = float(thresholds[best]) if numeric[attr] else None
-            tree.split(i, idx, w, attr, threshold, d.values[idx, attr])
+    configs = [cfg for *_, cfg in members]
+    sizes = np.array([idx.size for idx, *_ in members], dtype=np.int64)
+    idx = np.concatenate([member_idx for member_idx, *_ in members] + [np.zeros(1, dtype=np.int64)])
+    w = np.concatenate([member_w for _, member_w, _ in members] + [np.zeros(1)])
+    roots = np.arange(len(members))
+    key = np.repeat(np.arange(1, len(members) + 1, dtype=np.min_scalar_type(len(members))), sizes)
+    class_weights, is_open, idx, w, sizes = _children(d.labels, idx, w, key, len(members))
+    nodes = list(map(TreeNode, class_weights))  # the roots, then every step's children
+    first_child: dict[int, int] = {}
+    level = _Level(idx, w, sizes, roots[is_open], roots[is_open])
+    min_leaf = np.array([cfg.min_leaf_weight for cfg in configs], dtype=np.float64)
+    # a random-subspace tree draws each node's attributes from its one
+    # generator, in level order
+    rngs = [None if cfg.random_subspace_size is None else np.random.default_rng(cfg.seed) for cfg in configs]
+    drawing = np.array([rng is not None for rng in rngs], dtype=bool)
+    subspace = [max(1, min(cfg.random_subspace_size or n_attrs, n_attrs)) for cfg in configs]
+    while level.sizes.size:
+        candidates = np.ones((level.sizes.size, n_attrs), dtype=bool)
+        drawn = np.flatnonzero(drawing.take(level.tree_of))
+        if drawn.size:
+            owners = level.tree_of.take(drawn).tolist()
+            candidates[drawn] = False
+            candidates[np.repeat(drawn, [subspace[t] for t in owners]), np.concatenate(
+                [rngs[t].choice(n_attrs, size=subspace[t], replace=False) for t in owners]
+            )] = True
+        ratios, thresholds = _gain_ratios(
+            d, columns, level.idx, level.w, level.sizes, candidates, min_leaf.take(level.tree_of)
+        )
+        level = _split_level(d, columns, nodes, first_child, level, ratios, thresholds)
     trees = []
-    for tree in grown:
-        nodes = tree.preorder()
-        if tree.cfg.use_pruning:
-            nodes = _prune(nodes, _pruning_z(tree.cfg.confidence_factor))
-        trees.append(DecisionTree(d.schema, nodes, tree.cfg))
+    for root, cfg in enumerate(configs):
+        tree = _preorder(nodes, first_child, root)
+        if cfg.use_pruning:
+            tree = _prune(tree, _pruning_z(cfg.confidence_factor))
+        trees.append(DecisionTree(d.schema, tree, cfg))
     return trees
 
 
@@ -626,6 +741,9 @@ def fit_tree(
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (len(d),):
             raise ValueError(f"weights shape {w.shape} does not match {len(d)} instances")
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            raise ValueError(f"instance weights must be finite, got {w[bad[0]]} in row {bad[0]}")
         if np.any(w < 0):
             raise ValueError("instance weights must be nonnegative")
     return fit_trees(d, [(np.arange(len(d)), w, cfg)])[0]

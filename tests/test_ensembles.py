@@ -317,9 +317,9 @@ def test_ensemble_growth_stays_within_its_memory_bounds(monkeypatch):
     groups, numeric_cells, nominal_cells = [], [], []
     grow, numeric_block, nominal_ratios = trees._grow, trees._numeric_block, trees._nominal_ratios
 
-    def record_grow(d, columns, grown):
-        groups.append((len(grown), sum(float(t.nodes[0].class_weights.sum()) for t in grown)))
-        return grow(d, columns, grown)
+    def record_grow(d, columns, members):
+        groups.append((len(members), sum(idx.size for idx, _, _ in members)))
+        return grow(d, columns, members)
 
     def record_numeric(C, *args):
         numeric_cells.append((C.shape[0], C.size))
@@ -360,9 +360,9 @@ def test_random_subspace_members_grow_one_level_per_scoring_call(monkeypatch, fi
     batches = []
     gain_ratios = trees._gain_ratios
 
-    def count(d, columns, batch):
-        batches.append(len(batch))
-        return gain_ratios(d, columns, batch)
+    def count(d, columns, idx, w, sizes, candidates, min_leaf):
+        batches.append(sizes.size)
+        return gain_ratios(d, columns, idx, w, sizes, candidates, min_leaf)
 
     monkeypatch.setattr(trees, "_gain_ratios", count)
     d = lockstep_case("tied-and-constant", np.random.default_rng(3), n=200)
@@ -374,6 +374,34 @@ def test_random_subspace_members_grow_one_level_per_scoring_call(monkeypatch, fi
     assert len(batches) == len(set(open_depths)) <= max(depth for _, depth in nodes) + 1
     assert len(batches) < len(open_depths)
 
+
+
+@pytest.mark.parametrize("fit", [fit_random_forest, fit_adaboost])
+def test_each_growth_step_splits_all_its_nodes_with_one_call(monkeypatch, fit):
+    # every node a scoring call scores is split, or left a leaf, by one
+    # _split_level call right after it; no node is split anywhere else
+    scored, stepped, splits = [], [], []
+    gain_ratios, split_level = trees._gain_ratios, trees._split_level
+
+    def score(d, columns, idx, w, sizes, candidates, min_leaf):
+        scored.append(sizes.size)
+        return gain_ratios(d, columns, idx, w, sizes, candidates, min_leaf)
+
+    def split_step(d, columns, nodes, first_child, level, ratios, thresholds):
+        stepped.append(level.sizes.size)
+        splits.append(int((ratios.max(axis=1) > -np.inf).sum()))
+        return split_level(d, columns, nodes, first_child, level, ratios, thresholds)
+
+    monkeypatch.setattr(trees, "_gain_ratios", score)
+    monkeypatch.setattr(trees, "_split_level", split_step)
+    d = lockstep_case("tied-and-constant", np.random.default_rng(7), n=200)
+    cfg = EnsembleConfig(n_members=50 if fit is fit_random_forest else 10, seed=3,
+                         base=TreeConfig(min_leaf_weight=1.0, use_pruning=False))
+    model = fit(d, cfg)
+    nodes = [node for tree in model.members for node in tree.nodes]
+    assert stepped == scored and len(scored) < sum(scored)
+    assert sum(scored) == sum(1 for node in nodes if node.class_weights.all())
+    assert sum(splits) == sum(1 for node in nodes if not node.is_leaf)
 
 def test_committee_mean_probability_fixture():
     members = [leaf_tree(SCHEMA_1D, 1.0, 9.0), leaf_tree(SCHEMA_1D, 8.0, 2.0)]

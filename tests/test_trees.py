@@ -184,6 +184,25 @@ def test_fit_tree_input_validation():
         TreeConfig(confidence_factor=0.6)
 
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_tree_refuses_a_non_finite_weight_naming_its_row(bad):
+    # a NaN weight used to grow a one-leaf tree with NaN class weight, and
+    # an infinite one only a RuntimeWarning
+    rng = np.random.default_rng(0)
+    d = make_dataset([rng.normal(0, 1, 40), rng.normal(0, 1, 40)], [NUMERIC, NUMERIC], np.arange(40) % 2)
+    w = np.ones(40)
+    w[[7, 30]] = bad
+    with pytest.raises(ValueError, match=f"instance weights must be finite, got {bad} in row 7$"):
+        fit_tree(d, TreeConfig(), weights=w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+def test_tree_config_refuses_a_min_leaf_weight_not_positive_and_finite(bad):
+    # NaN and inf made every cut inadmissible, so each tree was one leaf
+    with pytest.raises(ValueError, match=f"min_leaf_weight must be positive and finite, got {bad}$"):
+        TreeConfig(min_leaf_weight=bad)
+
 def test_nominal_unseen_category_uses_fallback():
     d = make_dataset(
         [[0, 0, 0, 1, 1]],
@@ -772,6 +791,77 @@ def test_many_category_splits_match_reference():
         split_nodes += got.n_nodes() - got.n_leaves()
     assert split_nodes > 200
 
+
+
+def test_children_sum_each_node_as_numpy_sums_its_rows():
+    # short runs are summed by bincount, longer ones (pairwise in numpy)
+    # one by one; each must equal numpy's sum of the node's own weights
+    rng = np.random.default_rng(3)
+    for trial in range(200):
+        n = int(rng.integers(1, 40))
+        rows = int(rng.integers(1, 3000))
+        labels = rng.integers(0, 2, rows).astype(np.int8)
+        idx = np.append(rng.integers(0, rows, rows), 0)
+        w = np.append(rng.dirichlet(np.full(rows, 0.3)) * rows * (rng.random(rows) < 0.8), 0.0)
+        # long runs of a few nodes, short ones of the others, some rows to none
+        key = np.minimum(rng.geometric(0.6 if trial % 2 else 0.05, rows) - 1, n)
+        key = key.astype(np.min_scalar_type(n))
+        class_weights, is_open, next_idx, next_w, sizes = trees._children(labels, idx, w, key, n)
+        y = labels[idx[:-1]]
+        for c in range(n):
+            for k in (0, 1):
+                want = w[:-1][(key == c + 1) & (y == k)].sum()
+                assert class_weights[c, k].tobytes() == want.tobytes(), (trial, c, k)
+        assert np.array_equal(is_open, (class_weights != 0).all(axis=1))
+        keep = np.flatnonzero(is_open[np.maximum(key.astype(np.int64) - 1, 0)] & (key > 0))
+        want_order = keep[np.argsort(key[keep], kind="stable")]
+        assert np.array_equal(next_idx, np.append(idx[want_order], 0))
+        assert next_w.tobytes() == np.append(w[want_order], 0.0).tobytes()
+        assert np.array_equal(sizes, np.bincount(key[keep], minlength=n + 1)[1:][is_open])
+
+
+def test_step_pass_matches_reference_on_weighted_bootstrap_groups(monkeypatch):
+    # children of hundreds of rows (their weights summed pairwise), Dirichlet
+    # weights, a category whose rows weigh nothing at nodes that split on
+    # it, bootstrap rows with repeats, and members that fill several groups
+    monkeypatch.setattr(trees, "_GROUP_ROWS", 1500)
+    groups, children = [], []
+    grow, split_level = trees._grow, trees._split_level
+
+    def record_grow(d, columns, members):
+        groups.append(len(members))
+        return grow(d, columns, members)
+
+    def record_children(*args):
+        level = split_level(*args)
+        children.append(int(level.sizes.max(initial=0)))
+        return level
+
+    monkeypatch.setattr(trees, "_grow", record_grow)
+    monkeypatch.setattr(trees, "_split_level", record_children)
+    rng = np.random.default_rng(20)
+    n = 600
+    names = tuple(f"c{i}" for i in range(12))
+    cols = [rng.normal(0, 1, n), rng.integers(0, 12, n).astype(float), rng.integers(0, 3, n).astype(float),
+            np.round(rng.exponential(2, n), 1)]
+    labels = ((cols[0] + (cols[1] % 3 == 0) + rng.normal(0, 0.8, n)) > 0.9).astype(np.int8)
+    d = make_dataset(cols, [NUMERIC, NOMINAL, NOMINAL, NUMERIC], labels, categories={1: names, 2: names[:3]})
+    members = []
+    for i in range(8):
+        idx = rng.integers(0, n, n)
+        w = rng.dirichlet(np.full(n, 0.5)) * n
+        w[d.values[idx, 1] == i % 3] = 0.0  # category i % 3 of attribute 1 weighs nothing
+        w[rng.random(n) < 0.1] = 0.0
+        cfg = TreeConfig(min_leaf_weight=1.0, use_pruning=bool(i % 2), seed=i,
+                         random_subspace_size=2 if i % 3 == 0 else None)
+        members.append((idx, w, cfg))
+    grown = trees.fit_trees(d, members)
+    assert len(groups) > 1 and max(groups) > 1 and max(children) > 128
+    dropped = 0  # nominal splits on attribute 1 whose rows include the weightless category
+    for (idx, w, cfg), tree in zip(members, grown):
+        assert tree_to_doc(tree) == tree_to_doc(reference_fit_tree(d.subset(idx), cfg, w))
+        dropped += sum(1 for node in tree.nodes if node.attribute == 1 and len(node.categories) < 11)
+    assert dropped > 0
 
 def test_deep_noisy_tree_fits_prunes_predicts_and_counts():
     # two attributes of pure label noise grow a chain thousands of nodes
