@@ -5,10 +5,10 @@ Subcommands:
 * ``run``: evaluate a grid of (sampler, classifier) cells on one dataset
   with shared stratified folds and write a fixed set of report files.
   The work runs as tasks that each cover one sampler's folds, or a chunk
-  of them, plus one refit task per sampler under ``--save-models``.  A
-  task resamples each of its training sets once, every classifier of the
-  sampler trains on that resampled set, and all the trees of the task grow
-  in one lockstep.
+  of them; under ``--save-models`` a sampler's first task also covers its
+  refit on the full dataset.  A task resamples each of its training sets
+  once, every classifier of the sampler trains on that resampled set, and
+  all the trees of the task, the refit's included, grow in one lockstep.
 * ``gen-synth``: write a synthetic imbalanced dataset (CSV plus schema).
 * ``featsel``: emit a gain-ratio ranking and a CFS subset report.
 * ``rules``: print the rule list of a saved tree or ensemble model.
@@ -55,9 +55,8 @@ from .evaluation import (
     _number_hint,
     _outcome,
     cv_result,
-    fit_pipelines,
     gen_synthetic,
-    run_folds,
+    run_sampler,
 )
 from .feature_selection import cfs_best_first, gain_ratio_rank
 from .metrics import METRIC_COLUMNS, MetricsReport
@@ -339,39 +338,31 @@ def _model_files(cell_name: str, pipe: PipelineModel) -> list[tuple[str, str]]:
     return files
 
 
-def _save_cell_models(d: Dataset, sampler_name: str, sampler: SamplerSpec,
-                      classifiers: tuple[tuple[str, ClassifierSpec], ...], seed: int) -> list:
-    """Refit every cell of one sampler on the full dataset; return its model files.
+def _save_cell_models(sampler_name: str, classifiers: tuple[tuple[str, ClassifierSpec], ...], pipes: list) -> list:
+    """The model files of every cell of one sampler from its refit pipelines.
 
-    The refit is the pipeline a fold runs, with derive_seed(seed, "final",
-    ...) seeds, so the dataset is resampled once for all the classifiers.
     Each classifier's entry is the list of (file name, text) of its cell's
     model files, or the DataError or ValueError that stopped its refit.
-    The texts are made here, so a worker process returns strings rather
-    than model objects, and the caller only writes them.
+    The texts are made in the task, so a worker process returns strings
+    rather than model objects, and the caller only writes them.
     """
-    seeds = (derive_seed(seed, "final", step) for step in ("sampler", "cluster", "classifier"))
-    try:
-        pipes = fit_pipelines(d, [spec for _, spec in classifiers], sampler, *seeds)
-    except ValueError as exc:
-        return [exc] * len(classifiers)
     return [
         pipe if isinstance(pipe, ValueError) else _outcome(_model_files, f"{sampler_name}+{c_name}", pipe)
         for (c_name, _), pipe in zip(classifiers, pipes)
     ]
 
 
-def _run_task(d: Dataset, split: FoldSplit, cfg: RunConfig, task: tuple[int, tuple[int, ...] | None]) -> list:
-    """Run one task, (sampler index, folds), with folds None for the refit.
+def _run_task(d: Dataset, split: FoldSplit, cfg: RunConfig, task: tuple[int, tuple[int, ...], bool]) -> tuple:
+    """Run one task, (sampler index, folds, whether to refit).
 
-    Returns one entry per classifier for the refit (see _save_cell_models),
-    else one list of entries per fold (see run_folds).
+    Returns one list of entries per fold (see run_sampler) and, for a
+    refit, the model files per classifier (see _save_cell_models), else None.
     """
-    s, folds = task
+    s, folds, refit = task
     s_name, sampler = cfg.samplers[s]
-    if folds is None:
-        return _save_cell_models(d, s_name, sampler, cfg.classifiers, cfg.seed)
-    return run_folds(d, split, folds, [spec for _, spec in cfg.classifiers], sampler, cfg.seed, cfg.beta)
+    specs = [spec for _, spec in cfg.classifiers]
+    runs, pipes = run_sampler(d, split, folds, specs, sampler, cfg.seed, cfg.beta, refit)
+    return runs, None if pipes is None else _save_cell_models(s_name, cfg.classifiers, pipes)
 
 
 def _fold_chunks(k_folds: int, n_samplers: int, workers: int) -> list[tuple[int, ...]]:
@@ -390,7 +381,7 @@ def _init_worker(*args) -> None:
     _worker_args = args
 
 
-def _pool_task(task: tuple[int, tuple[int, ...] | None]) -> list:
+def _pool_task(task: tuple[int, tuple[int, ...], bool]) -> tuple:
     return _run_task(*_worker_args, task)
 
 
@@ -429,7 +420,8 @@ def main() -> None:
 @click.option("--alpha", type=float, default=None, help="Override the comparison alpha.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Worker processes for the tasks: each sampler's folds, split into "
-                   "chunks when there are fewer samplers than workers, and its refit.")
+                   "chunks when there are fewer samplers than workers, the first of them "
+                   "with the sampler's refit.")
 @click.option("--save-models", is_flag=True,
               help="Also refit each cell on the full dataset and save the model files.")
 def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float | None,
@@ -448,24 +440,26 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
     except (DataError, ValueError, OSError) as exc:
         _fail(f"cannot evaluate {cfg.dataset}: {exc}")
     smallest = len(d) - int(np.bincount(split.fold_of).max())  # the smallest training split
+    fewest_minority = int(d.n_positive) - int(np.bincount(split.fold_of[d.labels == 1]).max(initial=0))
     for s_name, sampler in cfg.samplers:
         if sampler.method == "clustering_rus" and sampler.cluster_k > smallest:
             _fail(f"sampler '{s_name}': cluster_k {sampler.cluster_k} exceeds the {smallest} rows "
                   f"of the smallest training split")
+        if sampler.method == "smote" and sampler.k_neighbors >= fewest_minority:
+            _fail(f"sampler '{s_name}': k_neighbors {sampler.k_neighbors} is not below the {fewest_minority} "
+                  f"minority rows of the smallest training split")
 
     cells = [(s_name, c_name) for s_name, _ in cfg.samplers for c_name, _ in cfg.classifiers]
     names = [f"{s}+{c}" for s, c in cells]
-    # refits first: they train on the most rows, so a pool finishes sooner
-    samplers = range(len(cfg.samplers))
     chunks = _fold_chunks(cfg.k_folds, len(cfg.samplers), _worker_count(jobs, len(cfg.samplers) * cfg.k_folds))
-    tasks = [(s, None) for s in samplers if save_models]
-    tasks += [(s, chunk) for s in samplers for chunk in chunks]
-    outcomes = {}  # (sampler, fold or None for the refit) -> its classifiers' entries
-    for (s, folds), outcome in zip(tasks, _run_tasks(d, split, cfg, tasks, jobs)):
-        if folds is None:
-            outcomes[s, None] = outcome
-        else:
-            outcomes.update(((s, f), runs) for f, runs in zip(folds, outcome))
+    # a sampler's refit grows with its first chunk of folds, the smallest, to even out the chunks
+    tasks = [(s, chunk, save_models and c == 0) for s in range(len(cfg.samplers)) for c, chunk in enumerate(chunks)]
+    outcomes = {}  # (sampler, fold) -> its classifiers' entries
+    model_files = {}  # sampler -> its classifiers' model files, with --save-models
+    for (s, folds, _), (runs, files) in zip(tasks, _run_tasks(d, split, cfg, tasks, jobs)):
+        outcomes.update(((s, f), r) for f, r in zip(folds, runs))
+        if files is not None:
+            model_files[s] = files
 
     # cell i is (sampler s, classifier c) in grid order
     where = [divmod(i, len(cfg.classifiers)) for i in range(len(cells))]
@@ -534,7 +528,7 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
 
     if save_models:
         for name, (s, c) in zip(names, where):
-            files = outcomes[s, None][c]
+            files = model_files[s][c]
             if isinstance(files, ValueError):
                 raise click.ClickException(f"model refit failed for cell {name}: {files}")
             for file_name, text in files:

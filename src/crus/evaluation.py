@@ -8,15 +8,16 @@ partition on the training set alone, undersamples the flagged group and
 routes instances by nearest centroid.  The resampled sets are row maps
 into one task dataset, the data followed by every split's synthetic
 rows, and the trees of every (split, classifier, group) grow in one
-lockstep (`ensembles.fit_together`).  `run_folds` runs several folds of
-one sampler that way, `run_fold` is its one-fold case and `cv_result`
-assembles a cell's folds; `run_experiment` runs them for one cell.  Folds
-are created before any resampling and the pipeline sees only each
-training split, so synthetic or dropped instances never touch a test
-fold.  A fold's report is the test-count weighted average of its group
-reports.  The CLI runs `run_folds` per sampler or chunk of its folds, and
-its `--save-models` refit runs `fit_pipelines` (one split: the full
-dataset).
+lockstep (`ensembles.fit_together`).  `run_sampler` runs several folds
+of one sampler that way and, when asked, its refit: one more split, the
+full dataset.  `run_folds` is its no-refit case, `run_fold` the one-fold
+case, `fit_pipelines` fits one split alone, and `cv_result` assembles a
+cell's folds; `run_experiment` runs them for one cell.  Folds are created
+before any resampling and the pipeline sees only each training split, so
+synthetic or dropped instances never touch a test fold.  A fold's report
+is the test-count weighted average of its group reports.  The CLI runs
+`run_sampler` per sampler or chunk of its folds, with the `--save-models`
+refit in the sampler's first chunk.
 
 Seed discipline: from one master seed, the fold split uses
 derive_seed(seed, "folds") and fold f uses derive_seed(seed, "sampler", f),
@@ -477,7 +478,7 @@ def _score_fold(d: Dataset, test_idx: np.ndarray, f: int, pipe: PipelineModel, b
     return FoldRun(tuple(parts), report, tuple(warnings))
 
 
-def run_folds(
+def run_sampler(
     d: Dataset,
     split: FoldSplit,
     folds: Sequence[int],
@@ -485,19 +486,26 @@ def run_folds(
     sampler: SamplerSpec,
     seed: int = 0,
     beta: float = 1.0,
-) -> list[list[FoldRun | ValueError]]:
-    """The given folds of every classifier of one sampler: resample each
-    fold's training split once, fit each classifier on it, the folds'
-    trees growing in lockstep (see _fit_splits), and score it on the test
-    split.
+    refit: bool = False,
+) -> tuple[list[list[FoldRun | ValueError]], list[PipelineModel | ValueError] | None]:
+    """The given folds of every classifier of one sampler and, if `refit`,
+    its refit on all of d: resample each training set once, fit each
+    classifier on it, every fold's and the refit's trees growing in
+    lockstep (see _fit_splits), and score each fold on its test split.
 
     Returns one list per fold with one entry per classifier: its FoldRun,
-    or the DataError or ValueError that stopped it.  A failure while
-    resampling a fold is every classifier's entry of that fold.  Each
-    entry equals the one the fold gives alone.
+    or the DataError or ValueError that stopped it; and, if `refit`, one
+    entry per classifier: its pipeline fit on all of d with the
+    derive_seed(seed, "final", ...) seeds, or the error that stopped it,
+    else None.  A failure while resampling a training set is every
+    classifier's entry of that set.  Each entry equals the one its fold,
+    or `fit_pipelines` on d, gives alone.
     """
-    seeds = [tuple(derive_seed(seed, step, f) for step in ("sampler", "cluster", "classifier")) for f in folds]
-    fitted = _fit_splits(d, [(split.train_indices(f), s) for f, s in zip(folds, seeds)], classifiers, sampler)
+    steps = ("sampler", "cluster", "classifier")
+    splits = [(split.train_indices(f), tuple(derive_seed(seed, step, f) for step in steps)) for f in folds]
+    if refit:  # the last split, as its models are kept until the end
+        splits.append((np.arange(len(d)), tuple(derive_seed(seed, "final", step) for step in steps)))
+    fitted = _fit_splits(d, splits, classifiers, sampler)
     out = []
     for f in folds:
         pipes = next(fitted)
@@ -507,7 +515,23 @@ def run_folds(
             test_idx = split.test_indices(f)
             out.append([p if isinstance(p, ValueError) else _outcome(_score_fold, d, test_idx, f, p, beta) for p in pipes])
         del pipes  # no fold's models outlive its scoring while the next wave grows
-    return out
+    if not refit:
+        return out, None
+    pipes = next(fitted)
+    return out, [pipes] * len(classifiers) if isinstance(pipes, ValueError) else pipes
+
+
+def run_folds(
+    d: Dataset,
+    split: FoldSplit,
+    folds: Sequence[int],
+    classifiers: Sequence[ClassifierSpec],
+    sampler: SamplerSpec,
+    seed: int = 0,
+    beta: float = 1.0,
+) -> list[list[FoldRun | ValueError]]:
+    """The given folds of every classifier of one sampler: run_sampler without the refit."""
+    return run_sampler(d, split, folds, classifiers, sampler, seed, beta)[0]
 
 
 def run_fold(

@@ -20,12 +20,14 @@ from crus.dataset import (
     AttributeSpec,
     Dataset,
     DatasetSchema,
+    load_csv,
     save_schema,
     write_csv,
 )
 from crus.ensembles import EnsembleConfig, fit_bagging
-from crus.evaluation import SyntheticConfig, gen_synthetic
+from crus.evaluation import ClassifierSpec, SamplerSpec, SyntheticConfig, fit_pipelines, gen_synthetic
 from crus.modelfile import model_to_text
+from crus.seeds import derive_seed
 from crus.trees import DecisionTree, TreeConfig, fit_tree
 
 
@@ -172,18 +174,85 @@ def test_run_clusters_each_fold_once_for_all_classifiers(tmp_path, runner, monke
     assert result.exit_code == 0, result.output
     k_folds = 3
     assert len(calls) == 2 * (k_folds + 1)
-    assert sorted(len(d) for d in calls[:2]) == [150, 150]  # the two refits run first
+    # each sampler's full-data partition follows its folds'
+    assert [len(d) == 150 for d in calls] == ([False] * k_folds + [True]) * 2
 
 
-def test_run_failure_names_cell_and_fold_at_any_jobs(tmp_path, runner):
-    """SMOTE with more neighbours than a training fold has minority rows fails
-    in every fold; the first failing cell in grid order is named, at fold 0."""
+def test_run_grows_each_refit_in_its_samplers_lockstep(tmp_path, runner, monkeypatch):
+    """With --save-models a sampler's refit grows with its folds: fewer
+    scoring calls than its folds and its refit grown apart, and the same
+    nodes scored."""
+    import crus.trees as trees
+
+    scored = []  # the nodes of each scoring call
+    real = trees._gain_ratios
+
+    def counted(d, columns, idx, w, sizes, *args):
+        scored.append(len(sizes))
+        return real(d, columns, idx, w, sizes, *args)
+
+    monkeypatch.setattr(trees, "_gain_ratios", counted)
+    csv_path, schema_path = write_dataset(tmp_path)
+    cfg = write_run_config(tmp_path)
+    args = ["run", "--config", str(cfg), "--jobs", "1", "--out"]
+    assert runner.invoke(main, [*args, str(tmp_path / "together"), "--save-models"]).exit_code == 0
+    together = list(scored)
+
+    scored.clear()
+    assert runner.invoke(main, [*args, str(tmp_path / "folds")]).exit_code == 0
+    d = load_csv(csv_path, schema_path)
+    seeds = [derive_seed(5, "final", step) for step in ("sampler", "cluster", "classifier")]
+    classifiers = [ClassifierSpec("tree"), ClassifierSpec("bagging", n_members=3)]
+    for sampler in (SamplerSpec("none"), SamplerSpec("rus", spread=2.0)):
+        fit_pipelines(d, classifiers, sampler, *seeds)
+    assert len(together) < len(scored)
+    assert sum(together) == sum(scored)
+
+
+def test_run_saves_models_in_one_task_per_sampler(tmp_path, runner, monkeypatch):
+    """A grid whose samplers fill the workers runs one task per sampler,
+    its folds and its refit, with --save-models."""
+    import crus.cli as cli
+
+    tasks = []
+    real = cli._run_tasks
+
+    def recorded(d, split, cfg, sampler_tasks, jobs):
+        tasks.append(list(sampler_tasks))
+        return real(d, split, cfg, sampler_tasks, jobs)
+
+    monkeypatch.setattr(cli, "_run_tasks", recorded)
+    write_dataset(tmp_path)
+    cfg = write_run_config(tmp_path)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out), "--jobs", "2", "--save-models"])
+    assert result.exit_code == 0, result.output
+    assert len(tasks) == 1 and len(tasks[0]) == 2
+    assert sorted(p.name for p in (out / "models").iterdir()) == [
+        "none+bag.json", "none+tree.json", "rus+bag.json", "rus+tree.json"
+    ]
+
+
+def test_run_failure_names_cell_and_fold_at_any_jobs(tmp_path, runner, monkeypatch):
+    """A fit refused on every training set with synthetic rows fails the
+    smote cells in every fold; the first failing cell in grid order is
+    named, at fold 0.  Forked workers inherit the patch."""
+    import crus.evaluation as evaluation
+
+    real = evaluation.classifier_requests
+
+    def requests(d, idx, spec, seed):
+        if (d.row_ids[idx] < 0).any():
+            raise ValueError("synthetic rows refused")
+        return real(d, idx, spec, seed)
+
+    monkeypatch.setattr(evaluation, "classifier_requests", requests)
     write_dataset(tmp_path)
     cfg = write_run_config(
         tmp_path,
         samplers=[
             {"name": "none", "method": "none"},
-            {"name": "smote", "method": "smote", "percentage": 100.0, "k_neighbors": 30},
+            {"name": "smote", "method": "smote", "percentage": 100.0, "k_neighbors": 3},
         ],
     )
     messages = []
@@ -196,10 +265,7 @@ def test_run_failure_names_cell_and_fold_at_any_jobs(tmp_path, runner):
         assert not out.exists()
         messages.append(result.output)
     assert messages[0] == messages[1]
-    assert messages[0].startswith(
-        "Error: evaluation failed for cell smote+tree, fold 0: "
-        "SMOTE needs more than k_neighbors=30 minority instances, found "
-    )
+    assert messages[0] == "Error: evaluation failed for cell smote+tree, fold 0: synthetic rows refused\n"
 
 
 def test_run_failure_of_one_classifier_names_its_cell(tmp_path, runner, monkeypatch):
@@ -322,6 +388,32 @@ def test_run_refuses_cluster_k_above_the_smallest_training_split(tmp_path, runne
     assert result.exit_code == 2
     assert result.output.endswith(
         "Error: sampler 'crus': cluster_k 30 exceeds the 17 rows of the smallest training split\n"
+    )
+    assert calls == [] and not out.exists()
+
+
+def test_run_refuses_smote_k_neighbors_at_the_smallest_training_split(tmp_path, runner, monkeypatch):
+    """Checked right after the fold split, before any fit: 4 minority rows
+    in 2 folds leave 2 in each training split, too few for 5 neighbours."""
+    import crus.evaluation as evaluation
+
+    calls = []
+    monkeypatch.setattr(evaluation, "smote_oversample", lambda *args: calls.append(args))
+    write_dataset(tmp_path, SyntheticConfig(blob_sizes=(20, 12), blob_irs=(5.0, 11.0), n_numeric=1, n_nominal=1,
+                                            seed=3))
+    cfg = write_run_config(
+        tmp_path,
+        k_folds=2,
+        samplers=[
+            {"name": "none", "method": "none"},
+            {"name": "smote", "method": "smote", "percentage": 100.0, "k_neighbors": 5},
+        ],
+    )
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out), "--save-models"])
+    assert result.exit_code == 2
+    assert result.output.endswith(
+        "Error: sampler 'smote': k_neighbors 5 is not below the 2 minority rows of the smallest training split\n"
     )
     assert calls == [] and not out.exists()
 

@@ -34,6 +34,7 @@ from crus.evaluation import (
     run_experiment,
     run_fold,
     run_folds,
+    run_sampler,
 )
 from crus.metrics import combine_reports, compute_report
 from crus.modelfile import model_to_text
@@ -453,6 +454,55 @@ def test_run_folds_equals_run_fold_fold_by_fold(sampler):
                 if spec.method == "adaboost":
                     rounds.add(len(group.model.epsilons))
     assert len(rounds) > 1
+
+
+@pytest.mark.parametrize(
+    "sampler",
+    [
+        SamplerSpec("none"),
+        SamplerSpec("smote", percentage=100.0, k_neighbors=3),
+        SamplerSpec("clustering_rus", threshold=2.0, cluster_k=2, spread=1.0),
+    ],
+    ids=lambda s: s.method,
+)
+def test_run_sampler_refit_grows_with_the_folds_and_equals_fit_pipelines(sampler):
+    """The refit, grown in the folds' lockstep, gives the models that
+    fit_pipelines on all rows with the "final" seeds gives, and no fold
+    result changes."""
+    d = conflicting_pair_dataset()
+    split = stratified_kfold(d, 5, derive_seed(3, "folds"))
+    runs, pipes = run_sampler(d, split, [1, 2], EVERY_CLASSIFIER, sampler, seed=3, refit=True)
+    for got, want in zip(runs, run_folds(d, split, [1, 2], EVERY_CLASSIFIER, sampler, seed=3), strict=True):
+        for run, alone in zip(got, want, strict=True):
+            assert_same_run(run, alone)
+    final = [derive_seed(3, "final", step) for step in ("sampler", "cluster", "classifier")]
+    for pipe, other in zip(pipes, fit_pipelines(d, EVERY_CLASSIFIER, sampler, *final), strict=True):
+        assert list(pipe.groups) == list(other.groups) and pipe.warnings == other.warnings
+        for name, group in pipe.groups.items():
+            assert model_to_text(group.model) == model_to_text(other.groups[name].model)
+            assert np.array_equal(group.train_ids, other.groups[name].train_ids)
+            assert group.n_synthetic == other.groups[name].n_synthetic
+        if sampler.method == "clustering_rus":
+            assert np.array_equal(pipe.partition.model.centroids, other.partition.model.centroids)
+    assert run_sampler(d, split, [1, 2], EVERY_CLASSIFIER, sampler, seed=3)[1] is None
+
+
+def test_run_sampler_refit_failure_is_every_classifiers_entry(monkeypatch):
+    import crus.evaluation as evaluation
+
+    d = conflicting_pair_dataset()
+    split = stratified_kfold(d, 5, derive_seed(3, "folds"))
+    real = evaluation.apply_sampler
+
+    def apply_sampler(train, spec, seed):
+        if seed == derive_seed(3, "final", "sampler"):
+            raise DataError("refit refused")
+        return real(train, spec, seed)
+
+    monkeypatch.setattr(evaluation, "apply_sampler", apply_sampler)
+    runs, pipes = run_sampler(d, split, [0], EVERY_CLASSIFIER[:2], SamplerSpec("rus"), seed=3, refit=True)
+    assert not any(isinstance(run, ValueError) for run in runs[0])
+    assert [str(p) for p in pipes] == ["refit refused"] * 2
 
 
 def test_run_folds_keeps_each_failure_in_its_own_entry(monkeypatch):

@@ -31,6 +31,8 @@ ALLOWED = {
     "fit_random_committee": "a building block the README documents",
     "fit_classifier": "patched by the benchmark tracer (perfbench/tracer.py)",
     "run_fold": "a building block the README documents: run_folds for one fold",
+    # the package fits the refit through run_sampler, in its sampler's lockstep
+    "fit_pipelines": "a building block the README documents; tests use it as the one-split reference",
 }
 
 
