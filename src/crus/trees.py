@@ -28,17 +28,24 @@ their values and weigh at least _SKIP_FLOOR of the row's total, and the
 row's lighter class does too; the floors keep rounding from tying two
 cuts.  The first maximum of a row is its lowest best threshold.  Nominal
 rows are scored in blocks too, each with one bincount over (row,
-category) keys.  Padding changes no number: pads sort last with weight
-0, and each sum runs over exactly the values, in the order, that scoring
-the node alone would sum.  Attribute ranking in `feature_selection` is
-the one-node case.
+category) keys.  Attribute ranking in `feature_selection` is the
+one-node case.
+
+Every weight total is a sequential sum: the values added one after
+another from 0, in the order the code visits them (a cumulative sum's
+last column, or a bincount).  A row's totals follow its sorted values, a
+nominal row's its categories, and a node's class weights its rows.  No
+sum depends on how numpy blocks a reduction inside, and padding changes
+no number: pads sort last with weight 0, and adding 0 changes no sum.
+Integer weights sum exactly in any order, so only trees grown on
+fractional weights (boosting rounds) depend on the order at all.
 
 `_split_level` then splits the whole step in one pass: each node at the
 first maximum over its candidates, in attribute order.  It finds every
-row's child, groups the rows by child with one stable sort, takes the new
-nodes' class weights as numpy would sum each node's own weights, and
-hands the rows of the open children on as the next step's arrays, in the
-same order as each tree alone would hold them.
+row's child, groups the rows by child with one stable sort, sums the new
+nodes' class weights in row order, and hands the rows of the open
+children on as the next step's arrays, in the same order as each tree
+alone would hold them.
 
 `fit_trees` grows a set of trees together, a depth level per step.
 Trees of more than _GROUP_ROWS training rows in all grow in groups, which
@@ -188,33 +195,6 @@ _BLOCK_CELLS = 8192
 # block row's total weight (see `_numeric_block`).
 _SKIP_FLOOR = 2.0**-20
 
-# numpy adds up to this many values one after another, and longer arrays
-# pairwise, so zeros after at most this many values leave their sum as it is.
-_SEQUENTIAL_SUM = 7
-
-
-def _row_sums(A: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The sum of the first lengths[i] values of each row i of A, whose
-    later values are 0, bit for bit numpy's sum of exactly those values.
-
-    A trailing zero can change a pairwise sum, so rows longer than
-    _SEQUENTIAL_SUM are summed in one call per distinct length.  This
-    relies on two facts of numpy's sum (numpy 2.x): it adds up to
-    _SEQUENTIAL_SUM values one after another, and sum(axis=1) of a
-    C-contiguous array sums each row as it would that row alone.
-    `test_row_sums_equal_each_row_summed_alone` checks both.
-    """
-    if A.shape[1] <= _SEQUENTIAL_SUM or (lengths == A.shape[1]).all():
-        return A.sum(axis=1)
-    out = np.empty(lengths.size)
-    short = lengths <= _SEQUENTIAL_SUM
-    out[short] = A[short, :_SEQUENTIAL_SUM].sum(axis=1)
-    for n in np.unique(lengths[~short]):
-        rows = lengths == n
-        out[rows] = A[rows, :n].sum(axis=1)
-    return out
-
-
 def _fraction(part: np.ndarray, total: np.ndarray) -> np.ndarray:
     """part / total elementwise, 0 where total is not positive."""
     return np.divide(part, total, out=np.zeros(np.shape(part)), where=total > 0)
@@ -259,11 +239,11 @@ class _Columns:
 
 def _numeric_block(
     C: np.ndarray, distinct: np.ndarray, src: np.ndarray, w: np.ndarray, w_pos: np.ndarray,
-    lengths: np.ndarray, min_leaf: np.ndarray | float,
+    min_leaf: np.ndarray | float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Score the admissible cuts of each row of C that can be a row's best.
 
-    Row i holds the codes (see `_Columns`) of lengths[i] values of one
+    Each row holds the codes (see `_Columns`) of the values of one
     attribute, then pad codes; distinct maps codes to values, and a pad's
     to NaN.  src gives the position of each value in w and w_pos, which
     hold weights and positive-class weights; a pad's position holds 0 in
@@ -291,14 +271,14 @@ def _numeric_block(
     tests/test_trees.py checks against a full scan.
 
     The results equal those of scoring each row alone without pads: the
-    pads sort last, each row total is numpy's sum of that row's own values
-    (`_row_sums`), cumsum is sequential and every other step is
-    elementwise.  Every weight divided by here is positive (both sides of
-    an admissible cut, and the total of a row with weight), so fractions
-    are plain quotients.  Each row is sorted by (code, column): the keys
-    are distinct, so any sort gives the order of a stable sort of the
-    values, in which tied values keep their order and a NaN value comes
-    before its row's pads.
+    pads sort last with weight 0, a row's totals are the last column of
+    its cumulative sums (its weights added one after another in sorted
+    order), and every other step is elementwise.  Every weight divided by
+    here is positive (both sides of an admissible cut, and the total of a
+    row with weight), so fractions are plain quotients.  Each row is
+    sorted by (code, column): the keys are distinct, so any sort gives the
+    order of a stable sort of the values, in which tied values keep their
+    order and a NaN value comes before its row's pads.
     """
     width = C.shape[1]
     # int32 keys sort faster; int64 where a code times the width can exceed
@@ -307,19 +287,21 @@ def _numeric_block(
     flat = np.argsort(np.multiply(C, width, dtype=key) + np.arange(width, dtype=key), axis=1)
     flat += np.arange(0, C.size, width)[:, np.newaxis]
     v, src = distinct.take(C.take(flat)), src.take(flat)
-    cum_w, cum_pos = w.take(src), w_pos.take(src)
-    total, total_pos = _row_sums(cum_w, lengths), _row_sums(cum_pos, lengths)
-    # rows of the positive class, and rows weighing at least _SKIP_FLOOR of
-    # their row's total (never one without weight, even where the floor
-    # would round to 0); none in a row whose lighter class weighs less, as
-    # its gains are no larger than their rounding errors
-    positive = cum_pos > 0
+    del flat
+    sorted_w, cum_pos = w.take(src), w_pos.take(src)
+    del src
+    positive = cum_pos > 0  # rows of the positive class
+    np.cumsum(cum_pos, axis=1, out=cum_pos)
+    cum_w = np.cumsum(sorted_w, axis=1)
+    total, total_pos = cum_w[:, -1], cum_pos[:, -1]
+    # rows weighing at least _SKIP_FLOOR of their row's total (never one
+    # without weight, even where the floor would round to 0); none in a row
+    # whose lighter class weighs less, as its gains are no larger than
+    # their rounding errors
     floor = np.maximum(total * _SKIP_FLOOR, np.finfo(np.float64).tiny)
     floor[np.minimum(total_pos, total - total_pos) < floor] = np.inf
-    heavy = cum_w >= floor[:, np.newaxis]
-    # in place, so that no weight array outlives its cumulative sums
-    np.cumsum(cum_w, axis=1, out=cum_w)
-    np.cumsum(cum_pos, axis=1, out=cum_pos)
+    heavy = sorted_w >= floor[:, np.newaxis]
+    del sorted_w  # no weight array outlives its cumulative sums
     left = cum_w[:, :-1]
     left = np.minimum(left, total[:, np.newaxis] - left)  # the smaller side
     # the admissible cuts, in arrays as wide as the rows whose last column
@@ -381,8 +363,7 @@ def _numeric_candidates(
         return np.empty(0), np.empty(0), np.empty(0)
     distinct, codes = np.unique(vals, return_inverse=True)
     v, cut, gains, infos = _numeric_block(
-        codes[np.newaxis], np.append(distinct, np.nan), np.arange(vals.size)[np.newaxis], w, w * (y == 1),
-        np.array([vals.size]), min_leaf,
+        codes[np.newaxis], np.append(distinct, np.nan), np.arange(vals.size)[np.newaxis], w, w * (y == 1), min_leaf
     )
     return (v[0, cut] + v[0, cut + 1]) / 2.0, gains, infos
 
@@ -396,34 +377,25 @@ def _nominal_ratios(
     min_leaf[i].  key is i * max(n_categories) + category for each value,
     w and w_pos the value's weight and positive-class weight.  A ratio is
     -inf when fewer than two categories carry weight, fewer than two reach
-    min_leaf or the split information is 0.  Each sum is over exactly the
-    values a row scored alone would sum, in the same order.
+    min_leaf or the split information is 0.  The category weights add each
+    row's values in order (bincount), and each sum over a row's categories
+    adds them one after another in category order, as the last column of a
+    cumulative sum; a category without weight adds 0 and changes no sum.
     """
     shape = (n_categories.size, int(n_categories.max()))
     w_tot = np.bincount(key, weights=w, minlength=shape[0] * shape[1]).reshape(shape)
     w_pos = np.bincount(key, weights=w_pos, minlength=shape[0] * shape[1]).reshape(shape)
-    total = _row_sums(w_tot, n_categories)
+    total, total_pos = np.cumsum([w_tot, w_pos], axis=2)[:, :, -1]
     # the class entropy of each category's weight, then of each row's
-    h = _binary_entropy(
-        np.concatenate([w_pos.ravel(), _row_sums(w_pos, n_categories)]), np.concatenate([w_tot.ravel(), total])
-    )
-    h_class = h[w_tot.size:]
-    h_cond = _row_sums(w_tot * h[:w_tot.size].reshape(shape), n_categories) / total
-    # The split information is the entropy of the observed categories'
-    # weights.  numpy adds up to _SEQUENTIAL_SUM categories one by one, so
-    # the zeros of the others change no sum; past that it adds pairwise,
-    # so the observed ones move to the front and are summed alone.
-    observed = w_tot > 0
-    n_observed = observed.sum(axis=1)
-    w_obs, total_obs = w_tot, total
-    if shape[1] > _SEQUENTIAL_SUM:
-        first = np.argsort(~observed, axis=1, kind="stable") + np.arange(0, w_tot.size, shape[1])[:, np.newaxis]
-        w_obs = w_tot.take(first)
-        total_obs = _row_sums(w_obs, n_observed)
-    total_obs = total_obs[:, np.newaxis]
-    split_info = -_row_sums(_plogp(_fraction(w_obs, total_obs)), n_observed)
-    usable = (n_observed >= 2) & ((w_tot >= min_leaf[:, np.newaxis]).sum(axis=1) >= 2) & (split_info > 0)
-    return np.where(usable, (h_class - h_cond) / np.where(usable, split_info, 1.0), -np.inf)
+    h = _binary_entropy(np.concatenate([w_pos.ravel(), total_pos]), np.concatenate([w_tot.ravel(), total]))
+    # the conditional class entropy, and the split information: the
+    # entropy of the categories' weights
+    weighted, plogp = np.cumsum(
+        [w_tot * h[:w_tot.size].reshape(shape), _plogp(_fraction(w_tot, total[:, np.newaxis]))], axis=2
+    )[:, :, -1]
+    h_cond, split_info = weighted / total, -plogp
+    usable = ((w_tot > 0).sum(axis=1) >= 2) & ((w_tot >= min_leaf[:, np.newaxis]).sum(axis=1) >= 2) & (split_info > 0)
+    return np.where(usable, (h[w_tot.size:] - h_cond) / np.where(usable, split_info, 1.0), -np.inf)
 
 
 def _gain_ratios(
@@ -475,9 +447,7 @@ def _gain_ratios(
         C = columns.codes.ravel().take(idx.take(pos) + (attrs * columns.codes.shape[1])[:, np.newaxis])
         if lengths[-1] < width:
             C[pad] = columns.distinct.size - 1
-        v, cuts, gains, infos = _numeric_block(
-            C, columns.distinct, pos, w, w_pos, lengths, min_leaf[nodes, np.newaxis]
-        )
+        v, cuts, gains, infos = _numeric_block(C, columns.distinct, pos, w, w_pos, min_leaf[nodes, np.newaxis])
         r = np.full((rows.size, width - 1), -np.inf)
         usable = infos > 0
         r.ravel()[cuts[usable]] = gains[usable] / infos[usable]
@@ -531,32 +501,20 @@ def _children(
     idx and w end with a pad of weight 0; key[i] is 1 + the node (from 0)
     that row idx[i] goes to, or 0 for none, in the smallest unsigned type
     that holds n.  Returns (class_weights, is_open, idx, w, sizes):
-    class_weights[c] is node c's [negative, positive] weight, each numpy's
-    sum of its rows' weights in row order, and the open nodes (weight in
-    both classes) have their rows and weights end to end, in node order
-    and row order within a node, then a pad; sizes counts each open node's
-    rows.
-
-    numpy's sum adds up to _SEQUENTIAL_SUM values one after another from
-    0, as bincount does, so one bincount over (node, class) runs sums every
-    short run; a longer run, which numpy adds pairwise, is summed alone.
-    Stable sorts by node and by run group the rows; numpy sorts keys of 16
-    bits or fewer by radix.
+    class_weights[c] is node c's [negative, positive] weight, the weights
+    of its rows of each class added one after another in row order (one
+    bincount over (node, class) keys), and the open nodes (weight in both
+    classes) have their rows and weights end to end, in node order and row
+    order within a node, then a pad; sizes counts each open node's rows.
+    One stable sort by node groups the rows; numpy sorts keys of 16 bits
+    or fewer by radix.
     """
     idx, w = idx[:-1], w[:-1]
     runs = np.multiply(key, 2, dtype=np.min_scalar_type(2 * n + 1))
     runs += labels.take(idx) == 1
-    lengths = np.bincount(runs, minlength=2 * n + 2)
-    sums = np.bincount(runs, weights=w, minlength=2 * n + 2)
-    long = np.flatnonzero(lengths[2:] > _SEQUENTIAL_SUM) + 2  # rows that reach no node need no sum
-    if long.size:
-        values = w.take(np.argsort(runs, kind="stable"))
-        for run, end, size in zip(long.tolist(), np.cumsum(lengths)[long].tolist(), lengths[long].tolist()):
-            sums[run] = values[end - size:end].sum()
-        del values
-    class_weights = sums[2:].reshape(n, 2)
+    class_weights = np.bincount(runs, weights=w, minlength=2 * n + 2)[2:].reshape(n, 2)
     is_open = (class_weights != 0).all(axis=1)
-    counts = lengths[0::2] + lengths[1::2]
+    counts = np.bincount(key, minlength=n + 1)
     order = np.argsort(key, kind="stable")  # grouped by node, rows keep their order
     order = order[counts[0]:] if is_open.all() else order[np.repeat(np.append(False, is_open), counts)]
     next_idx, next_w = np.empty(order.size + 1, dtype=idx.dtype), np.empty(order.size + 1)

@@ -17,7 +17,6 @@ from crus.trees import (
     TreeConfig,
     TreeNode,
     _binary_entropy,
-    _entropy,
     _estimated_errors,
     _prune,
     _pruning_z,
@@ -322,7 +321,18 @@ def test_default_subspace_size():
 # Reference split search: the per-attribute scorer, breadth-first grower
 # and recursive pruner that numeric blocks and list passes replaced.  They
 # build a nested (node, child subtrees) form and flatten it in pre-order.
-# The block scorer must reproduce their trees bit for bit.
+# The block scorer must reproduce their trees bit for bit.  Every weight
+# total is a sequential sum, as in the grower: a node's class weights in
+# row order, a numeric attribute's in sorted order, and a nominal
+# attribute's over its categories in category order.
+
+def _sequential_sum(values):
+    """values added one after another from 0, in order."""
+    total = 0.0
+    for value in np.asarray(values, dtype=np.float64).tolist():
+        total += value
+    return total
+
 
 def _reference_binary_entropy(w_pos, w_tot):
     out = np.zeros_like(np.asarray(w_tot, dtype=np.float64))
@@ -336,10 +346,9 @@ def _reference_binary_entropy(w_pos, w_tot):
 def _reference_numeric_candidates(vals, y, w, min_leaf):
     order = np.argsort(vals, kind="stable")
     v, yy, ww = vals[order], y[order], w[order]
-    total = ww.sum()
-    total_pos = (ww * (yy == 1)).sum()
     cum_w = np.cumsum(ww)
     cum_pos = np.cumsum(ww * (yy == 1))
+    total, total_pos = cum_w[-1], cum_pos[-1]
     cut = np.flatnonzero(v[1:] > v[:-1])
     if cut.size == 0:
         return np.empty(0), np.empty(0), np.empty(0)
@@ -361,7 +370,7 @@ def _reference_numeric_candidates(vals, y, w, min_leaf):
     return thresholds, h_class - h_cond, split_info
 
 
-# The per-node nominal scorer the batched one replaced, as it was.
+# The per-node nominal scorer the batched one replaced, its sums sequential.
 def _nominal_stats(
     vals: np.ndarray, y: np.ndarray, w: np.ndarray, n_categories: int, min_leaf: float
 ) -> tuple[float, float, np.ndarray] | None:
@@ -376,10 +385,11 @@ def _nominal_stats(
     observed = w_tot > 0
     if observed.sum() < 2 or (w_tot >= min_leaf).sum() < 2:
         return None
-    total = w_tot.sum()
-    h_class = _binary_entropy(np.array([w_pos.sum()]), np.array([total]))[0]
-    h_cond = float((w_tot * _binary_entropy(w_pos, w_tot)).sum() / total)
-    split_info = _entropy(w_tot[observed])
+    total = _sequential_sum(w_tot)
+    h_class = _binary_entropy(np.array([_sequential_sum(w_pos)]), np.array([total]))[0]
+    h_cond = _sequential_sum(w_tot * _binary_entropy(w_pos, w_tot)) / total
+    p = w_tot[observed] / total
+    split_info = -_sequential_sum(p * np.log2(p))
     return h_class - h_cond, split_info, w_tot
 
 
@@ -409,7 +419,7 @@ class _ReferenceGrower:
         while queue:
             siblings, idx, w = queue.popleft()
             y = self.d.labels[idx]
-            cw = np.array([w[y == 0].sum(), w[y == 1].sum()])
+            cw = np.array([_sequential_sum(w[y == 0]), _sequential_sum(w[y == 1])])
             node, children = TreeNode(class_weights=cw), []
             siblings.append((node, children))
             if cw[0] == 0 or cw[1] == 0:
@@ -545,18 +555,6 @@ def equivalence_case(seed):
     return d, w, cfg
 
 
-def test_row_sums_equal_each_row_summed_alone():
-    # the padded rows of a block must total exactly what each node's own
-    # values sum to, whether numpy adds them one by one or pairwise
-    rng = np.random.default_rng(0)
-    for width in (1, 5, 7, 8, 9, 16, 40, 129, 300):
-        lengths = rng.integers(0, width + 1, 60)
-        A = rng.exponential(1.0, (60, width)) * rng.choice([1e-3, 1.0, 1e5], (60, width))
-        A[np.arange(width) >= lengths[:, np.newaxis]] = 0.0
-        want = np.array([A[i, :n].copy().sum() for i, n in enumerate(lengths)])
-        assert trees._row_sums(A, lengths).tobytes() == want.tobytes(), width
-
-
 def test_sort_keys_past_the_int32_range_sort_as_with_int64_codes():
     # the codes are int32, but a block's sort keys, code * width + column,
     # pass 2**31 here and must not wrap
@@ -571,26 +569,23 @@ def test_sort_keys_past_the_int32_range_sort_as_with_int64_codes():
     w = rng.exponential(1.0, 2 * width)
     w_pos = w * (rng.random(2 * width) < 0.3)
     w[src[1, width - 100:]] = w_pos[src[1, width - 100:]] = 0.0
-    lengths = np.array([width, width - 100])
-    got = trees._numeric_block(C, distinct, src, w, w_pos, lengths, 2.0)
-    want = trees._numeric_block(C.astype(np.int64), distinct, src, w, w_pos, lengths, 2.0)
+    got = trees._numeric_block(C, distinct, src, w, w_pos, 2.0)
+    want = trees._numeric_block(C.astype(np.int64), distinct, src, w, w_pos, 2.0)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
     assert np.all(np.diff(got[0][0]) >= 0)
     assert trees._Columns(make_dataset([[0.5, 1.5, 0.5]], [NUMERIC], [0, 1, 0])).codes.dtype == np.int32
 
 
-def _full_scan_numeric_block(C, distinct, src, w, w_pos, lengths, min_leaf):
+def _full_scan_numeric_block(C, distinct, src, w, w_pos, min_leaf):
     """`trees._numeric_block` as it was before it skipped cuts inside runs
     of one class: every admissible cut is scored."""
     width = C.shape[1]
     flat = np.argsort(np.multiply(C, width, dtype=np.int64) + np.arange(width), axis=1)
     flat += np.arange(0, C.size, width)[:, np.newaxis]
     v, src = distinct.take(C.take(flat)), src.take(flat)
-    cum_w, cum_pos = w.take(src), w_pos.take(src)
-    total, total_pos = trees._row_sums(cum_w, lengths), trees._row_sums(cum_pos, lengths)
-    np.cumsum(cum_w, axis=1, out=cum_w)
-    np.cumsum(cum_pos, axis=1, out=cum_pos)
+    cum_w, cum_pos = np.cumsum(w.take(src), axis=1), np.cumsum(w_pos.take(src), axis=1)
+    total, total_pos = cum_w[:, -1], cum_pos[:, -1]
     left = cum_w[:, :-1]
     left = np.minimum(left, total[:, np.newaxis] - left)
     cuts = np.flatnonzero((v[:, 1:] > v[:, :-1]) & (left >= min_leaf) & (left > 0))
@@ -680,7 +675,7 @@ def _skip_case(rng):
     src[pad] = w.size - 1
     C = np.append(codes, distinct.size - 1).take(src)
     min_leaf = float(rng.choice([0.0, 0.0, 1e-9, 1.0, 2.0, 5.0, 20.0]))
-    return C, distinct, src, w, w_pos, lengths, min_leaf
+    return C, distinct, src, w, w_pos, min_leaf
 
 
 def test_skipping_cuts_inside_runs_of_one_class_never_changes_a_pick():
@@ -704,7 +699,7 @@ def test_a_run_of_one_class_is_scored_at_its_ends_only():
     distinct = np.append(np.arange(100.0), np.nan)
     w = np.append(np.ones(100), 0.0)
     w_pos = w * (np.arange(101) >= 50)
-    scored = trees._numeric_block(C, distinct, C, w, w_pos, np.array([100]), 0.0)
+    scored = trees._numeric_block(C, distinct, C, w, w_pos, 0.0)
     assert scored[1].tolist() == [0, 49, 98]
     assert _block_picks(*scored)[1][0] == 49.5
 
@@ -716,7 +711,7 @@ def test_a_row_whose_lighter_class_is_below_the_floor_is_scored_in_full():
     distinct = np.append(np.arange(6.0), np.nan)
     w = np.array([1e-12, 1.0, 1e6, 1e6, 1e-12, 1e6, 0.0])
     w_pos = w * np.array([0, 1, 1, 1, 1, 1, 0])
-    args = (C, distinct, C, w, w_pos, np.array([6]), 1.0)
+    args = (C, distinct, C, w, w_pos, 1.0)
     scored = trees._numeric_block(*args)
     assert scored[1].tolist() == _full_scan_numeric_block(*args)[1].tolist() == [1, 2, 3, 4]
     assert _block_picks(*scored)[1][0] == 2.5
@@ -793,9 +788,9 @@ def test_many_category_splits_match_reference():
 
 
 
-def test_children_sum_each_node_as_numpy_sums_its_rows():
-    # short runs are summed by bincount, longer ones (pairwise in numpy)
-    # one by one; each must equal numpy's sum of the node's own weights
+def test_children_sum_each_node_in_row_order():
+    # each node's class weights are its rows' weights of that class added
+    # one after another in row order, however long the run
     rng = np.random.default_rng(3)
     for trial in range(200):
         n = int(rng.integers(1, 40))
@@ -807,11 +802,10 @@ def test_children_sum_each_node_as_numpy_sums_its_rows():
         key = np.minimum(rng.geometric(0.6 if trial % 2 else 0.05, rows) - 1, n)
         key = key.astype(np.min_scalar_type(n))
         class_weights, is_open, next_idx, next_w, sizes = trees._children(labels, idx, w, key, n)
-        y = labels[idx[:-1]]
-        for c in range(n):
-            for k in (0, 1):
-                want = w[:-1][(key == c + 1) & (y == k)].sum()
-                assert class_weights[c, k].tobytes() == want.tobytes(), (trial, c, k)
+        want = [[0.0, 0.0] for _ in range(n + 1)]
+        for node, label, weight in zip(key.tolist(), labels[idx[:-1]].tolist(), w[:-1].tolist()):
+            want[node][label] += weight
+        assert class_weights.tobytes() == np.array(want[1:]).tobytes(), trial
         assert np.array_equal(is_open, (class_weights != 0).all(axis=1))
         keep = np.flatnonzero(is_open[np.maximum(key.astype(np.int64) - 1, 0)] & (key > 0))
         want_order = keep[np.argsort(key[keep], kind="stable")]
@@ -945,3 +939,28 @@ def test_unit_weight_tree_does_not_depend_on_row_order(data):
     cfg = TreeConfig(min_leaf_weight=data.draw(st.sampled_from([1.0, 2.0]), label="min_leaf"),
                      use_pruning=data.draw(st.booleans(), label="pruning"), random_subspace_size=size, seed=3)
     assert model_to_text(fit_tree(shuffled, cfg)) == model_to_text(fit_tree(d, cfg))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_integer_weight_tree_does_not_depend_on_row_order(data):
+    # bootstrap counts are whole weights too, so every sum is exact in any
+    # order; nominal attributes of up to 12 categories and nodes of many
+    # rows make sums of more than 7 values
+    n_numeric = data.draw(st.integers(0, 3), label="n_numeric")
+    n_nominal = data.draw(st.integers(0 if n_numeric else 1, 2), label="n_nominal")
+    n = data.draw(st.integers(2, 150), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    cols = [np.round(rng.normal(0, 1, n), int(rng.integers(0, 2))) for _ in range(n_numeric)]
+    names = tuple(f"c{c}" for c in range(12))
+    cols += [rng.integers(0, 12, n).astype(float) for _ in range(n_nominal)]
+    labels = rng.integers(0, 2, n)
+    categories = {i: names for i in range(n_numeric, n_numeric + n_nominal)}
+    d = make_dataset(cols, [NUMERIC] * n_numeric + [NOMINAL] * n_nominal, labels, categories=categories)
+    w = np.bincount(rng.integers(0, n, n), minlength=n).astype(float)
+    order = rng.permutation(n)
+    size = data.draw(st.one_of(st.none(), st.integers(1, n_numeric + n_nominal)), label="subspace")
+    cfg = TreeConfig(min_leaf_weight=data.draw(st.sampled_from([1.0, 2.0]), label="min_leaf"),
+                     use_pruning=data.draw(st.booleans(), label="pruning"), random_subspace_size=size, seed=3)
+    shuffled = fit_tree(d.subset(order), cfg, weights=w[order])
+    assert model_to_text(shuffled) == model_to_text(fit_tree(d, cfg, weights=w))
