@@ -18,6 +18,8 @@ byte-identical files, whatever ``--jobs`` is.  Tasks may run in parallel
 worker processes; all report and model writing happens afterwards, single
 threaded, in grid order.  Every CSV table a command writes is laid out by
 one writer, `_csv`, and every metric cell has one format, six decimals.
+Every file goes through `_write`, so a path that cannot be written ends
+a command with one error line that names it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import numbers
 import os
 import re
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -239,9 +242,18 @@ def _csv(header: list[str], rows) -> str:
     return "".join(",".join(line) + "\n" for line in [header, *rows])
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+def _write(path: Path, content: str | Callable[[Path], None]) -> None:
+    """Write content to path, making its directory first: text, or a
+    function that writes the file at the path it is given.  An OSError is
+    a usage error that names path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if callable(content):
+            content(path)
+        else:
+            path.write_text(content, encoding="utf-8")
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc}")
 
 
 class _Reports:
@@ -586,11 +598,9 @@ def gen_synth(config_path: Path | None, out: Path, schema_out: Path | None,
     except (TypeError, ValueError) as exc:
         _fail(f"generator config: {exc}")
     data = gen_synthetic(cfg)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_csv(data.dataset, out)
+    _write(out, partial(write_csv, data.dataset))
     schema_path = schema_out if schema_out is not None else out.with_suffix(".schema.yaml")
-    schema_path.parent.mkdir(parents=True, exist_ok=True)
-    save_schema(data.dataset.schema, schema_path)
+    _write(schema_path, partial(save_schema, data.dataset.schema))
     if blob_out is not None:
         _write(blob_out, _csv(["row", "blob"], ([str(i), str(b)] for i, b in enumerate(data.blob_of))))
     for b, ir in enumerate(data.realized_irs):
@@ -616,8 +626,6 @@ def featsel(config_path: Path, out_dir: Path) -> None:
     base = config_path.parent
     try:
         d = load_csv((base / doc["dataset"]).resolve(), (base / doc["schema"]).resolve())
-        if not d.schema.attributes:
-            raise DataError("no attributes besides the class")
         ranks = gain_ratio_rank(d)
         cfs = cfs_best_first(d, max_stale=max_stale)
     except (DataError, ValueError, OSError) as exc:

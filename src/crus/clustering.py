@@ -11,8 +11,8 @@ an attribute whose range overflows, so every distance k-means and SMOTE
 take is finite.
 
 One kernel, `_sq_distances`, computes this distance for every caller:
-k-means, `ClusterModel.assign`, `mixed_distance` and the nearest-neighbour
-search of SMOTE (`resampling.smote_oversample`).  It copies each block of
+k-means, `ClusterModel.assign` and the nearest-neighbour search of SMOTE
+(`resampling.smote_oversample`).  It copies each block of
 rows once into attribute-major form (one contiguous row per attribute) and
 accumulates into its output block in place.  A pair's numeric squared
 differences are added one attribute at a time, then its nominal mismatch
@@ -115,21 +115,6 @@ def _sq_distances(A: np.ndarray, B: np.ndarray, numeric: np.ndarray) -> np.ndarr
                 term += B[:, j, None] != a[j]
             sq += term
     return out.T
-
-
-def mixed_distance(a: np.ndarray, b: np.ndarray, scaler: FeatureScaler) -> float:
-    """Euclidean-style distance between two attribute-value rows.
-
-    Per numeric attribute the difference of normalized values, per nominal
-    attribute 0/1 mismatch; the result is sqrt of the sum of squares.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    d = scaler.numeric.shape[0]
-    if a.shape != (d,) or b.shape != (d,):
-        raise ValueError(f"rows must both have {d} attributes, got {a.shape} and {b.shape}")
-    pair = _sq_distances(scaler.transform(a[None]), scaler.transform(b[None]), scaler.numeric)
-    return float(np.sqrt(pair[0, 0]))
 
 
 @dataclass(frozen=True)

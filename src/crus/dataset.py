@@ -174,6 +174,8 @@ def schema_from_doc(doc: object, where: str) -> DatasetSchema:
             raise DataError(f"{where}: each attribute needs 'name' and 'kind'")
         cats = tuple(text(c) for c in listed(entry.get("categories") or [], "categories"))
         attrs.append(AttributeSpec(text(entry["name"]), str(entry["kind"]), cats))
+    if not attrs:
+        raise DataError(f"{where}: 'attributes' lists no attribute besides the class")
     return DatasetSchema(tuple(attrs), text(doc["class_attribute"]), negative, positive)
 
 

@@ -8,14 +8,14 @@ partition on the training set alone, undersamples the flagged group and
 routes instances by nearest centroid.  The resampled sets are row maps
 into one task dataset, the data followed by every split's synthetic
 rows, and the trees of every (split, classifier, group) grow in one
-lockstep (`ensembles.fit_together`).  `run_sampler` runs several folds
-of one sampler that way and, when asked, its refit: one more split, the
-full dataset.  `run_folds` is its no-refit case, `run_fold` the one-fold
-case, `fit_pipelines` fits one split alone, and `cv_result` assembles a
-cell's folds; `run_experiment` runs them for one cell.  Folds are created
-before any resampling and the pipeline sees only each training split, so
-synthetic or dropped instances never touch a test fold.  A fold's report
-is the test-count weighted average of its group reports.  The CLI runs
+lockstep (`ensembles.fit_together`).  `run_sampler` is the one fold
+runner: it runs any folds of one sampler that way and, when asked, its
+refit, one more split on the full dataset.  `cv_result` assembles a
+cell's folds, and `run_experiment` is one cell: every fold of one
+sampler with one classifier.  Folds are created before any resampling
+and the pipeline sees only each training split, so synthetic or dropped
+instances never touch a test fold.  A fold's report is the test-count
+weighted average of its group reports.  The CLI runs
 `run_sampler` per sampler or chunk of its folds, with the `--save-models`
 refit in the sampler's first chunk.
 
@@ -220,7 +220,7 @@ def apply_sampler(train: Dataset, spec: SamplerSpec, seed: int) -> Dataset:
         return rus_undersample(train, spec.spread, seed)
     if spec.method == "smote":
         return smote_oversample(train, spec.percentage, spec.k_neighbors, seed)
-    raise ValueError("clustering_rus trains per-group models; use fit_pipelines")
+    raise ValueError("clustering_rus trains per-group models; use run_sampler")
 
 
 @dataclass(frozen=True)
@@ -413,31 +413,6 @@ def _fit_wave(
     return out
 
 
-def fit_pipelines(
-    train: Dataset,
-    classifiers: Sequence[ClassifierSpec],
-    sampler: SamplerSpec,
-    sampler_seed: int,
-    cluster_seed: int,
-    classifier_seed: int,
-) -> list[PipelineModel | ValueError]:
-    """Resample one training set once and fit every classifier on it, all with one seed.
-
-    clustering_rus resolves its threshold on this training set, plans the
-    cluster partition and undersamples the flagged group; other samplers
-    resample the whole set into the single group "n/a".  Every classifier
-    trains on the same group sets, so its models equal those of a run with
-    that classifier alone.  A DataError or ValueError raised while fitting
-    one classifier is returned in its place; one raised while resampling
-    concerns every classifier and propagates.
-    """
-    (pipes,) = _fit_splits(train, [(np.arange(len(train)), (sampler_seed, cluster_seed, classifier_seed))],
-                           classifiers, sampler)
-    if isinstance(pipes, ValueError):
-        raise pipes
-    return pipes
-
-
 @dataclass(frozen=True)
 class FoldRun:
     """One classifier's results on one fold."""
@@ -499,7 +474,7 @@ def run_sampler(
     derive_seed(seed, "final", ...) seeds, or the error that stopped it,
     else None.  A failure while resampling a training set is every
     classifier's entry of that set.  Each entry equals the one its fold,
-    or `fit_pipelines` on d, gives alone.
+    or the refit, gives alone.
     """
     steps = ("sampler", "cluster", "classifier")
     splits = [(split.train_indices(f), tuple(derive_seed(seed, step, f) for step in steps)) for f in folds]
@@ -519,32 +494,6 @@ def run_sampler(
         return out, None
     pipes = next(fitted)
     return out, [pipes] * len(classifiers) if isinstance(pipes, ValueError) else pipes
-
-
-def run_folds(
-    d: Dataset,
-    split: FoldSplit,
-    folds: Sequence[int],
-    classifiers: Sequence[ClassifierSpec],
-    sampler: SamplerSpec,
-    seed: int = 0,
-    beta: float = 1.0,
-) -> list[list[FoldRun | ValueError]]:
-    """The given folds of every classifier of one sampler: run_sampler without the refit."""
-    return run_sampler(d, split, folds, classifiers, sampler, seed, beta)[0]
-
-
-def run_fold(
-    d: Dataset,
-    split: FoldSplit,
-    f: int,
-    classifiers: Sequence[ClassifierSpec],
-    sampler: SamplerSpec,
-    seed: int = 0,
-    beta: float = 1.0,
-) -> list[FoldRun | ValueError]:
-    """Fold f of every classifier of one sampler: run_folds for one fold."""
-    return run_folds(d, split, [f], classifiers, sampler, seed, beta)[0]
 
 
 def cv_result(runs: Sequence[FoldRun], beta: float = 1.0) -> CvResult:
@@ -575,7 +524,7 @@ def run_experiment(
     by their test counts.  The first fold's failure is raised.
     """
     split = stratified_kfold(d, k, derive_seed(seed, "folds"))
-    runs = [run for (run,) in run_folds(d, split, range(k), [classifier], sampler, seed, beta)]
+    runs = [run for (run,) in run_sampler(d, split, range(k), [classifier], sampler, seed, beta)[0]]
     for run in runs:
         if isinstance(run, ValueError):
             raise run

@@ -717,11 +717,6 @@ def random_tree_config(seed: int, n_attributes: int, base: TreeConfig | None = N
     return replace(base, use_pruning=False, random_subspace_size=size, seed=seed)
 
 
-def fit_random_tree(d: Dataset, seed: int, cfg: TreeConfig | None = None) -> DecisionTree:
-    """Unpruned tree using a fresh random attribute subset at every node."""
-    return fit_tree(d, random_tree_config(seed, d.schema.n_attributes, cfg))
-
-
 def _pruning_z(confidence_factor: float) -> float:
     return statistics.NormalDist().inv_cdf(1.0 - confidence_factor)
 

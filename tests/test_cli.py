@@ -22,10 +22,11 @@ from crus.dataset import (
     DatasetSchema,
     load_csv,
     save_schema,
+    stratified_kfold,
     write_csv,
 )
 from crus.ensembles import EnsembleConfig, fit_bagging
-from crus.evaluation import ClassifierSpec, SamplerSpec, SyntheticConfig, fit_pipelines, gen_synthetic
+from crus.evaluation import ClassifierSpec, SamplerSpec, SyntheticConfig, gen_synthetic, run_sampler
 from crus.modelfile import model_to_text
 from crus.seeds import derive_seed
 from crus.trees import DecisionTree, TreeConfig, fit_tree
@@ -201,10 +202,10 @@ def test_run_grows_each_refit_in_its_samplers_lockstep(tmp_path, runner, monkeyp
     scored.clear()
     assert runner.invoke(main, [*args, str(tmp_path / "folds")]).exit_code == 0
     d = load_csv(csv_path, schema_path)
-    seeds = [derive_seed(5, "final", step) for step in ("sampler", "cluster", "classifier")]
+    split = stratified_kfold(d, 3, derive_seed(5, "folds"))
     classifiers = [ClassifierSpec("tree"), ClassifierSpec("bagging", n_members=3)]
     for sampler in (SamplerSpec("none"), SamplerSpec("rus", spread=2.0)):
-        fit_pipelines(d, classifiers, sampler, *seeds)
+        run_sampler(d, split, [], classifiers, sampler, seed=5, refit=True)
     assert len(together) < len(scored)
     assert sum(together) == sum(scored)
 
@@ -427,6 +428,33 @@ def test_run_missing_schema_fails_with_path(tmp_path, runner):
     assert "data.schema.yaml" in result.output
 
 
+def test_run_refuses_a_schema_without_attributes(tmp_path, runner):
+    schema = DatasetSchema((), "y", "neg", "pos")
+    write_csv(Dataset(schema, np.empty((20, 0)), np.repeat(np.array([1, 0], dtype=np.int8), [5, 15])),
+              tmp_path / "data.csv")
+    save_schema(schema, tmp_path / "data.schema.yaml")
+    cfg = write_run_config(tmp_path)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.output.endswith(
+        f"Error: cannot evaluate data.csv: schema file {tmp_path.resolve() / 'data.schema.yaml'}: "
+        "'attributes' lists no attribute besides the class\n"
+    )
+    assert not out.exists()
+
+
+def test_run_unwritable_output_is_one_error_line(tmp_path, runner):
+    write_dataset(tmp_path)
+    cfg = write_run_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(blocker / "out")])
+    assert result.exit_code == 2
+    assert f"Error: cannot write {blocker / 'out' / 'folds.csv'}: " in result.output
+    assert result.output.count("Error:") == 1 and "Traceback" not in result.output
+
+
 def test_run_unknown_config_key_rejected(tmp_path, runner):
     write_dataset(tmp_path)
     cfg = write_run_config(tmp_path, typo_key=3)
@@ -593,6 +621,16 @@ def test_gen_synth_deterministic_and_reports_ir(tmp_path, runner):
     assert b.exit_code == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.schema.yaml").read_bytes() == (tmp_path / "b.schema.yaml").read_bytes()
+
+
+def test_gen_synth_unwritable_output_is_one_error_line(tmp_path, runner):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    out = blocker / "x.csv"
+    result = runner.invoke(main, ["gen-synth", "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"Error: cannot write {out}: " in result.output
+    assert result.output.count("Error:") == 1 and "Traceback" not in result.output
 
 
 def test_gen_synth_config_and_blob_map(tmp_path, runner):

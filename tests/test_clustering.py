@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import re
 
 import numpy as np
@@ -14,7 +13,6 @@ from crus.clustering import (
     FeatureScaler,
     _sq_distances,
     kmeans_fit,
-    mixed_distance,
 )
 from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema
 from crus.modelfile import model_from_text, model_to_text
@@ -59,8 +57,9 @@ def test_scaler_normalizes_and_clamps():
 def test_scaler_constant_attribute_contributes_nothing():
     d = make_dataset([[7.0, 7.0, 7.0], [1.0, 2.0, 3.0]], [NUMERIC, NUMERIC])
     scaler = FeatureScaler.fit(d)
-    assert np.all(scaler.transform(d.values)[:, 0] == 0.0)
-    assert mixed_distance(d.values[0], d.values[2], scaler) == pytest.approx(1.0)
+    norm = scaler.transform(d.values)
+    assert np.all(norm[:, 0] == 0.0)
+    assert _sq_distances(norm[:1], norm[2:], scaler.numeric)[0, 0] == pytest.approx(1.0)
 
 
 def test_scaler_empty_dataset_rejected():
@@ -69,37 +68,29 @@ def test_scaler_empty_dataset_rejected():
         FeatureScaler.fit(d.subset(np.array([], dtype=np.int64)))
 
 
-def test_mixed_distance_identity_and_single_mismatch():
+def test_sq_distances_identity_and_single_mismatch():
     d = make_dataset([[0.0, 10.0], [0, 1]], [NUMERIC, NOMINAL])
     scaler = FeatureScaler.fit(d)
-    assert mixed_distance(d.values[0], d.values[0], scaler) == 0.0
-    a = np.array([5.0, 0.0])
-    b = np.array([5.0, 2.0])
-    assert mixed_distance(a, b, scaler) == pytest.approx(1.0)
+    first = scaler.transform(d.values[:1])
+    assert _sq_distances(first, first, scaler.numeric)[0, 0] == 0.0
+    a, b = scaler.transform(np.array([[5.0, 0.0], [5.0, 2.0]]))
+    assert _sq_distances(a[None], b[None], scaler.numeric)[0, 0] == pytest.approx(1.0)
 
 
-def test_mixed_distance_unit_corners():
+def test_sq_distances_unit_corners():
     d = make_dataset([[0.0, 10.0], [0.0, 4.0]], [NUMERIC, NUMERIC])
     scaler = FeatureScaler.fit(d)
-    assert mixed_distance(d.values[0], d.values[1], scaler) == pytest.approx(math.sqrt(2))
+    norm = scaler.transform(d.values)
+    assert _sq_distances(norm[:1], norm[1:], scaler.numeric)[0, 0] == pytest.approx(2.0)
 
 
-def test_mixed_distance_hand_value():
+def test_sq_distances_hand_value():
     # numeric ranges [0,10] and [0,4]; nominal mismatch adds 1
     d = make_dataset([[0.0, 10.0], [0.0, 4.0], [0, 1]], [NUMERIC, NUMERIC, NOMINAL])
     scaler = FeatureScaler.fit(d)
-    a = np.array([2.0, 1.0, 0.0])
-    b = np.array([7.0, 3.0, 2.0])
-    expected = math.sqrt(0.5**2 + 0.5**2 + 1.0)
-    assert mixed_distance(a, b, scaler) == pytest.approx(expected)
-    assert mixed_distance(b, a, scaler) == pytest.approx(expected)
-
-
-def test_mixed_distance_shape_mismatch():
-    d = make_dataset([[0.0, 10.0]], [NUMERIC])
-    scaler = FeatureScaler.fit(d)
-    with pytest.raises(ValueError):
-        mixed_distance(np.array([1.0, 2.0]), np.array([1.0]), scaler)
+    norm = scaler.transform(np.array([[2.0, 1.0, 0.0], [7.0, 3.0, 2.0]]))
+    expected = 0.5**2 + 0.5**2 + 1.0
+    assert _sq_distances(norm, norm, scaler.numeric) == pytest.approx(np.array([[0.0, expected], [expected, 0.0]]))
 
 
 def reference_distance_matrix(norm_values, centroids, numeric):

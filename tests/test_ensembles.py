@@ -26,7 +26,7 @@ from crus.ensembles import (
 )
 from crus.modelfile import model_from_text, model_to_text
 from crus.seeds import derive_seed, rng_for
-from crus.trees import DecisionTree, TreeConfig, TreeNode, fit_random_tree, fit_tree
+from crus.trees import DecisionTree, TreeConfig, TreeNode, fit_tree, random_tree_config
 
 
 def make_dataset(columns, kinds, labels, categories=("a", "b", "c")):
@@ -153,7 +153,7 @@ def test_random_forest_oob_fields_and_accuracy():
     assert model.oob_coverage is not None and model.oob_coverage >= 0.99
     assert model.oob_error is not None and 0.0 <= model.oob_error < 0.2
     rf_labels, _ = model.predict_batch(test.values)
-    single = fit_random_tree(train, seed=0)
+    single = fit_tree(train, random_tree_config(0, train.schema.n_attributes))
     tree_labels, _ = single.predict_batch(test.values)
     rf_acc = float(np.mean(rf_labels == test.labels))
     tree_acc = float(np.mean(tree_labels == test.labels))
@@ -246,8 +246,9 @@ def test_random_committee_seeds_and_average():
 def members_one_by_one(d, method, cfg):
     """Each member fitted alone with its seeds, on its bootstrap sample as a dataset of its own."""
     n_members = cfg.resolve_members(default=10)
+    n = d.schema.n_attributes
     if method == "random_committee":
-        return [fit_random_tree(d, cfg.seed + i, cfg.base) for i in range(n_members)]
+        return [fit_tree(d, random_tree_config(cfg.seed + i, n, cfg.base)) for i in range(n_members)]
     members = []
     for i in range(n_members):
         sample = d.subset(_bootstrap_indices(len(d), rng_for(cfg.seed, "bootstrap", i)))
@@ -255,7 +256,7 @@ def members_one_by_one(d, method, cfg):
         if method == "bagging":
             members.append(fit_tree(sample, replace(cfg.base, seed=seed)))
         else:
-            members.append(fit_random_tree(sample, seed, cfg.base))
+            members.append(fit_tree(sample, random_tree_config(seed, n, cfg.base)))
     return members
 
 

@@ -27,13 +27,10 @@ from crus.evaluation import (
     _fit_splits,
     apply_sampler,
     fit_classifier,
-    fit_pipelines,
     gen_synthetic,
     run_cv,
     run_cv_clustered,
     run_experiment,
-    run_fold,
-    run_folds,
     run_sampler,
 )
 from crus.metrics import combine_reports, compute_report
@@ -143,7 +140,7 @@ def test_no_fold_trains_on_its_test_rows(data):
     for sampler in FOLD_SAMPLERS:
         for f in range(k):
             test_idx = split.test_indices(f)
-            (run,) = run_fold(d, split, f, [ClassifierSpec("tree")], sampler, seed=11)
+            [(run,)], _ = run_sampler(d, split, [f], [ClassifierSpec("tree")], sampler, seed=11)
             assert not isinstance(run, ValueError), run
             for part in run.parts:
                 assert part.train_indices.min() >= 0
@@ -308,7 +305,8 @@ def test_group_without_model_falls_back_to_other_group():
 
 def test_fit_pipeline_plain_sampler_is_one_group():
     d = small_imbalanced_dataset(np.random.default_rng(10))
-    (pipe,) = fit_pipelines(d, [ClassifierSpec("tree")], SamplerSpec("smote", percentage=100.0), 1, 2, 3)
+    sampler = SamplerSpec("smote", percentage=100.0)
+    [(pipe,)] = _fit_splits(d, [(np.arange(len(d)), (1, 2, 3))], [ClassifierSpec("tree")], sampler)
     assert pipe.partition is None and list(pipe.groups) == ["n/a"]
     group = pipe.groups["n/a"]
     assert group.n_synthetic == int(d.n_positive)
@@ -326,7 +324,7 @@ def test_fit_pipeline_plain_sampler_is_one_group():
     ],
     ids=lambda s: s.method,
 )
-def test_fit_pipelines_equals_one_fit_pipeline_per_classifier(sampler):
+def test_fit_splits_equals_one_fit_per_classifier(sampler):
     """Fitting every classifier on one resampled set gives the models that
     resampling again for each classifier gives."""
     d = gen_synthetic(SyntheticConfig(blob_sizes=(100, 300), blob_irs=(2.0, 20.0), seed=4)).dataset
@@ -335,10 +333,11 @@ def test_fit_pipelines_equals_one_fit_pipeline_per_classifier(sampler):
         ClassifierSpec("random_forest", n_members=3),
         ClassifierSpec("adaboost", n_members=3),
     ]
-    shared = fit_pipelines(d, classifiers, sampler, 11, 12, 13)
+    one_split = [(np.arange(len(d)), (11, 12, 13))]
+    (shared,) = _fit_splits(d, one_split, classifiers, sampler)
     assert len(shared) == len(classifiers)
     for classifier, pipe in zip(classifiers, shared):
-        (alone,) = fit_pipelines(d, [classifier], sampler, 11, 12, 13)
+        [(alone,)] = _fit_splits(d, one_split, [classifier], sampler)
         assert pipe.warnings == alone.warnings
         assert list(pipe.groups) == list(alone.groups)
         for name, group in pipe.groups.items():
@@ -356,7 +355,7 @@ def test_fit_pipelines_equals_one_fit_pipeline_per_classifier(sampler):
         assert shared[0].groups["n/a"].n_synthetic == 2 * d.n_positive
 
 
-def test_fit_pipelines_returns_a_classifier_failure_in_its_place(monkeypatch):
+def test_fit_splits_returns_a_classifier_failure_in_its_place(monkeypatch):
     import crus.evaluation as evaluation
 
     real = evaluation.classifier_requests
@@ -369,10 +368,11 @@ def test_fit_pipelines_returns_a_classifier_failure_in_its_place(monkeypatch):
     monkeypatch.setattr(evaluation, "classifier_requests", requests)
     d = small_imbalanced_dataset(np.random.default_rng(10))
     classifiers = [ClassifierSpec("tree"), ClassifierSpec("bagging", n_members=3), ClassifierSpec("tree")]
-    tree, bag, tree_again = fit_pipelines(d, classifiers, SamplerSpec("rus"), 1, 2, 3)
+    one_split = [(np.arange(len(d)), (1, 2, 3))]
+    [(tree, bag, tree_again)] = _fit_splits(d, one_split, classifiers, SamplerSpec("rus"))
     assert isinstance(bag, ValueError) and str(bag) == "bagging refused"
     assert model_to_text(tree.groups["n/a"].model) == model_to_text(tree_again.groups["n/a"].model)
-    (alone,) = fit_pipelines(d, classifiers[1:2], SamplerSpec("rus"), 1, 2, 3)
+    [(alone,)] = _fit_splits(d, one_split, classifiers[1:2], SamplerSpec("rus"))
     assert isinstance(alone, ValueError) and str(alone) == "bagging refused"
 
 
@@ -407,7 +407,7 @@ def fold_seeds(seed, f):
 
 
 def assert_same_run(a, b):
-    """Two run_fold entries are equal: the same error, or equal FoldRuns."""
+    """Two fold entries of run_sampler are equal: the same error, or equal FoldRuns."""
     if isinstance(a, ValueError) or isinstance(b, ValueError):
         assert (type(a), str(a)) == (type(b), str(b))
         return
@@ -429,22 +429,23 @@ def assert_same_run(a, b):
     ],
     ids=lambda s: s.method,
 )
-def test_run_folds_equals_run_fold_fold_by_fold(sampler):
+def test_run_sampler_equals_each_fold_alone(sampler):
     """Growing every fold's trees in one lockstep changes no model and no
     fold result, AdaBoost included where it stops at different rounds."""
     d = conflicting_pair_dataset()
     split = stratified_kfold(d, 5, derive_seed(3, "folds"))
-    together = run_folds(d, split, range(5), EVERY_CLASSIFIER, sampler, seed=3)
+    together, _ = run_sampler(d, split, range(5), EVERY_CLASSIFIER, sampler, seed=3)
     assert len(together) == 5
     for f, runs in enumerate(together):
-        for run, alone in zip(runs, run_fold(d, split, f, EVERY_CLASSIFIER, sampler, seed=3), strict=True):
+        [fold], _ = run_sampler(d, split, [f], EVERY_CLASSIFIER, sampler, seed=3)
+        for run, alone in zip(runs, fold, strict=True):
             assert not isinstance(run, ValueError), run
             assert_same_run(run, alone)
 
     splits = [(split.train_indices(f), fold_seeds(3, f)) for f in range(5)]
     rounds = set()
     for f, pipes in enumerate(_fit_splits(d, splits, EVERY_CLASSIFIER, sampler)):
-        alone = fit_pipelines(d.subset(split.train_indices(f)), EVERY_CLASSIFIER, sampler, *fold_seeds(3, f))
+        (alone,) = _fit_splits(d, splits[f:f + 1], EVERY_CLASSIFIER, sampler)
         for spec, pipe, other in zip(EVERY_CLASSIFIER, pipes, alone, strict=True):
             assert list(pipe.groups) == list(other.groups) and pipe.warnings == other.warnings
             for name, group in pipe.groups.items():
@@ -465,18 +466,19 @@ def test_run_folds_equals_run_fold_fold_by_fold(sampler):
     ],
     ids=lambda s: s.method,
 )
-def test_run_sampler_refit_grows_with_the_folds_and_equals_fit_pipelines(sampler):
+def test_run_sampler_refit_grows_with_the_folds_and_equals_the_refit_alone(sampler):
     """The refit, grown in the folds' lockstep, gives the models that
-    fit_pipelines on all rows with the "final" seeds gives, and no fold
+    fitting all rows alone with the "final" seeds gives, and no fold
     result changes."""
     d = conflicting_pair_dataset()
     split = stratified_kfold(d, 5, derive_seed(3, "folds"))
     runs, pipes = run_sampler(d, split, [1, 2], EVERY_CLASSIFIER, sampler, seed=3, refit=True)
-    for got, want in zip(runs, run_folds(d, split, [1, 2], EVERY_CLASSIFIER, sampler, seed=3), strict=True):
+    for got, want in zip(runs, run_sampler(d, split, [1, 2], EVERY_CLASSIFIER, sampler, seed=3)[0], strict=True):
         for run, alone in zip(got, want, strict=True):
             assert_same_run(run, alone)
-    final = [derive_seed(3, "final", step) for step in ("sampler", "cluster", "classifier")]
-    for pipe, other in zip(pipes, fit_pipelines(d, EVERY_CLASSIFIER, sampler, *final), strict=True):
+    final = tuple(derive_seed(3, "final", step) for step in ("sampler", "cluster", "classifier"))
+    (alone,) = _fit_splits(d, [(np.arange(len(d)), final)], EVERY_CLASSIFIER, sampler)
+    for pipe, other in zip(pipes, alone, strict=True):
         assert list(pipe.groups) == list(other.groups) and pipe.warnings == other.warnings
         for name, group in pipe.groups.items():
             assert model_to_text(group.model) == model_to_text(other.groups[name].model)
@@ -505,14 +507,14 @@ def test_run_sampler_refit_failure_is_every_classifiers_entry(monkeypatch):
     assert [str(p) for p in pipes] == ["refit refused"] * 2
 
 
-def test_run_folds_keeps_each_failure_in_its_own_entry(monkeypatch):
+def test_run_sampler_keeps_each_failure_in_its_own_entry(monkeypatch):
     import crus.evaluation as evaluation
 
     d = conflicting_pair_dataset()
     split = stratified_kfold(d, 5, derive_seed(3, "folds"))
     classifiers = [ClassifierSpec("tree"), ClassifierSpec("bagging", n_members=3), EVERY_CLASSIFIER[3]]
     sampler = SamplerSpec("rus", spread=2.0)
-    expected = run_folds(d, split, range(5), classifiers, sampler, seed=3)
+    expected, _ = run_sampler(d, split, range(5), classifiers, sampler, seed=3)
     real_requests, real_sampler = evaluation.classifier_requests, evaluation.apply_sampler
     bagging_fold, failing_fold = 1, 3
 
@@ -528,7 +530,8 @@ def test_run_folds_keeps_each_failure_in_its_own_entry(monkeypatch):
 
     monkeypatch.setattr(evaluation, "classifier_requests", requests)
     monkeypatch.setattr(evaluation, "apply_sampler", apply_sampler)
-    for f, (runs, want) in enumerate(zip(run_folds(d, split, range(5), classifiers, sampler, seed=3), expected)):
+    got, _ = run_sampler(d, split, range(5), classifiers, sampler, seed=3)
+    for f, (runs, want) in enumerate(zip(got, expected)):
         for c, (run, ref) in enumerate(zip(runs, want, strict=True)):
             if f == failing_fold:
                 assert isinstance(run, DataError) and str(run) == "fold refused"
@@ -568,13 +571,11 @@ def test_one_sampler_task_grows_each_request_round_with_one_call(monkeypatch, wa
 
     monkeypatch.setattr(trees, "DecisionTree", Tracked)
     monkeypatch.setattr(ensembles, "fit_trees", fit_trees)
-    together = run_folds(d, split, range(5), classifiers, SamplerSpec("none"), seed=3)
+    together, _ = run_sampler(d, split, range(5), classifiers, SamplerSpec("none"), seed=3)
     n_calls = len(live)
-    rounds = [
-        len(fit_pipelines(d.subset(split.train_indices(f)), classifiers[2:], SamplerSpec("none"), *fold_seeds(3, f))[0]
-            .groups["n/a"].model.epsilons)
-        for f in range(5)
-    ]
+    splits = [(split.train_indices(f), fold_seeds(3, f)) for f in range(5)]
+    rounds = [len(boost.groups["n/a"].model.epsilons)
+              for (boost,) in _fit_splits(d, splits, classifiers[2:], SamplerSpec("none"))]
     assert len(set(rounds)) > 1
     wave_calls = [max(rounds[lo:lo + wave]) for lo in range(0, 5, wave)]
     assert n_calls == sum(wave_calls)
@@ -582,7 +583,8 @@ def test_one_sampler_task_grows_each_request_round_with_one_call(monkeypatch, wa
     firsts = list(itertools.accumulate(wave_calls, initial=0))[:-1]
     assert {live[i] for i in firsts} == {live[0]}
     for f, runs in enumerate(together):
-        for run, alone in zip(runs, run_fold(d, split, f, classifiers, SamplerSpec("none"), seed=3), strict=True):
+        [fold], _ = run_sampler(d, split, [f], classifiers, SamplerSpec("none"), seed=3)
+        for run, alone in zip(runs, fold, strict=True):
             assert_same_run(run, alone)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crus.clustering import ClusterModel, kmeans_fit
-from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, Dataset, DatasetSchema, load_schema, save_schema
+from crus.dataset import NOMINAL, NUMERIC, AttributeSpec, DataError, Dataset, DatasetSchema, load_schema, save_schema
 from crus.ensembles import (
     EnsembleConfig,
     EnsembleModel,
@@ -161,9 +161,17 @@ def schemas(draw):
 def test_schema_document_round_trips_through_sidecar_and_model_files(tmp_path_factory, schema):
     path = tmp_path_factory.mktemp("schema") / "data.schema.yaml"
     save_schema(schema, path)
-    assert load_schema(path) == schema
     tree = DecisionTree(schema, [TreeNode(class_weights=np.array([1.0, 2.0]))], TreeConfig())
     ensemble = EnsembleModel("bagging", [tree], np.ones(1), "vote", 0)
+    if not schema.attributes:  # refused wherever a schema is read
+        refusal = "'attributes' lists no attribute besides the class"
+        with pytest.raises(DataError, match=refusal):
+            load_schema(path)
+        for model in (tree, ensemble):
+            with pytest.raises(DataError, match=refusal):
+                model_from_text(model_to_text(model))
+        return
+    assert load_schema(path) == schema
     for model in (tree, ensemble):
         text = model_to_text(model)
         back = model_from_text(text)

@@ -1,38 +1,41 @@
 """The package holds no public function or class that only tests call,
-and one module owns the model-file format.
+it exports exactly what it imports, and one module owns the model-file
+format.
 
 Every public top-level function or class in `src/crus/*.py` must be named
 somewhere in package code outside its own definition: called, referenced,
 subclassed or used in an annotation.  Imports and `__all__` entries do not
 count, since they only re-export.  A click command counts as used through
 its decorator.  The few names kept for callers outside the package are
-listed in ALLOWED with the reason.  Only `modelfile.py` imports json.
+listed in ALLOWED with the file, relative to the repository root, that
+needs each.  Only `modelfile.py` imports json.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crus"
+import crus
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "crus"
 
 ALLOWED = {
-    "auc_roc": "imported by the acceptance gate",
-    "theoretical_ensemble_accuracy": "imported by the acceptance gate",
-    "run_cv": "imported by the acceptance gate",
-    "run_cv_clustered": "imported by the acceptance gate",
-    "mixed_distance": "a building block the README documents",
-    # each runs its own tree request sequence alone; the package runs many
-    # sequences together instead (ensembles.fit_together)
-    "fit_random_tree": "a building block the README documents",
-    "fit_bagging": "a building block the README documents",
-    "fit_random_forest": "imported by the acceptance gate",
-    "fit_adaboost": "imported by the acceptance gate",
-    "fit_random_committee": "a building block the README documents",
-    "fit_classifier": "patched by the benchmark tracer (perfbench/tracer.py)",
-    "run_fold": "a building block the README documents: run_folds for one fold",
-    # the package fits the refit through run_sampler, in its sampler's lockstep
-    "fit_pipelines": "a building block the README documents; tests use it as the one-split reference",
+    # imported by the acceptance gate
+    "auc_roc": "tests/test_acceptance.py",
+    "theoretical_ensemble_accuracy": "tests/test_acceptance.py",
+    "run_cv": "tests/test_acceptance.py",
+    "run_cv_clustered": "tests/test_acceptance.py",
+    "fit_random_forest": "tests/test_acceptance.py",
+    "fit_adaboost": "tests/test_acceptance.py",
+    "fit_tree": "tests/test_acceptance.py",
+    # patched by the benchmark tracer; the package runs each fit's request
+    # sequence through ensembles.fit_together instead
+    "fit_bagging": "perfbench/tracer.py",
+    "fit_random_committee": "perfbench/tracer.py",
+    "fit_classifier": "perfbench/tracer.py",
 }
 
 
@@ -78,6 +81,26 @@ def test_every_public_definition_is_used_by_the_package():
 def test_allowed_names_are_public_definitions():
     defined, _ = scan()
     assert sorted(set(ALLOWED) - set(defined)) == []
+
+
+def test_each_allowed_name_is_named_by_the_file_that_needs_it():
+    unnamed = sorted(
+        f"{name}: {path}" for name, path in ALLOWED.items()
+        if not re.search(rf"\b{name}\b", (ROOT / path).read_text(encoding="utf-8"))
+    )
+    assert unnamed == []
+
+
+def test_all_lists_exactly_the_public_names_the_package_imports():
+    imported = [
+        alias.asname or alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    ]
+    public = [name for name in imported if not name.startswith("_")]
+    assert len(crus.__all__) == len(set(crus.__all__))
+    assert sorted(crus.__all__) == sorted(public)
 
 
 def test_only_modelfile_imports_json():

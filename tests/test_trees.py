@@ -22,8 +22,8 @@ from crus.trees import (
     _pruning_z,
     default_subspace_size,
     export_rules,
-    fit_random_tree,
     fit_tree,
+    random_tree_config,
 )
 from crus.modelfile import _tree_to_doc as tree_to_doc, model_from_text, model_to_text
 
@@ -293,18 +293,19 @@ def test_predict_batch_matches_scalar_predict():
 def test_random_tree_deterministic_per_seed():
     rng = np.random.default_rng(9)
     d = random_consistent_dataset(rng, n=80, n_numeric=6, n_nominal=2)
-    t1 = fit_random_tree(d, seed=5)
-    t2 = fit_random_tree(d, seed=5)
+    n = d.schema.n_attributes
+    t1 = fit_tree(d, random_tree_config(5, n))
+    t2 = fit_tree(d, random_tree_config(5, n))
     assert export_rules(t1) == export_rules(t2)
     # across several seeds the subspace choice must actually vary
-    variants = {tuple(export_rules(fit_random_tree(d, seed=s))) for s in range(5)}
+    variants = {tuple(export_rules(fit_tree(d, random_tree_config(s, n)))) for s in range(5)}
     assert len(variants) > 1
 
 
 def test_random_tree_is_unpruned_even_if_asked():
     rng = np.random.default_rng(4)
     d = random_consistent_dataset(rng, n=50)
-    t = fit_random_tree(d, seed=0, cfg=TreeConfig(use_pruning=True))
+    t = fit_tree(d, random_tree_config(0, d.schema.n_attributes, TreeConfig(use_pruning=True)))
     assert t.config.use_pruning is False
     assert t.config.random_subspace_size == default_subspace_size(len(d.schema.attributes))
 
