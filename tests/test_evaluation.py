@@ -445,7 +445,8 @@ def test_run_sampler_equals_each_fold_alone(sampler):
     splits = [(split.train_indices(f), fold_seeds(3, f)) for f in range(5)]
     rounds = set()
     for f, pipes in enumerate(_fit_splits(d, splits, EVERY_CLASSIFIER, sampler)):
-        (alone,) = _fit_splits(d, splits[f:f + 1], EVERY_CLASSIFIER, sampler)
+        idx = split.train_indices(f)
+        (alone,) = _fit_splits(d.subset(idx), [(np.arange(len(idx)), fold_seeds(3, f))], EVERY_CLASSIFIER, sampler)
         for spec, pipe, other in zip(EVERY_CLASSIFIER, pipes, alone, strict=True):
             assert list(pipe.groups) == list(other.groups) and pipe.warnings == other.warnings
             for name, group in pipe.groups.items():
@@ -573,9 +574,12 @@ def test_one_sampler_task_grows_each_request_round_with_one_call(monkeypatch, wa
     monkeypatch.setattr(ensembles, "fit_trees", fit_trees)
     together, _ = run_sampler(d, split, range(5), classifiers, SamplerSpec("none"), seed=3)
     n_calls = len(live)
-    splits = [(split.train_indices(f), fold_seeds(3, f)) for f in range(5)]
-    rounds = [len(boost.groups["n/a"].model.epsilons)
-              for (boost,) in _fit_splits(d, splits, classifiers[2:], SamplerSpec("none"))]
+    rounds = []
+    for f in range(5):
+        idx = split.train_indices(f)
+        one_split = [(np.arange(len(idx)), fold_seeds(3, f))]
+        [(boost,)] = _fit_splits(d.subset(idx), one_split, classifiers[2:], SamplerSpec("none"))
+        rounds.append(len(boost.groups["n/a"].model.epsilons))
     assert len(set(rounds)) > 1
     wave_calls = [max(rounds[lo:lo + wave]) for lo in range(0, 5, wave)]
     assert n_calls == sum(wave_calls)
