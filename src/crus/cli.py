@@ -460,6 +460,10 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
         if sampler.method == "smote" and sampler.k_neighbors >= fewest_minority:
             _fail(f"sampler '{s_name}': k_neighbors {sampler.k_neighbors} is not below the {fewest_minority} "
                   f"minority rows of the smallest training split")
+    # an output directory below a file fails here, as its first write would, before any fold runs
+    existing = next(p for p in (out_dir, *out_dir.parents) if os.path.exists(p))
+    if not os.path.isdir(existing):
+        _fail(f"cannot write {out_dir / 'folds.csv'}: {existing} is not a directory")
 
     cells = [(s_name, c_name) for s_name, _ in cfg.samplers for c_name, _ in cfg.classifiers]
     names = [f"{s}+{c}" for s, c in cells]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, NUMERIC
-from .trees import _Columns, _entropy, _gain_ratios, _numeric_candidates
+from .trees import _Columns, _gain_ratios, _numeric_candidates, _xlogx
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,10 @@ def discretize(d: Dataset) -> np.ndarray:
 
 
 def _entropy_of_codes(x: np.ndarray) -> float:
-    return _entropy(np.bincount(x).astype(np.float64))
+    """H(x) in bits of a non-empty integer-coded variable: (L(n) - sum of
+    L(count)) / n, where L(c) = c log2 c."""
+    counts = np.bincount(x).astype(np.float64)
+    return float((_xlogx(x.size) - _xlogx(counts).sum()) / x.size)
 
 
 def symmetrical_uncertainty(x: np.ndarray, y: np.ndarray) -> float:

@@ -20,7 +20,8 @@ temporaries at a large root.  A row is sorted by its values' codes
 (`_Columns`: ranks among the attribute's distinct values, found once per
 fit) with the column as tie-break; the keys are distinct integers, and
 their order is a stable sort's.  Cumulative class weights along a sorted
-row give the gain and split information of its admissible cuts.  Only
+row give the gain and split information of its admissible cuts, each
+from L(x) = x log2 x of raw weights as in C4.5 (`_xlogx`).  Only
 cuts that can win are scored: a cut inside a run of rows of one class
 scores strictly below the better end of the run (Fayyad & Irani 1992;
 Elomaa & Rousu 1999), so it is skipped when both its rows stand alone at
@@ -176,14 +177,6 @@ class DecisionTree:
         return labels, probs
 
 
-def _entropy(weights: np.ndarray) -> float:
-    total = weights.sum()
-    if total <= 0:
-        return 0.0
-    p = weights[weights > 0] / total
-    return float(-(p * np.log2(p)).sum())
-
-
 # Most values scored in one numeric or nominal block, and most cuts whose
 # entropies are taken at once: about a dozen arrays of this size live at
 # once.  A node with more rows than this scores each attribute alone, and
@@ -195,23 +188,16 @@ _BLOCK_CELLS = 8192
 # block row's total weight (see `_numeric_block`).
 _SKIP_FLOOR = 2.0**-20
 
-def _fraction(part: np.ndarray, total: np.ndarray) -> np.ndarray:
-    """part / total elementwise, 0 where total is not positive."""
-    return np.divide(part, total, out=np.zeros(np.shape(part)), where=total > 0)
 
-
-def _plogp(frac: np.ndarray) -> np.ndarray:
-    """frac * log2(frac) elementwise, 0 where frac is not positive.  Every
-    caller passes a temporary, so frac is overwritten to save memory."""
-    np.copyto(frac, 1.0, where=~(frac > 0))
-    out = np.log2(frac)
-    out *= frac
+def _xlogx(x: np.ndarray) -> np.ndarray:
+    """L(x) = x * log2(x) elementwise, 0 where x is not positive.  As in
+    C4.5 (Quinlan 1993), split scores are taken times a row's total weight
+    T: T * H = L(T) - L(P) - L(N) for class weights P and N, T * gain is
+    the row's T * H less each part's, and T * split information is L(T)
+    less each part's L(W)."""
+    out = np.log2(np.where(x > 0, x, 1.0))
+    out *= x
     return out
-
-
-def _binary_entropy(w_pos: np.ndarray, w_tot: np.ndarray) -> np.ndarray:
-    """Elementwise two-class entropy in bits for weight totals w_tot."""
-    return (0.0 - _plogp(_fraction(w_pos, w_tot))) - _plogp(_fraction(w_tot - w_pos, w_tot))
 
 
 class _Columns:
@@ -252,7 +238,8 @@ def _numeric_block(
     values differ and both sides reach min_leaf and positive weight; no
     cut next to a pad is, since a comparison with NaN is false.  Returns
     the values of each row sorted, the flat (row, c) index of each scored
-    cut in row-major order, and its gain and split information.
+    cut in row-major order, and its gain and split information times the
+    row's total weight T (see `_xlogx`).
 
     Every admissible cut is scored except one inside a run of rows of one
     class: cut c is skipped when cuts c-1 and c+1 are admissible too (so
@@ -263,22 +250,21 @@ def _numeric_block(
     strictly concave in the left weight, and the gain ratio (or the gain)
     of a cut inside the run is strictly below that of the better of the
     run's ends, which are scored (Fayyad & Irani 1992; Elomaa & Rousu
-    1999).  The floors keep that true in floating point: with the rows'
+    1999).  The floors keep that true in floating point.  With the rows'
     floor each cumulative sum grows by a row's weight, so no two cuts of a
-    run round to the same sums and tie, and with the lighter class's floor
-    no gain is as small as its rounding error.  Each row's first best
-    scored cut is therefore its first best admissible one, which
-    tests/test_trees.py checks against a full scan.
+    run round to the same sums and tie.  L(T) - L(P) - L(N) cancels to T *
+    H(row), losing about log2 T ulps of T; with the lighter class's floor
+    T * H(row) is at least 20 * 2**-20 * T, far above that.  Each row's
+    first best scored cut is therefore its first best admissible one,
+    which tests/test_trees.py checks against a full scan.
 
     The results equal those of scoring each row alone without pads: the
     pads sort last with weight 0, a row's totals are the last column of
     its cumulative sums (its weights added one after another in sorted
-    order), and every other step is elementwise.  Every weight divided by
-    here is positive (both sides of an admissible cut, and the total of a
-    row with weight), so fractions are plain quotients.  Each row is
-    sorted by (code, column): the keys are distinct, so any sort gives the
-    order of a stable sort of the values, in which tied values keep their
-    order and a NaN value comes before its row's pads.
+    order), and every other step is elementwise.  Each row is sorted by
+    (code, column): the keys are distinct, so any sort gives the order of
+    a stable sort of the values, in which tied values keep their order and
+    a NaN value comes before its row's pads.
     """
     width = C.shape[1]
     # int32 keys sort faster; int64 where a code times the width can exceed
@@ -322,43 +308,27 @@ def _numeric_block(
     at = np.flatnonzero(keep)
     row = at // width
     cuts = at - row  # the flat (row, c) index in arrays one column narrower
-    row_w, row_pos = total.take(row), total_pos.take(row)
-    left_w, left_pos = cum_w.take(at), cum_pos.take(at)
-    # each scored cut, then each whole row as a cut with all of it on
-    # both sides, whose left class entropy is the row's
-    n = cuts.size
-    left_w, left_pos = np.concatenate([left_w, total]), np.concatenate([left_pos, total_pos])
-    right_w = np.concatenate([row_w - left_w[:n], total])
-    right_pos = np.concatenate([row_pos - left_pos[:n], total_pos])
-    row_w = np.concatenate([row_w, total])
-    h_left, h_cond, split_info = np.empty(left_w.size), np.empty(left_w.size), np.empty(left_w.size)
-    for lo in range(0, left_w.size, _BLOCK_CELLS):
+    l_total = _xlogx(total)
+    h_total = l_total - _xlogx(total_pos) - _xlogx(total - total_pos)
+    gains, infos = np.empty(cuts.size), np.empty(cuts.size)
+    for lo in range(0, cuts.size, _BLOCK_CELLS):
         part = slice(lo, lo + _BLOCK_CELLS)
-        lw, lp, rw, rp, tw = left_w[part], left_pos[part], right_w[part], right_pos[part], row_w[part]
-        # the [positive, negative] fraction of each side's weight, and each
-        # side's fraction of the row's
-        frac = np.empty((6, lw.size))
-        np.divide(lp, lw, out=frac[0])
-        np.divide(lw - lp, lw, out=frac[1])
-        np.divide(rp, rw, out=frac[2])
-        np.divide(rw - rp, rw, out=frac[3])
-        np.divide(lw, tw, out=frac[4])
-        np.divide(rw, tw, out=frac[5])
-        plogp = _plogp(frac)
-        h_left[part] = (0.0 - plogp[0]) - plogp[1]
-        h_right = (0.0 - plogp[2]) - plogp[3]
-        h_cond[part] = (lw * h_left[part] + rw * h_right) / tw
-        split_info[part] = -(plogp[4] + plogp[5])
-    return v, cuts, h_left[n:].take(row) - h_cond[:n], split_info[:n]
+        r, lw, lp = row[part], cum_w.take(at[part]), cum_pos.take(at[part])
+        rw, rp = total.take(r) - lw, total_pos.take(r) - lp
+        l_left, l_right = _xlogx(lw), _xlogx(rw)
+        sides = (l_left - _xlogx(lp) - _xlogx(lw - lp)) + (l_right - _xlogx(rp) - _xlogx(rw - rp))
+        gains[part] = h_total.take(r) - sides
+        infos[part] = l_total.take(r) - (l_left + l_right)
+    return v, cuts, gains, infos
 
 
 def _numeric_candidates(
     vals: np.ndarray, y: np.ndarray, w: np.ndarray, min_leaf: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Midpoint thresholds of the cuts `_numeric_block` scores, ascending,
-    with their gains and split infos: every admissible cut but those inside
-    a run of one class, which can be neither the best gain nor the best
-    gain ratio."""
+    with their gains and split infos times the total weight: every
+    admissible cut but those inside a run of one class, which can be
+    neither the best gain nor the best gain ratio."""
     if vals.size == 0:
         return np.empty(0), np.empty(0), np.empty(0)
     distinct, codes = np.unique(vals, return_inverse=True)
@@ -377,25 +347,24 @@ def _nominal_ratios(
     min_leaf[i].  key is i * max(n_categories) + category for each value,
     w and w_pos the value's weight and positive-class weight.  A ratio is
     -inf when fewer than two categories carry weight, fewer than two reach
-    min_leaf or the split information is 0.  The category weights add each
-    row's values in order (bincount), and each sum over a row's categories
-    adds them one after another in category order, as the last column of a
-    cumulative sum; a category without weight adds 0 and changes no sum.
+    min_leaf or the split information is 0; gain and split information
+    are taken times the row's total weight (see `_xlogx`).  The category
+    weights add each row's values in order (bincount), and each sum over a
+    row's categories adds them one after another in category order, as the
+    last column of a cumulative sum; a category without weight adds 0 and
+    changes no sum.
     """
     shape = (n_categories.size, int(n_categories.max()))
     w_tot = np.bincount(key, weights=w, minlength=shape[0] * shape[1]).reshape(shape)
     w_pos = np.bincount(key, weights=w_pos, minlength=shape[0] * shape[1]).reshape(shape)
     total, total_pos = np.cumsum([w_tot, w_pos], axis=2)[:, :, -1]
-    # the class entropy of each category's weight, then of each row's
-    h = _binary_entropy(np.concatenate([w_pos.ravel(), total_pos]), np.concatenate([w_tot.ravel(), total]))
-    # the conditional class entropy, and the split information: the
-    # entropy of the categories' weights
-    weighted, plogp = np.cumsum(
-        [w_tot * h[:w_tot.size].reshape(shape), _plogp(_fraction(w_tot, total[:, np.newaxis]))], axis=2
-    )[:, :, -1]
-    h_cond, split_info = weighted / total, -plogp
+    # the sums over each row's categories of L(W) and W * H(category)
+    l_cats = _xlogx(w_tot)
+    l_sum, sides = np.cumsum([l_cats, l_cats - _xlogx(w_pos) - _xlogx(w_tot - w_pos)], axis=2)[:, :, -1]
+    l_total = _xlogx(total)
+    gain, split_info = l_total - _xlogx(total_pos) - _xlogx(total - total_pos) - sides, l_total - l_sum
     usable = ((w_tot > 0).sum(axis=1) >= 2) & ((w_tot >= min_leaf[:, np.newaxis]).sum(axis=1) >= 2) & (split_info > 0)
-    return np.where(usable, (h[w_tot.size:] - h_cond) / np.where(usable, split_info, 1.0), -np.inf)
+    return np.where(usable, gain / np.where(usable, split_info, 1.0), -np.inf)
 
 
 def _gain_ratios(
@@ -704,6 +673,10 @@ def fit_tree(
             raise ValueError(f"instance weights must be finite, got {w[bad[0]]} in row {bad[0]}")
         if np.any(w < 0):
             raise ValueError("instance weights must be nonnegative")
+        with np.errstate(over="ignore"):
+            total = w.sum()
+            if not np.isfinite(_xlogx(total)):
+                raise ValueError(f"instance weights total {total}, too large for total * log2(total) to be finite")
     return fit_trees(d, [(np.arange(len(d)), w, cfg)])[0]
 
 

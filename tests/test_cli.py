@@ -455,6 +455,21 @@ def test_run_unwritable_output_is_one_error_line(tmp_path, runner):
     assert result.output.count("Error:") == 1 and "Traceback" not in result.output
 
 
+def test_run_output_below_a_file_fails_before_any_fold_runs(tmp_path, runner, monkeypatch):
+    import crus.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_sampler", lambda *args: calls.append(args))
+    write_dataset(tmp_path)
+    cfg = write_run_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(blocker / "deeper" / "out")])
+    assert result.exit_code == 2
+    assert f"Error: cannot write {blocker / 'deeper' / 'out' / 'folds.csv'}: " in result.output
+    assert calls == []
+
+
 def test_run_unknown_config_key_rejected(tmp_path, runner):
     write_dataset(tmp_path)
     cfg = write_run_config(tmp_path, typo_key=3)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -16,7 +17,6 @@ from crus.trees import (
     DecisionTree,
     TreeConfig,
     TreeNode,
-    _binary_entropy,
     _estimated_errors,
     _prune,
     _pruning_z,
@@ -196,6 +196,18 @@ def test_fit_tree_refuses_a_non_finite_weight_naming_its_row(bad):
         fit_tree(d, TreeConfig(), weights=w)
 
 
+@pytest.mark.parametrize("each, total", [(1e304, "9.999999999999999e+305"), (1e307, "inf")])
+def test_fit_tree_refuses_weights_whose_entropy_terms_overflow(each, total):
+    # 100 finite weights of 1e307 used to total inf and grow a one-node
+    # tree with infinite class weights; at 1e304 each the total is finite
+    # but total * log2(total) is not, so no cut could be scored
+    rng = np.random.default_rng(0)
+    d = make_dataset([rng.normal(0, 1, 100)], [NUMERIC], (rng.random(100) < 0.4).astype(np.int8))
+    with pytest.raises(ValueError, match=f"^instance weights total {re.escape(total)}, too large for total"):
+        fit_tree(d, TreeConfig(), weights=np.full(100, each))
+    assert fit_tree(d, TreeConfig(), weights=np.full(100, 1e302)).n_nodes() > 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -2.0])
 def test_tree_config_refuses_a_min_leaf_weight_not_positive_and_finite(bad):
     # NaN and inf made every cut inadmissible, so each tree was one leaf
@@ -325,7 +337,9 @@ def test_default_subspace_size():
 # The block scorer must reproduce their trees bit for bit.  Every weight
 # total is a sequential sum, as in the grower: a node's class weights in
 # row order, a numeric attribute's in sorted order, and a nominal
-# attribute's over its categories in category order.
+# attribute's over its categories in category order.  Gains and split
+# informations are taken times the total weight from x log2 x of raw
+# weights, in the grower's order of operations.
 
 def _sequential_sum(values):
     """values added one after another from 0, in order."""
@@ -335,12 +349,13 @@ def _sequential_sum(values):
     return total
 
 
-def _reference_binary_entropy(w_pos, w_tot):
-    out = np.zeros_like(np.asarray(w_tot, dtype=np.float64))
-    for part in (np.asarray(w_pos, dtype=np.float64), w_tot - w_pos):
-        frac = np.divide(part, w_tot, out=np.zeros_like(out), where=w_tot > 0)
-        mask = frac > 0
-        out[mask] -= frac[mask] * np.log2(frac[mask])
+def _reference_xlogx(x):
+    """x * log2(x) elementwise, 0 where x is not positive: a weight W with
+    class weights P and N carries W * H = L(W) - L(P) - L(N) bits."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.zeros_like(x)
+    mask = x > 0
+    out[mask] = x[mask] * np.log2(x[mask])
     return out
 
 
@@ -361,21 +376,20 @@ def _reference_numeric_candidates(vals, y, w, min_leaf):
     left_w, left_pos = left_w[ok], left_pos[ok]
     right_w, right_pos = right_w[ok], right_pos[ok]
     thresholds = (v[cut[ok]] + v[cut[ok] + 1]) / 2.0
-    h_class = _reference_binary_entropy(np.array([total_pos]), np.array([total]))[0]
-    h_cond = (
-        left_w * _reference_binary_entropy(left_pos, left_w)
-        + right_w * _reference_binary_entropy(right_pos, right_w)
-    ) / total
-    frac_l, frac_r = left_w / total, right_w / total
-    split_info = -(frac_l * np.log2(frac_l) + frac_r * np.log2(frac_r))
-    return thresholds, h_class - h_cond, split_info
+    # total * (class entropy less the sides' weighted class entropies), and
+    # total * split information
+    L = _reference_xlogx
+    h_class = L(total) - L(total_pos) - L(total - total_pos)
+    h_sides = (L(left_w) - L(left_pos) - L(left_w - left_pos)) + (L(right_w) - L(right_pos) - L(right_w - right_pos))
+    return thresholds, h_class - h_sides, L(total) - (L(left_w) + L(right_w))
 
 
 # The per-node nominal scorer the batched one replaced, its sums sequential.
 def _nominal_stats(
     vals: np.ndarray, y: np.ndarray, w: np.ndarray, n_categories: int, min_leaf: float
 ) -> tuple[float, float, np.ndarray] | None:
-    """(gain, split_info, per-category weight) of the multiway split, or None.
+    """(total * gain, total * split_info, per-category weight) of the
+    multiway split, or None.
 
     None when fewer than two categories carry weight or fewer than two
     children reach min_leaf.
@@ -386,12 +400,11 @@ def _nominal_stats(
     observed = w_tot > 0
     if observed.sum() < 2 or (w_tot >= min_leaf).sum() < 2:
         return None
-    total = _sequential_sum(w_tot)
-    h_class = _binary_entropy(np.array([_sequential_sum(w_pos)]), np.array([total]))[0]
-    h_cond = _sequential_sum(w_tot * _binary_entropy(w_pos, w_tot)) / total
-    p = w_tot[observed] / total
-    split_info = -_sequential_sum(p * np.log2(p))
-    return h_class - h_cond, split_info, w_tot
+    total, total_pos = _sequential_sum(w_tot), _sequential_sum(w_pos)
+    L = _reference_xlogx
+    h_class = L(total) - L(total_pos) - L(total - total_pos)
+    h_categories = _sequential_sum(L(w_tot) - L(w_pos) - L(w_tot - w_pos))
+    return float(h_class - h_categories), float(L(total) - _sequential_sum(L(w_tot))), w_tot
 
 
 @dataclass
@@ -594,24 +607,11 @@ def _full_scan_numeric_block(C, distinct, src, w, w_pos, min_leaf):
     at = cuts + row
     row_w, row_pos = total.take(row), total_pos.take(row)
     left_w, left_pos = cum_w.take(at), cum_pos.take(at)
-    n = cuts.size
-    left_w, left_pos = np.concatenate([left_w, total]), np.concatenate([left_pos, total_pos])
-    right_w = np.concatenate([row_w - left_w[:n], total])
-    right_pos = np.concatenate([row_pos - left_pos[:n], total_pos])
-    row_w = np.concatenate([row_w, total])
-    frac = np.empty((6, left_w.size))
-    np.divide(left_pos, left_w, out=frac[0])
-    np.divide(left_w - left_pos, left_w, out=frac[1])
-    np.divide(right_pos, right_w, out=frac[2])
-    np.divide(right_w - right_pos, right_w, out=frac[3])
-    np.divide(left_w, row_w, out=frac[4])
-    np.divide(right_w, row_w, out=frac[5])
-    plogp = trees._plogp(frac)
-    h_left = (0.0 - plogp[0]) - plogp[1]
-    h_right = (0.0 - plogp[2]) - plogp[3]
-    h_cond = (left_w * h_left + right_w * h_right) / row_w
-    split_info = -(plogp[4] + plogp[5])
-    return v, cuts, h_left[n:].take(row) - h_cond[:n], split_info[:n]
+    right_w, right_pos = row_w - left_w, row_pos - left_pos
+    L = _reference_xlogx
+    h_row = L(row_w) - L(row_pos) - L(row_w - row_pos)
+    h_sides = (L(left_w) - L(left_pos) - L(left_w - left_pos)) + (L(right_w) - L(right_pos) - L(right_w - right_pos))
+    return v, cuts, h_row - h_sides, L(row_w) - (L(left_w) + L(right_w))
 
 
 def _block_picks(v, cuts, gains, infos):
@@ -716,6 +716,58 @@ def test_a_row_whose_lighter_class_is_below_the_floor_is_scored_in_full():
     scored = trees._numeric_block(*args)
     assert scored[1].tolist() == _full_scan_numeric_block(*args)[1].tolist() == [1, 2, 3, 4]
     assert _block_picks(*scored)[1][0] == 2.5
+
+
+def _textbook_split(parts):
+    """(gain ratio, H(row) / split info, split info) of a split into parts,
+    each a (weight, positive weight) pair, in the fraction form and Python
+    floats: H(row) - sum of (W/T) H(part), over -sum of (W/T) log2(W/T)."""
+    def h(w, p):
+        return -sum(c / w * math.log2(c / w) for c in (p, w - p) if c > 0)
+
+    total, total_pos = sum(w for w, _ in parts), sum(p for _, p in parts)
+    gain = h(total, total_pos) - sum(w / total * h(w, p) for w, p in parts if w > 0)
+    info = -sum(w / total * math.log2(w / total) for w, _ in parts if w > 0)
+    return gain / info, h(total, total_pos) / info, info
+
+
+def test_split_scores_equal_the_textbook_fraction_form():
+    # an oracle that shares none of the grower's arithmetic.  A gain near 0
+    # is a near cancellation of two entropies in either form, so ratios
+    # must agree to 1e-9 of H(row) / split info, the ratio of a cut into
+    # pure sides, which no ratio of the row exceeds
+    rng = np.random.default_rng(23)
+    checked = 0
+    for case in range(300):
+        n = int(rng.choice([5, 30, 200, 1000]))
+        y = (rng.random(n) < rng.uniform(0.05, 0.5)).astype(np.int8)
+        y[:2] = [0, 1]
+        weighting = rng.choice(["unit", "bootstrap", "dirichlet", "exponential"])
+        if weighting == "unit":
+            w = np.ones(n)
+        elif weighting == "bootstrap":
+            w = rng.multinomial(n, np.full(n, 1.0 / n)).astype(float)
+        elif weighting == "dirichlet":
+            w = rng.dirichlet(np.ones(n)) * n
+        else:
+            w = rng.exponential(1.0, n)
+        w[:2] = np.maximum(w[:2], 1.0)  # weight in both classes
+        splits = []
+        vals = rng.normal(0, 1, n) if rng.random() < 0.5 else rng.integers(0, 6, n).astype(float)
+        thresholds, gains, infos = trees._numeric_candidates(vals, y, w, 1.0)
+        for t, gain, info in zip(thresholds, gains, infos):
+            splits.append((gain / info, [vals <= t, vals > t]))
+        k = int(rng.integers(2, 7))
+        cats = rng.integers(0, k, n)
+        ratio = trees._nominal_ratios(cats, w, w * (y == 1), np.array([k]), np.array([1.0]))[0]
+        if ratio > -np.inf:
+            splits.append((ratio, [cats == c for c in range(k)]))
+        for got, sides in splits:
+            want, scale, info = _textbook_split([(float(w[s].sum()), float(w[s & (y == 1)].sum())) for s in sides])
+            if info > 1e-6:
+                assert abs(got - want) <= 1e-9 * scale, case
+                checked += 1
+    assert checked > 10000
 
 
 def test_ranking_and_discretization_equal_a_full_scan(monkeypatch):
