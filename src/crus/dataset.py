@@ -8,12 +8,25 @@ the category index from the schema.
 
 The schema has one document layout, shared by the sidecar and the model
 files: `schema_to_doc` builds it and `schema_from_doc` is its one checked
-reader.
+reader.  It refuses a category or class label that no CSV cell can hold:
+an empty one, or one with a comma or a line break.
+
+`load_csv` reads a plain file with one `np.loadtxt` call, streamed from the
+file a block at a time, with text columns turned into codes by one sorted
+lookup.  Any other file goes to the per-cell parser (`csv` and `float`):
+one with a quote, a NUL, a blank line, a line break other than LF, CRLF or
+CR, no data row, a category or label over 63 characters, or a cell that
+the column reader cannot take (a wrong cell count, a number `float` reads
+and loadtxt does not, a non-finite number, an unknown category or label).
+Both give the same values, and every refusal comes from the per-cell
+parser with its row and attribute.  Both drop one leading byte-order mark.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -161,9 +174,24 @@ def schema_from_doc(doc: object, where: str) -> DatasetSchema:
             )
         return str(value)
 
+    def cell(value: str, owner: str) -> str:
+        """`value`, a category or label, if a CSV cell can hold it."""
+        if value == "":
+            problem = "is empty"
+        elif "," in value:
+            problem = "contains a comma"
+        elif value.splitlines() != [value]:
+            problem = "contains a line break"
+        else:
+            return value
+        raise DataError(f"{where}: {owner} {value!r} {problem}, which no CSV cell can hold")
+
+    class_name = text(doc["class_attribute"])
     labels = [text(v) for v in listed(doc["class_labels"], "class_labels")]
     if len(labels) != 2:
         raise DataError(f"{where}: class_labels must list exactly two labels")
+    for label in labels:
+        cell(label, f"class attribute '{class_name}': label")
     positive = text(doc["positive_label"])
     if positive not in labels:
         raise DataError(f"{where}: positive_label '{positive}' not in class_labels")
@@ -172,11 +200,15 @@ def schema_from_doc(doc: object, where: str) -> DatasetSchema:
     for entry in listed(doc["attributes"], "attributes"):
         if not isinstance(entry, dict) or "name" not in entry or "kind" not in entry:
             raise DataError(f"{where}: each attribute needs 'name' and 'kind'")
-        cats = tuple(text(c) for c in listed(entry.get("categories") or [], "categories"))
-        attrs.append(AttributeSpec(text(entry["name"]), str(entry["kind"]), cats))
+        name = text(entry["name"])
+        cats = tuple(
+            cell(text(c), f"attribute '{name}': category")
+            for c in listed(entry.get("categories") or [], "categories")
+        )
+        attrs.append(AttributeSpec(name, str(entry["kind"]), cats))
     if not attrs:
         raise DataError(f"{where}: 'attributes' lists no attribute besides the class")
-    return DatasetSchema(tuple(attrs), text(doc["class_attribute"]), negative, positive)
+    return DatasetSchema(tuple(attrs), class_name, negative, positive)
 
 
 def load_schema(path: str | Path) -> DatasetSchema:
@@ -219,15 +251,10 @@ def _parse_cell(cell: str, attr: AttributeSpec, row_no: int) -> float:
         ) from None
 
 
-def load_csv(data_path: str | Path, schema: DatasetSchema | str | Path) -> Dataset:
-    """Load a CSV file against a schema (or a schema file path)."""
-    if not isinstance(schema, DatasetSchema):
-        schema = load_schema(schema)
-    data_path = Path(data_path)
-    try:
-        text = data_path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"data file not found: {data_path}") from None
+def _read_cells(data_path: Path, schema: DatasetSchema) -> tuple[np.ndarray, np.ndarray]:
+    """The per-cell parser: values and labels of any file, with every
+    refusal's text.  One leading byte-order mark is dropped."""
+    text = data_path.read_text(encoding="utf-8-sig")
     reader = csv.reader(text.splitlines())
     try:
         header = next(reader)
@@ -261,7 +288,117 @@ def load_csv(data_path: str | Path, schema: DatasetSchema | str | Path) -> Datas
             f"row {r + 2}: {values[r, c]} is not a finite number for attribute "
             f"'{schema.attributes[c].name}'"
         )
-    return Dataset(schema, values, np.array(labels, dtype=np.int8))
+    return values, np.array(labels, dtype=np.int8)
+
+
+# The column reader checks and parses a file a block of this many characters
+# (plus the rest of its last line) at a time, so it never holds the whole text.
+_BLOCK_CHARS = 1 << 16
+# Characters on which np.loadtxt and the per-cell parser may read a line
+# differently: a quote, a NUL (a text cell drops a trailing one), the line
+# breaks that str.splitlines splits at but loadtxt keeps inside a cell, and
+# "\x1c" to "\x1f", which loadtxt strips from a number and float() does not.
+# Files are read with universal newlines, so "\n" is the only other break.
+_MISREAD = ('"', "\0", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
+# The longest category or label the column reader takes.  Its text cells hold
+# one character more, 4 bytes each, in every row; longer ones would make them
+# larger than the per-cell parser's memory per cell.
+_MAX_TEXT_CHARS = 63
+
+
+def _columnar(text: str) -> bool:
+    """Whether np.loadtxt reads the whole lines `text` into the cells that
+    csv.reader over str.splitlines gives, with no blank line to skip and no
+    cell over csv's size limit."""
+    return not (
+        text.startswith("\n")
+        or "\n\n" in text
+        or any(c in text for c in _MISREAD)
+        or len(text) > csv.field_size_limit()
+    )
+
+
+def _columnar_lines(fh) -> Iterator[list[str]]:
+    """The lines left in `fh`, a block of whole lines at a time; raises
+    ValueError at a block that is not `_columnar`."""
+    while block := fh.read(_BLOCK_CHARS):
+        block += fh.readline()
+        if not _columnar(block):
+            raise ValueError("the per-cell parser may read this block otherwise")
+        yield block.split("\n")
+
+
+def _codes(cells: np.ndarray, texts: tuple[str, ...]) -> np.ndarray | None:
+    """Each cell's index in `texts` by one sorted lookup; None if some cell
+    is none of them."""
+    table = np.array(texts)
+    order = np.argsort(table)
+    known = table[order]
+    at = np.searchsorted(known, cells).clip(max=len(known) - 1)
+    if not np.array_equal(known[at], cells):
+        return None
+    return order[at]
+
+
+def _read_columns(data_path: Path, schema: DatasetSchema) -> tuple[np.ndarray, np.ndarray] | None:
+    """Values and labels of a file read by one np.loadtxt call, streamed;
+    None for a file that `_read_cells` might read otherwise or refuse."""
+    labels = (schema.negative_label, schema.positive_label)
+    texts = [*labels, *(c for a in schema.attributes for c in a.categories)]
+    if any("\0" in t or len(t) > _MAX_TEXT_CHARS for t in texts):
+        return None
+
+    def text_format(options: tuple[str, ...]) -> str:
+        # loadtxt cuts a longer cell to this width, where it matches no option
+        return f"U{max(map(len, options)) + 1}"
+
+    formats = [("f8" if a.kind == NUMERIC else text_format(a.categories)) for a in schema.attributes]
+    expected = [a.name for a in schema.attributes] + [schema.class_name]
+    with data_path.open(encoding="utf-8-sig") as fh:
+        try:
+            header = fh.readline()
+            if not _columnar(header) or header.removesuffix("\n").split(",") != expected:
+                return None
+            blocks = _columnar_lines(fh)
+            first = next(blocks, None)
+            if first is None:  # no data row, on which loadtxt warns
+                return None
+            table = np.loadtxt(
+                itertools.chain(first, itertools.chain.from_iterable(blocks)),
+                dtype=",".join([*formats, text_format(labels)]),
+                delimiter=",", comments=None, quotechar=None, encoding="utf-8", ndmin=1,
+            )
+        except ValueError:  # a misread block, a bad cell or invalid UTF-8
+            return None
+    *names, class_column = table.dtype.names
+    values = np.empty((len(table), schema.n_attributes))
+    for attr, name, column in zip(schema.attributes, names, values.T):
+        if attr.kind == NUMERIC:
+            column[:] = table[name]
+        elif (codes := _codes(table[name], attr.categories)) is None:
+            return None
+        else:
+            column[:] = codes
+    codes = _codes(table[class_column], labels)
+    if codes is None or not np.isfinite(values).all():
+        return None
+    return values, codes.astype(np.int8)
+
+
+def load_csv(data_path: str | Path, schema: DatasetSchema | str | Path) -> Dataset:
+    """Load a CSV file against a schema (or a schema file path).
+
+    One np.loadtxt call reads a plain file; `_read_cells` reads any file
+    that call declines, with the same values and every refusal's text.
+    """
+    if not isinstance(schema, DatasetSchema):
+        schema = load_schema(schema)
+    data_path = Path(data_path)
+    try:
+        values, labels = _read_columns(data_path, schema) or _read_cells(data_path, schema)
+    except FileNotFoundError:
+        raise DataError(f"data file not found: {data_path}") from None
+    return Dataset(schema, values, labels)
 
 
 def _format_value(v: float, attr: AttributeSpec) -> str:

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import csv
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
@@ -13,13 +19,18 @@ from crus.dataset import (
     DataError,
     Dataset,
     DatasetSchema,
+    _read_cells,
+    _read_columns,
     imbalance_ratio,
     load_csv,
     load_schema,
     save_schema,
+    schema_to_doc,
     stratified_kfold,
     write_csv,
 )
+from crus.evaluation import SyntheticConfig, gen_synthetic
+from crus.modelfile import model_from_text
 from crus.resampling import smote_oversample
 
 
@@ -238,6 +249,207 @@ def test_load_csv_rejects_non_finite_numbers(tmp_path, cell, shown):
         load_csv(p, schema_path)
     assert str(err.value) == f"row 3: {shown} is not a finite number for attribute 'age'"
 
+
+def _write(path, text: str, newline: str = "\n"):
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    return path
+
+
+def _outcome(read, path, schema):
+    """Values and labels as bytes, or the type and text of the refusal."""
+    try:
+        values, labels = read(path, schema)
+    except (ValueError, csv.Error) as exc:  # DataError, invalid UTF-8, or csv's field limit
+        return type(exc), str(exc)
+    return values.shape, values.tobytes(), np.asarray(labels, dtype=np.int8).tobytes()
+
+
+def _load(path, schema):
+    d = load_csv(path, schema)
+    return d.values, d.labels
+
+
+def test_load_csv_drops_one_byte_order_mark(tmp_path):
+    schema_path = tmp_path / "schema.yaml"
+    save_schema(small_schema(), schema_path)
+    body = "age,unit,outcome\n1.5,icu,no\n2.5,ward,yes\n"
+    plain = load_csv(_write(tmp_path / "plain.csv", body), schema_path)
+    for name, text in [("bom", body), ("quoted", body.replace("icu", '"icu"'))]:  # both readers
+        d = load_csv(_write(tmp_path / f"{name}.csv", "\ufeff" + text), schema_path)
+        assert d.values.tobytes() == plain.values.tobytes()
+        assert d.labels.tobytes() == plain.labels.tobytes()
+    with pytest.raises(DataError, match=r"header \['\\ufeffage'"):
+        load_csv(_write(tmp_path / "two.csv", "\ufeff\ufeff" + body), schema_path)
+
+
+@pytest.mark.parametrize(
+    "value, problem",
+    [("a,b", "contains a comma"), ("", "is empty"), ("a\nb", "contains a line break"),
+     ("a\u2028", "contains a line break")],
+)
+@pytest.mark.parametrize("where", ["category", "label"])
+def test_schema_refuses_a_value_no_csv_cell_can_hold(tmp_path, value, problem, where):
+    doc = schema_to_doc(small_schema())
+    if where == "category":
+        doc["attributes"][1]["categories"] = ["icu", value, "ward"]
+        owner = "attribute 'unit': category"
+    else:
+        doc["class_labels"] = ["no", value]
+        doc["positive_label"] = value
+        owner = "class attribute 'outcome': label"
+    path = tmp_path / "schema.yaml"
+    path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    message = f"{owner} {value!r} {problem}, which no CSV cell can hold"
+    with pytest.raises(DataError) as err:
+        load_schema(path)
+    assert str(err.value) == f"schema file {path}: {message}"
+    tree = {"kind": "tree", "schema": doc, "config": {}, "nodes": [{"weights": [1.0, 1.0]}]}
+    with pytest.raises(DataError) as err:
+        model_from_text(json.dumps(tree))
+    assert str(err.value) == f"schema: {message}"
+
+
+LONG = "k" * 63  # the longest category the column reader takes
+READER_SCHEMA = DatasetSchema(
+    (AttributeSpec("x", NUMERIC), AttributeSpec("c", NOMINAL, ("icu", "é ward", LONG)), AttributeSpec("z", NUMERIC)),
+    "y", "no", "yes",
+)
+PLAIN = "x,c,z,y\n1.5,icu,-2,no\n 2.5e3\t,é ward,3,yes\n-0.0,{long},1e-320,no\n"
+
+
+@pytest.mark.parametrize(
+    "body, newline, columns",
+    [
+        (PLAIN, "\n", True),
+        (PLAIN, "\r\n", True),
+        (PLAIN, "\r", True),
+        ("x,c,z,y\n1.5,icu,-2,no\n\xa02.5e3\u3000,é ward,3,yes", "\n", True),  # no final newline
+        ("x,c,z,y\n1.5\x1f,icu,-2,no\n", "\n", False),  # loadtxt strips it from a number, float() not
+        ("\ufeffx,c,z,y\n1.5,icu,-2,no\n", "\r\n", True),
+        ("x,c,z,y\n1_0,icu,-2,no\n", "\n", False),  # float() reads it, loadtxt does not
+        ("x,c,z,y\n１２,icu,-2,no\n", "\n", False),  # full-width digits, likewise
+        ("x,c,z,y\n1.5,icu,-2,no\n", "\n", True),
+        ("x,c,z,y\n", "\n", False),  # header only: loadtxt warns
+        ("x,c,z,y", "\n", False),
+        ("", "\n", False),
+        ("x,c,z,y\n1.5,icu,-2,no\n\n2,icu,3,no\n", "\n", False),  # loadtxt skips a blank line
+        ("x,c,z,y\n1.5,icu,-2,no\n\n", "\r\n", False),
+        ("x,c,z,y\n\n1.5,icu,-2,no\n", "\r", False),
+        ("x,c,z,y\n1.5,\"icu\",-2,no\n", "\n", False),
+        ("x,c,z,y\n1.5,\"i,cu\",-2,no\n", "\n", False),
+        ("x,c,z,y\n1.5,icu\x00,-2,no\n", "\n", False),  # a text cell drops a trailing NUL
+        ("x,c,z,y\n1.5\x0b,icu,-2,no\n", "\n", False),  # loadtxt reads 1.5 and whitespace
+        ("x,c,z,y\n1.5\x1c,icu,-2,no\n", "\n", False),
+        ("x,c,z,y\n1.5\x85,icu,-2,no\n", "\n", False),
+        ("x,c,z,y\n1.5\u2029,icu,-2,no\n", "\n", False),
+        ("x,c,z,y\n#1,icu,-2,no\n", "\n", False),
+        ("x,c,z,y\n1.5,icu,-2\n", "\n", False),
+        ("x,c,z,y\n1.5,icu,-2,no,\n", "\n", False),
+        ("x,c,z,y\nnan,icu,-2,no\n", "\n", False),
+        ("x,c,z,y\n1.5,icu,1e999,no\n", "\n", False),
+        ("x,c,z,y\n,icu,-2,no\n", "\n", False),
+        ("x,c,z,y\n1.5,ICU,-2,no\n", "\n", False),
+        ("x,c,z,y\n1.5,{long}k,-2,no\n", "\n", False),  # read cut to the column's width
+        ("x,c,z,y\n1.5,icu,-2,maybe\n", "\n", False),
+        ("x,c,z,y\n1.5,icu,-2, no\n", "\n", False),
+        ("x,c,z,y,w\n1.5,icu,-2,no\n", "\n", False),
+        (f"x,c,z,y\n{' ' * 140_000}1.5,icu,-2,no\n", "\n", False),  # over csv's field limit
+    ],
+)
+def test_load_csv_reads_plain_files_as_columns_and_the_rest_per_cell(tmp_path, body, newline, columns):
+    path = _write(tmp_path / "d.csv", body.format(long=LONG), newline)
+    assert (_read_columns(path, READER_SCHEMA) is not None) == columns
+    assert _outcome(_load, path, READER_SCHEMA) == _outcome(_read_cells, path, READER_SCHEMA)
+
+
+def test_load_csv_sends_a_file_to_the_per_cell_parser_for_a_long_category(tmp_path):
+    schema = DatasetSchema((AttributeSpec("c", NOMINAL, ("k" * 64,)),), "y", "no", "yes")
+    path = _write(tmp_path / "d.csv", f"c,y\n{'k' * 64},no\n")
+    assert _read_columns(path, schema) is None
+    assert load_csv(path, schema).values.tolist() == [[0.0]]
+
+
+def _mostly(usual, odd, one_in: int):
+    """`odd` once in about `one_in` draws, else `usual`."""
+    return st.integers(1, one_in).flatmap(lambda i: odd if i == 1 else usual)
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([" 1.5", "2 ", "\t-3e2\t", "\xa04\u3000", ".5", "5.", "+7", "1e-400"]),
+)
+_ODD_NUMBERS = st.sampled_from(["1_0", "１２", "nan", "-inf", "1e999", "", "x", "#1", '"4.5"', '"1,5"',
+                                "0x10", "1 5", "1e", "--1", "4\x1f"])
+_TEXT = _mostly(
+    st.text(alphabet="abk0 \xe9#\t", min_size=1, max_size=8),
+    st.one_of(
+        st.text(alphabet='ab"\x00\x1f\u3000', min_size=1, max_size=3),
+        st.text(alphabet="k", min_size=60, max_size=66),  # around the longest the column reader takes
+    ),
+    one_in=16,
+)
+_ODD_TEXT = st.one_of(st.sampled_from(["", "zz", " a", '"a"']), _TEXT)
+_INSERTS = ["\n", "\r", '"', "#", "\x00", ",", " ", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+            "\u2028", "\u2029", "\ufeff", "\xff"]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_load_csv_matches_the_per_cell_parser(data):
+    """The column reader and the per-cell parser give byte-identical values
+    and labels, or the same refusal, on valid and malformed files."""
+    holdable = _TEXT.filter(lambda t: "," not in t and t.splitlines() == [t])
+    labels = data.draw(st.lists(holdable, min_size=2, max_size=2, unique=True), label="labels")
+    attrs = []
+    for i in range(data.draw(st.integers(1, 3), label="n_attributes")):
+        if data.draw(st.booleans(), label="nominal"):
+            cats = data.draw(st.lists(holdable, min_size=1, max_size=3, unique=True), label="categories")
+            attrs.append(AttributeSpec(f"a{i}", NOMINAL, tuple(cats)))
+        else:
+            attrs.append(AttributeSpec(f"a{i}", NUMERIC))
+    schema = DatasetSchema(tuple(attrs), "y", labels[0], labels[1])
+    odd_cells = data.draw(_mostly(st.just(False), st.just(True), one_in=3), label="odd cells")
+
+    def cell(attr: AttributeSpec | None) -> str:
+        if attr is not None and attr.kind == NUMERIC:
+            usual, odd = _NUMBERS, _ODD_NUMBERS
+        else:
+            usual, odd = st.sampled_from(labels if attr is None else attr.categories), _ODD_TEXT
+        return data.draw(_mostly(usual, odd, one_in=4) if odd_cells else usual)
+
+    lines = [",".join([a.name for a in attrs] + ["y"])]
+    for _ in range(data.draw(_mostly(st.integers(1, 6), st.just(0), one_in=8), label="n_rows")):
+        lines.append(",".join(cell(a) for a in (*attrs, None)))
+    text = "\n".join(lines) + data.draw(st.sampled_from(["\n", ""]), label="final newline")
+    text = text.replace("\n", data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line break"))
+    if data.draw(st.booleans(), label="byte-order mark"):
+        text = "\ufeff" + text
+    raw = text.encode("utf-8")
+    inserts = _mostly(st.just([]), st.lists(st.sampled_from(_INSERTS), min_size=1, max_size=2), one_in=4)
+    for insert in data.draw(inserts, label="inserts"):
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        raw = raw[:at] + (b"\xff" if insert == "\xff" else insert.encode("utf-8")) + raw[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_bytes(raw)
+        assert _outcome(_load, path, schema) == _outcome(_read_cells, path, schema)
+
+
+def test_load_csv_peak_memory_stays_within_four_value_matrices(tmp_path):
+    """A 20,000-row file loads in less than four times its value matrix,
+    which rules out holding its text or a Python float per cell."""
+    data = gen_synthetic(SyntheticConfig(blob_sizes=(8000, 12000), blob_irs=(3.0, 10.0), n_numeric=6, seed=4))
+    path = tmp_path / "data.csv"
+    write_csv(data.dataset, path)
+    tracemalloc.start()
+    try:
+        d = load_csv(path, data.dataset.schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(d.values, data.dataset.values)
+    assert peak < 4 * d.values.nbytes, f"peak {peak} bytes for a {d.values.nbytes}-byte matrix"
 
 def test_stratified_kfold_balanced_counts():
     d = small_dataset(n_pos=7, n_neg=23, seed=3)

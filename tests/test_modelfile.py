@@ -163,8 +163,13 @@ def test_schema_document_round_trips_through_sidecar_and_model_files(tmp_path_fa
     save_schema(schema, path)
     tree = DecisionTree(schema, [TreeNode(class_weights=np.array([1.0, 2.0]))], TreeConfig())
     ensemble = EnsembleModel("bagging", [tree], np.ones(1), "vote", 0)
-    if not schema.attributes:  # refused wherever a schema is read
-        refusal = "'attributes' lists no attribute besides the class"
+    texts = [schema.negative_label, schema.positive_label, *(c for a in schema.attributes for c in a.categories)]
+    holdable = all(t and "," not in t and t.splitlines() == [t] for t in texts)
+    if not holdable or not schema.attributes:  # refused wherever a schema is read
+        if holdable:
+            refusal = "'attributes' lists no attribute besides the class"
+        else:
+            refusal = "which no CSV cell can hold"
         with pytest.raises(DataError, match=refusal):
             load_schema(path)
         for model in (tree, ensemble):
