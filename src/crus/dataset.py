@@ -11,21 +11,16 @@ files: `schema_to_doc` builds it and `schema_from_doc` is its one checked
 reader.  It refuses a category or class label that no CSV cell can hold:
 an empty one, or one with a comma or a line break.
 
-`load_csv` reads a plain file with one `np.loadtxt` call, streamed from the
-file a block at a time, with text columns turned into codes by one sorted
-lookup.  Any other file goes to the per-cell parser (`csv` and `float`):
-one with a quote, a NUL, a blank line, a line break other than LF, CRLF or
-CR, no data row, a category or label over 63 characters, or a cell that
-the column reader cannot take (a wrong cell count, a number `float` reads
-and loadtxt does not, a non-finite number, an unknown category or label).
-Both give the same values, and every refusal comes from the per-cell
-parser with its row and attribute.  Both drop one leading byte-order mark.
+`load_csv` streams a file: it reads a block of whole lines at a time,
+splits them into rows with one `csv.reader` and converts a few hundred rows
+at a time, a column at a time, so it never holds the whole text or a Python
+float per cell.  Every refusal names its row and, for a bad cell, its
+attribute.  One leading byte-order mark is dropped.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -251,36 +246,103 @@ def _parse_cell(cell: str, attr: AttributeSpec, row_no: int) -> float:
         ) from None
 
 
-def _read_cells(data_path: Path, schema: DatasetSchema) -> tuple[np.ndarray, np.ndarray]:
-    """The per-cell parser: values and labels of any file, with every
-    refusal's text.  One leading byte-order mark is dropped."""
-    text = data_path.read_text(encoding="utf-8-sig")
-    reader = csv.reader(text.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{data_path}: empty file, expected a header row") from None
-    expected = [a.name for a in schema.attributes] + [schema.class_name]
-    if header != expected:
+def _parse_row(row: list[str], schema: DatasetSchema, row_no: int) -> list[float]:
+    """A data row's values and then its class code (1 for the positive
+    label), or the refusal of its first bad cell."""
+    if len(row) != schema.n_attributes + 1:
         raise DataError(
-            f"{data_path}: header {header!r} does not match schema columns {expected!r}"
+            f"row {row_no}: expected {schema.n_attributes + 1} cells, found {len(row)}"
         )
-    rows: list[list[float]] = []
-    labels: list[int] = []
-    for row_no, row in enumerate(reader, start=2):
-        if len(row) != len(expected):
+    values = [_parse_cell(cell, attr, row_no) for cell, attr in zip(row, schema.attributes)]
+    labels = (schema.negative_label, schema.positive_label)
+    if row[-1] not in labels:
+        raise DataError(f"row {row_no}: unknown class label '{row[-1]}'")
+    return [*values, float(labels.index(row[-1]))]
+
+
+# The file is read a block of this many characters (plus the rest of its last
+# line) at a time, and its rows converted this many at a time, so that the
+# whole text, or a Python object per cell, is never held.
+_READ_CHARS = 1 << 16
+_BLOCK_ROWS = 256
+
+
+def _lines(fh) -> Iterator[str]:
+    """The lines of text file `fh`, as str.splitlines splits its whole text."""
+    while block := fh.read(_READ_CHARS):
+        yield from (block + fh.readline()).splitlines()
+
+
+def _convert(rows: list[list[str]], row_no: int, schema: DatasetSchema) -> np.ndarray:
+    """`rows`, the first of which is row `row_no`, as a table of their values
+    and then their class codes.  A block that does not convert a column at a
+    time is parsed row by row, which raises its first refusal."""
+    labels = {schema.negative_label: 0.0, schema.positive_label: 1.0}
+    converters = [
+        float if a.kind == NUMERIC else {c: float(i) for i, c in enumerate(a.categories)}.__getitem__
+        for a in schema.attributes
+    ]
+    table = np.empty((len(rows), len(converters) + 1))
+    try:
+        if any(len(row) != table.shape[1] for row in rows):
+            raise ValueError("a row has the wrong number of cells")
+        for convert, cells, column in zip([*converters, labels.__getitem__], zip(*rows), table.T):
+            column[:] = np.fromiter(map(convert, cells), np.float64, len(cells))
+    except (KeyError, ValueError):
+        for i, row in enumerate(rows):
+            table[i] = _parse_row(row, schema, row_no + i)
+    return table
+
+
+def _read_tables(fh, data_path: Path, schema: DatasetSchema) -> list[np.ndarray]:
+    """The data rows of open file `fh` as tables of `_BLOCK_ROWS` rows (see
+    `_convert`), after a check of its header row."""
+    rows = csv.reader(_lines(fh))
+    tables = [np.empty((0, schema.n_attributes + 1))]
+    block: list[list[str]] = []
+    row_no = 1  # of block[0]; the header is row 1
+    try:
+        header = next(rows, None)
+        if header is None:
+            raise DataError(f"{data_path}: empty file, expected a header row")
+        expected = [a.name for a in schema.attributes] + [schema.class_name]
+        if header != expected:
             raise DataError(
-                f"row {row_no}: expected {len(expected)} cells, found {len(row)}"
+                f"{data_path}: header {header!r} does not match schema columns {expected!r}"
             )
-        rows.append([_parse_cell(cell, attr, row_no) for cell, attr in zip(row, schema.attributes)])
-        cls = row[-1]
-        if cls == schema.positive_label:
-            labels.append(1)
-        elif cls == schema.negative_label:
-            labels.append(0)
-        else:
-            raise DataError(f"row {row_no}: unknown class label '{cls}'")
-    values = np.array(rows, dtype=np.float64) if rows else np.empty((0, schema.n_attributes))
+        row_no = 2
+        for row in rows:
+            block.append(row)
+            if len(block) == _BLOCK_ROWS:
+                tables.append(_convert(block, row_no, schema))
+                block, row_no = [], row_no + _BLOCK_ROWS
+    except csv.Error as exc:  # such as a cell over csv's field size limit
+        _convert(block, row_no, schema)  # a refusal of an earlier row comes first
+        raise DataError(f"row {row_no + len(block)}: {exc}") from exc
+    tables.append(_convert(block, row_no, schema))
+    return tables
+
+
+def load_csv(data_path: str | Path, schema: DatasetSchema | str | Path) -> Dataset:
+    """Load a CSV file against a schema (or a schema file path).
+
+    The file is streamed: read a block of whole lines at a time, split into
+    rows by one `csv.reader` and converted `_BLOCK_ROWS` rows at a time,
+    numeric cells by `float` and nominal cells and class labels by lookup.
+    A refusal names its row and, for a bad cell, its attribute; a non-finite
+    number is refused after the last row.  One leading byte-order mark is
+    dropped.
+    """
+    if not isinstance(schema, DatasetSchema):
+        schema = load_schema(schema)
+    data_path = Path(data_path)
+    try:
+        with data_path.open(encoding="utf-8-sig") as fh:
+            tables = _read_tables(fh, data_path, schema)
+    except FileNotFoundError:
+        raise DataError(f"data file not found: {data_path}") from None
+    values = np.concatenate([t[:, :-1] for t in tables])
+    labels = np.concatenate([t[:, -1] for t in tables]).astype(np.int8)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, c = bad[0]
@@ -288,116 +350,6 @@ def _read_cells(data_path: Path, schema: DatasetSchema) -> tuple[np.ndarray, np.
             f"row {r + 2}: {values[r, c]} is not a finite number for attribute "
             f"'{schema.attributes[c].name}'"
         )
-    return values, np.array(labels, dtype=np.int8)
-
-
-# The column reader checks and parses a file a block of this many characters
-# (plus the rest of its last line) at a time, so it never holds the whole text.
-_BLOCK_CHARS = 1 << 16
-# Characters on which np.loadtxt and the per-cell parser may read a line
-# differently: a quote, a NUL (a text cell drops a trailing one), the line
-# breaks that str.splitlines splits at but loadtxt keeps inside a cell, and
-# "\x1c" to "\x1f", which loadtxt strips from a number and float() does not.
-# Files are read with universal newlines, so "\n" is the only other break.
-_MISREAD = ('"', "\0", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029")
-# The longest category or label the column reader takes.  Its text cells hold
-# one character more, 4 bytes each, in every row; longer ones would make them
-# larger than the per-cell parser's memory per cell.
-_MAX_TEXT_CHARS = 63
-
-
-def _columnar(text: str) -> bool:
-    """Whether np.loadtxt reads the whole lines `text` into the cells that
-    csv.reader over str.splitlines gives, with no blank line to skip and no
-    cell over csv's size limit."""
-    return not (
-        text.startswith("\n")
-        or "\n\n" in text
-        or any(c in text for c in _MISREAD)
-        or len(text) > csv.field_size_limit()
-    )
-
-
-def _columnar_lines(fh) -> Iterator[list[str]]:
-    """The lines left in `fh`, a block of whole lines at a time; raises
-    ValueError at a block that is not `_columnar`."""
-    while block := fh.read(_BLOCK_CHARS):
-        block += fh.readline()
-        if not _columnar(block):
-            raise ValueError("the per-cell parser may read this block otherwise")
-        yield block.split("\n")
-
-
-def _codes(cells: np.ndarray, texts: tuple[str, ...]) -> np.ndarray | None:
-    """Each cell's index in `texts` by one sorted lookup; None if some cell
-    is none of them."""
-    table = np.array(texts)
-    order = np.argsort(table)
-    known = table[order]
-    at = np.searchsorted(known, cells).clip(max=len(known) - 1)
-    if not np.array_equal(known[at], cells):
-        return None
-    return order[at]
-
-
-def _read_columns(data_path: Path, schema: DatasetSchema) -> tuple[np.ndarray, np.ndarray] | None:
-    """Values and labels of a file read by one np.loadtxt call, streamed;
-    None for a file that `_read_cells` might read otherwise or refuse."""
-    labels = (schema.negative_label, schema.positive_label)
-    texts = [*labels, *(c for a in schema.attributes for c in a.categories)]
-    if any("\0" in t or len(t) > _MAX_TEXT_CHARS for t in texts):
-        return None
-
-    def text_format(options: tuple[str, ...]) -> str:
-        # loadtxt cuts a longer cell to this width, where it matches no option
-        return f"U{max(map(len, options)) + 1}"
-
-    formats = [("f8" if a.kind == NUMERIC else text_format(a.categories)) for a in schema.attributes]
-    expected = [a.name for a in schema.attributes] + [schema.class_name]
-    with data_path.open(encoding="utf-8-sig") as fh:
-        try:
-            header = fh.readline()
-            if not _columnar(header) or header.removesuffix("\n").split(",") != expected:
-                return None
-            blocks = _columnar_lines(fh)
-            first = next(blocks, None)
-            if first is None:  # no data row, on which loadtxt warns
-                return None
-            table = np.loadtxt(
-                itertools.chain(first, itertools.chain.from_iterable(blocks)),
-                dtype=",".join([*formats, text_format(labels)]),
-                delimiter=",", comments=None, quotechar=None, encoding="utf-8", ndmin=1,
-            )
-        except ValueError:  # a misread block, a bad cell or invalid UTF-8
-            return None
-    *names, class_column = table.dtype.names
-    values = np.empty((len(table), schema.n_attributes))
-    for attr, name, column in zip(schema.attributes, names, values.T):
-        if attr.kind == NUMERIC:
-            column[:] = table[name]
-        elif (codes := _codes(table[name], attr.categories)) is None:
-            return None
-        else:
-            column[:] = codes
-    codes = _codes(table[class_column], labels)
-    if codes is None or not np.isfinite(values).all():
-        return None
-    return values, codes.astype(np.int8)
-
-
-def load_csv(data_path: str | Path, schema: DatasetSchema | str | Path) -> Dataset:
-    """Load a CSV file against a schema (or a schema file path).
-
-    One np.loadtxt call reads a plain file; `_read_cells` reads any file
-    that call declines, with the same values and every refusal's text.
-    """
-    if not isinstance(schema, DatasetSchema):
-        schema = load_schema(schema)
-    data_path = Path(data_path)
-    try:
-        values, labels = _read_columns(data_path, schema) or _read_cells(data_path, schema)
-    except FileNotFoundError:
-        raise DataError(f"data file not found: {data_path}") from None
     return Dataset(schema, values, labels)
 
 

@@ -455,6 +455,37 @@ def test_run_unwritable_output_is_one_error_line(tmp_path, runner):
     assert result.output.count("Error:") == 1 and "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("command", ["run", "featsel"])
+def test_a_cell_over_the_csv_field_limit_is_one_error_line(tmp_path, runner, command):
+    csv_path, _ = write_dataset(tmp_path)
+    header, rest = csv_path.read_text(encoding="utf-8").split("\n", 1)
+    csv_path.write_text(f"{header}\n{' ' * 140_000}{rest}", encoding="utf-8")
+    if command == "run":
+        args = ["run", "--config", str(write_run_config(tmp_path))]
+        prefix = "Error: cannot evaluate data.csv: "
+    else:
+        fs = tmp_path / "fs.yaml"
+        fs.write_text(yaml.safe_dump({"dataset": "data.csv", "schema": "data.schema.yaml"}), encoding="utf-8")
+        args = ["featsel", "--config", str(fs)]
+        prefix = "Error: feature selection failed: "
+    result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert result.output.endswith(f"{prefix}row 2: field larger than field limit (131072)\n")
+    assert result.output.count("Error:") == 1 and "Traceback" not in result.output
+
+
+def test_run_invalid_utf8_after_the_first_read_is_one_error_line(tmp_path, runner):
+    csv_path, _ = write_dataset(tmp_path, SyntheticConfig(blob_sizes=(700, 1100), blob_irs=(2.0, 5.0), seed=3))
+    raw = csv_path.read_bytes()
+    at = raw.index(b"\n", 70_000) + 1  # past the first read of 65,536 characters
+    csv_path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    result = runner.invoke(main, ["run", "--config", str(write_run_config(tmp_path)), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "Error: cannot evaluate data.csv: 'utf-8' codec can't decode byte 0xff in position " in result.output
+    assert result.output.endswith(": invalid start byte\n")
+    assert result.output.count("Error:") == 1 and "Traceback" not in result.output
+
+
 def test_run_output_below_a_file_fails_before_any_fold_runs(tmp_path, runner, monkeypatch):
     import crus.cli as cli
 

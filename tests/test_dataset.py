@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import crus.dataset
 from crus.dataset import (
     NOMINAL,
     NUMERIC,
@@ -19,8 +22,6 @@ from crus.dataset import (
     DataError,
     Dataset,
     DatasetSchema,
-    _read_cells,
-    _read_columns,
     imbalance_ratio,
     load_csv,
     load_schema,
@@ -255,11 +256,74 @@ def _write(path, text: str, newline: str = "\n"):
     return path
 
 
+def _reference_cell(cell: str, attr: AttributeSpec, row_no: int) -> float:
+    if cell == "":
+        raise DataError(f"row {row_no}: missing value for attribute '{attr.name}'")
+    if "," in cell:
+        raise DataError(f"row {row_no}: cell for '{attr.name}' contains a comma")
+    if attr.kind == NUMERIC:
+        try:
+            return float(cell)
+        except ValueError:
+            raise DataError(
+                f"row {row_no}: '{cell}' is not numeric for attribute '{attr.name}'"
+            ) from None
+    try:
+        return float(attr.categories.index(cell))
+    except ValueError:
+        raise DataError(
+            f"row {row_no}: unknown category '{cell}' for attribute '{attr.name}'"
+        ) from None
+
+
+def _reference(data_path: Path, schema: DatasetSchema) -> tuple[np.ndarray, np.ndarray]:
+    """The reference parser: the whole text split by str.splitlines, one
+    csv.reader over its lines and one row at a time, with every refusal's
+    text.  `load_csv` must give the same values, labels and refusals."""
+    text = data_path.read_text(encoding="utf-8-sig")
+    reader = csv.reader(text.splitlines())
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{data_path}: empty file, expected a header row") from None
+    expected = [a.name for a in schema.attributes] + [schema.class_name]
+    if header != expected:
+        raise DataError(
+            f"{data_path}: header {header!r} does not match schema columns {expected!r}"
+        )
+    rows: list[list[float]] = []
+    labels: list[int] = []
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != len(expected):
+            raise DataError(
+                f"row {row_no}: expected {len(expected)} cells, found {len(row)}"
+            )
+        rows.append([_reference_cell(cell, attr, row_no) for cell, attr in zip(row, schema.attributes)])
+        cls = row[-1]
+        if cls == schema.positive_label:
+            labels.append(1)
+        elif cls == schema.negative_label:
+            labels.append(0)
+        else:
+            raise DataError(f"row {row_no}: unknown class label '{cls}'")
+    values = np.array(rows, dtype=np.float64) if rows else np.empty((0, schema.n_attributes))
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(
+            f"row {r + 2}: {values[r, c]} is not a finite number for attribute "
+            f"'{schema.attributes[c].name}'"
+        )
+    return values, np.array(labels, dtype=np.int8)
+
+
 def _outcome(read, path, schema):
     """Values and labels as bytes, or the type and text of the refusal."""
     try:
         values, labels = read(path, schema)
-    except (ValueError, csv.Error) as exc:  # DataError, invalid UTF-8, or csv's field limit
+    except (ValueError, csv.Error) as exc:  # DataError, invalid UTF-8, or csv's own refusal
+        if isinstance(exc.__cause__, csv.Error):  # load_csv adds the row to csv's refusal
+            exc = exc.__cause__
         return type(exc), str(exc)
     return values.shape, values.tobytes(), np.asarray(labels, dtype=np.int8).tobytes()
 
@@ -274,7 +338,7 @@ def test_load_csv_drops_one_byte_order_mark(tmp_path):
     save_schema(small_schema(), schema_path)
     body = "age,unit,outcome\n1.5,icu,no\n2.5,ward,yes\n"
     plain = load_csv(_write(tmp_path / "plain.csv", body), schema_path)
-    for name, text in [("bom", body), ("quoted", body.replace("icu", '"icu"'))]:  # both readers
+    for name, text in [("bom", body), ("quoted", body.replace("icu", '"icu"'))]:
         d = load_csv(_write(tmp_path / f"{name}.csv", "\ufeff" + text), schema_path)
         assert d.values.tobytes() == plain.values.tobytes()
         assert d.labels.tobytes() == plain.labels.tobytes()
@@ -309,7 +373,7 @@ def test_schema_refuses_a_value_no_csv_cell_can_hold(tmp_path, value, problem, w
     assert str(err.value) == f"schema: {message}"
 
 
-LONG = "k" * 63  # the longest category the column reader takes
+LONG = "k" * 63
 READER_SCHEMA = DatasetSchema(
     (AttributeSpec("x", NUMERIC), AttributeSpec("c", NOMINAL, ("icu", "é ward", LONG)), AttributeSpec("z", NUMERIC)),
     "y", "no", "yes",
@@ -318,55 +382,100 @@ PLAIN = "x,c,z,y\n1.5,icu,-2,no\n 2.5e3\t,é ward,3,yes\n-0.0,{long},1e-320,no\n
 
 
 @pytest.mark.parametrize(
-    "body, newline, columns",
+    "body, newline",
     [
-        (PLAIN, "\n", True),
-        (PLAIN, "\r\n", True),
-        (PLAIN, "\r", True),
-        ("x,c,z,y\n1.5,icu,-2,no\n\xa02.5e3\u3000,é ward,3,yes", "\n", True),  # no final newline
-        ("x,c,z,y\n1.5\x1f,icu,-2,no\n", "\n", False),  # loadtxt strips it from a number, float() not
-        ("\ufeffx,c,z,y\n1.5,icu,-2,no\n", "\r\n", True),
-        ("x,c,z,y\n1_0,icu,-2,no\n", "\n", False),  # float() reads it, loadtxt does not
-        ("x,c,z,y\n１２,icu,-2,no\n", "\n", False),  # full-width digits, likewise
-        ("x,c,z,y\n1.5,icu,-2,no\n", "\n", True),
-        ("x,c,z,y\n", "\n", False),  # header only: loadtxt warns
-        ("x,c,z,y", "\n", False),
-        ("", "\n", False),
-        ("x,c,z,y\n1.5,icu,-2,no\n\n2,icu,3,no\n", "\n", False),  # loadtxt skips a blank line
-        ("x,c,z,y\n1.5,icu,-2,no\n\n", "\r\n", False),
-        ("x,c,z,y\n\n1.5,icu,-2,no\n", "\r", False),
-        ("x,c,z,y\n1.5,\"icu\",-2,no\n", "\n", False),
-        ("x,c,z,y\n1.5,\"i,cu\",-2,no\n", "\n", False),
-        ("x,c,z,y\n1.5,icu\x00,-2,no\n", "\n", False),  # a text cell drops a trailing NUL
-        ("x,c,z,y\n1.5\x0b,icu,-2,no\n", "\n", False),  # loadtxt reads 1.5 and whitespace
-        ("x,c,z,y\n1.5\x1c,icu,-2,no\n", "\n", False),
-        ("x,c,z,y\n1.5\x85,icu,-2,no\n", "\n", False),
-        ("x,c,z,y\n1.5\u2029,icu,-2,no\n", "\n", False),
-        ("x,c,z,y\n#1,icu,-2,no\n", "\n", False),
-        ("x,c,z,y\n1.5,icu,-2\n", "\n", False),
-        ("x,c,z,y\n1.5,icu,-2,no,\n", "\n", False),
-        ("x,c,z,y\nnan,icu,-2,no\n", "\n", False),
-        ("x,c,z,y\n1.5,icu,1e999,no\n", "\n", False),
-        ("x,c,z,y\n,icu,-2,no\n", "\n", False),
-        ("x,c,z,y\n1.5,ICU,-2,no\n", "\n", False),
-        ("x,c,z,y\n1.5,{long}k,-2,no\n", "\n", False),  # read cut to the column's width
-        ("x,c,z,y\n1.5,icu,-2,maybe\n", "\n", False),
-        ("x,c,z,y\n1.5,icu,-2, no\n", "\n", False),
-        ("x,c,z,y,w\n1.5,icu,-2,no\n", "\n", False),
-        (f"x,c,z,y\n{' ' * 140_000}1.5,icu,-2,no\n", "\n", False),  # over csv's field limit
+        (PLAIN, "\n"),
+        (PLAIN, "\r\n"),
+        (PLAIN, "\r"),
+        ("x,c,z,y\n1.5,icu,-2,no\n\xa02.5e3\u3000,é ward,3,yes", "\n"),  # no final newline
+        ("x,c,z,y\n1.5\x1f,icu,-2,no\n", "\n"),
+        ("\ufeffx,c,z,y\n1.5,icu,-2,no\n", "\r\n"),
+        ("x,c,z,y\n1_0,icu,-2,no\n", "\n"),
+        ("x,c,z,y\n１２,icu,-2,no\n", "\n"),  # full-width digits
+        ("x,c,z,y\n1.5,icu,-2,no\n", "\n"),
+        ("x,c,z,y\n", "\n"),
+        ("x,c,z,y", "\n"),
+        ("", "\n"),
+        ("x,c,z,y\n1.5,icu,-2,no\n\n2,icu,3,no\n", "\n"),
+        ("x,c,z,y\n1.5,icu,-2,no\n\n", "\r\n"),
+        ("x,c,z,y\n\n1.5,icu,-2,no\n", "\r"),
+        ("x,c,z,y\n1.5,\"icu\",-2,no\n", "\n"),
+        ("x,c,z,y\n1.5,\"i,cu\",-2,no\n", "\n"),
+        ("x,c,z,y\n1.5,icu\x00,-2,no\n", "\n"),
+        ("x,c,z,y\n1.5\x0b,icu,-2,no\n", "\n"),
+        ("x,c,z,y\n1.5\x1c,icu,-2,no\n", "\n"),
+        ("x,c,z,y\n1.5\x85,icu,-2,no\n", "\n"),
+        ("x,c,z,y\n1.5\u2029,icu,-2,no\n", "\n"),
+        ("x,c,z,y\n#1,icu,-2,no\n", "\n"),
+        ("x,c,z,y\n1.5,icu,-2\n", "\n"),
+        ("x,c,z,y\n1.5,icu,-2,no,\n", "\n"),
+        ("x,c,z,y\nnan,icu,-2,no\n", "\n"),
+        ("x,c,z,y\n1.5,icu,1e999,no\n", "\n"),
+        ("x,c,z,y\n,icu,-2,no\n", "\n"),
+        ("x,c,z,y\n1.5,ICU,-2,no\n", "\n"),
+        ("x,c,z,y\n1.5,{long}k,-2,no\n", "\n"),
+        ("x,c,z,y\n1.5,icu,-2,maybe\n", "\n"),
+        ("x,c,z,y\n1.5,icu,-2, no\n", "\n"),
+        ("x,c,z,y,w\n1.5,icu,-2,no\n", "\n"),
     ],
 )
-def test_load_csv_reads_plain_files_as_columns_and_the_rest_per_cell(tmp_path, body, newline, columns):
+def test_load_csv_matches_the_reference_parser_on_listed_files(tmp_path, body, newline):
     path = _write(tmp_path / "d.csv", body.format(long=LONG), newline)
-    assert (_read_columns(path, READER_SCHEMA) is not None) == columns
-    assert _outcome(_load, path, READER_SCHEMA) == _outcome(_read_cells, path, READER_SCHEMA)
+    assert _outcome(_load, path, READER_SCHEMA) == _outcome(_reference, path, READER_SCHEMA)
 
 
-def test_load_csv_sends_a_file_to_the_per_cell_parser_for_a_long_category(tmp_path):
+def test_load_csv_names_the_row_of_a_cell_over_the_csv_field_limit(tmp_path):
+    """The one listed file on which load_csv and the reference differ: the
+    reference lets csv's error out, load_csv names the row."""
+    path = _write(tmp_path / "d.csv", f"x,c,z,y\n1.5,icu,-2,no\n{' ' * 140_000}1.5,icu,-2,no\n")
+    with pytest.raises(csv.Error) as reference:
+        _reference(path, READER_SCHEMA)
+    with pytest.raises(DataError) as err:
+        load_csv(path, READER_SCHEMA)
+    assert str(err.value) == f"row 3: {reference.value}"
+    assert str(reference.value) == f"field larger than field limit ({csv.field_size_limit()})"
+
+
+def test_load_csv_reads_a_64_character_category(tmp_path):
     schema = DatasetSchema((AttributeSpec("c", NOMINAL, ("k" * 64,)),), "y", "no", "yes")
     path = _write(tmp_path / "d.csv", f"c,y\n{'k' * 64},no\n")
-    assert _read_columns(path, schema) is None
     assert load_csv(path, schema).values.tolist() == [[0.0]]
+
+
+def _tiny_blocks():
+    """Blocks of 2 rows and reads of 8 characters, so that blocks split a file."""
+    return mock.patch.multiple(crus.dataset, _BLOCK_ROWS=2, _READ_CHARS=8)
+
+
+@pytest.mark.parametrize(
+    "body, refusal",
+    [
+        ("x,c,z,y\nnan,icu,1,no\n1,icu,1,no\n1,icu,1,no\n1,ICU,1,no\n",
+         "row 5: unknown category 'ICU' for attribute 'c'"),
+        ("x,c,z,y\n1,icu,1,no\n1,icu,1,no\n1,icu,1,no,\n1,icu,1,no\n",
+         "row 4: expected 4 cells, found 5"),
+        ("x,c,z,y\n1,icu,1,no\nnan,icu,1,no\n1,icu,1,no\n1,icu,inf,yes\n",
+         "row 3: nan is not a finite number for attribute 'x'"),
+        (f"x,c,z,y\n1,icu,1,no\n1,icu,1,no\n1,ICU,1,no\n{' ' * 140_000}1,icu,1,no\n",
+         "row 4: unknown category 'ICU' for attribute 'c'"),
+    ],
+    ids=["unknown-category-after-a-nan", "cell-count-in-the-second-block", "first-non-finite",
+         "bad-cell-before-one-over-the-field-limit"],
+)
+def test_load_csv_refusals_keep_their_row_order_across_blocks(tmp_path, body, refusal):
+    path = _write(tmp_path / "d.csv", body)
+    with _tiny_blocks():
+        assert _outcome(_load, path, READER_SCHEMA) == (DataError, refusal)
+    assert _outcome(_reference, path, READER_SCHEMA) == (DataError, refusal)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_load_csv_reads_a_quoted_line_break_at_a_read_block_boundary(tmp_path, newline):
+    # the header fills the first 8-character read, so the read block ends in the quoted cell
+    path = _write(tmp_path / "d.csv", 'x,c,z,y\n"1.5\n",icu,-2,no\n2,"é ward",3,yes\n', newline)
+    with _tiny_blocks():
+        assert _outcome(_load, path, READER_SCHEMA) == _outcome(_reference, path, READER_SCHEMA)
+        assert load_csv(path, READER_SCHEMA).values.tolist() == [[1.5, 0.0, -2.0], [2.0, 1.0, 3.0]]
 
 
 def _mostly(usual, odd, one_in: int):
@@ -385,7 +494,7 @@ _TEXT = _mostly(
     st.text(alphabet="abk0 \xe9#\t", min_size=1, max_size=8),
     st.one_of(
         st.text(alphabet='ab"\x00\x1f\u3000', min_size=1, max_size=3),
-        st.text(alphabet="k", min_size=60, max_size=66),  # around the longest the column reader takes
+        st.text(alphabet="k", min_size=60, max_size=66),
     ),
     one_in=16,
 )
@@ -394,11 +503,13 @@ _INSERTS = ["\n", "\r", '"', "#", "\x00", ",", " ", "\x0b", "\x0c", "\x1c", "\x1
             "\u2028", "\u2029", "\ufeff", "\xff"]
 
 
+@pytest.mark.parametrize("tiny", [False, True], ids=["default-blocks", "tiny-blocks"])
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(st.data())
-def test_load_csv_matches_the_per_cell_parser(data):
-    """The column reader and the per-cell parser give byte-identical values
-    and labels, or the same refusal, on valid and malformed files."""
+@given(data=st.data())
+def test_load_csv_matches_the_reference_parser_on_generated_files(tiny, data):
+    """load_csv and the reference parser give byte-identical values and
+    labels, or the same refusal, on valid and malformed files, also when
+    tiny blocks split every file."""
     holdable = _TEXT.filter(lambda t: "," not in t and t.splitlines() == [t])
     labels = data.draw(st.lists(holdable, min_size=2, max_size=2, unique=True), label="labels")
     attrs = []
@@ -433,7 +544,8 @@ def test_load_csv_matches_the_per_cell_parser(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "d.csv"
         path.write_bytes(raw)
-        assert _outcome(_load, path, schema) == _outcome(_read_cells, path, schema)
+        with _tiny_blocks() if tiny else contextlib.nullcontext():
+            assert _outcome(_load, path, schema) == _outcome(_reference, path, schema)
 
 
 def test_load_csv_peak_memory_stays_within_four_value_matrices(tmp_path):
