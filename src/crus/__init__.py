@@ -6,202 +6,77 @@ oversampling, and cluster-aware undersampling that rebalances only the
 regions that need it), imbalance-honest evaluation metrics, a stratified
 cross-validation harness with leak-free resampling, and rank-based
 statistical comparison of competing pipelines.
+
+The package loads lazily (PEP 562): `import crus` imports no submodule,
+and so no numpy, until one of the names below is first used.
 """
 
 from __future__ import annotations
 
-from .clustering import (
-    ClusterModel,
-    FeatureScaler,
-    kmeans_fit,
-)
-from .dataset import (
-    NOMINAL,
-    NUMERIC,
-    AttributeSpec,
-    DataError,
-    Dataset,
-    DatasetSchema,
-    FoldSplit,
-    imbalance_ratio,
-    load_csv,
-    load_schema,
-    save_schema,
-    stratified_kfold,
-    write_csv,
-)
-from .ensembles import (
-    EnsembleConfig,
-    EnsembleModel,
-    fit_adaboost,
-    fit_bagging,
-    fit_random_committee,
-    fit_random_forest,
-    theoretical_ensemble_accuracy,
-)
-from .evaluation import (
-    ClassifierSpec,
-    CvResult,
-    FoldResult,
-    PipelineModel,
-    SamplerSpec,
-    SyntheticConfig,
-    SyntheticData,
-    apply_sampler,
-    fit_classifier,
-    gen_synthetic,
-    run_cv,
-    run_cv_clustered,
-    run_experiment,
-)
-from .feature_selection import (
-    AttributeRank,
-    CfsResult,
-    cfs_best_first,
-    discretize,
-    gain_ratio_rank,
-    symmetrical_uncertainty,
-)
-from .metrics import (
-    METRIC_COLUMNS,
-    BinaryRates,
-    ConfusionMatrix,
-    MetricsReport,
-    auc_roc,
-    binary_rates,
-    combine_reports,
-    compute_report,
-    confusion_matrix,
-    g_mean,
-    optimized_precision,
-    weighted_class_average,
-)
-from .modelfile import model_from_text, model_to_text
-from .resampling import (
-    HIGH_GROUP,
-    LOW_GROUP,
-    ClusterPartition,
-    GroupedTrainSets,
-    apply_clustering_rus,
-    plan_cluster_partition,
-    rus_undersample,
-    smote_oversample,
-    suggest_threshold,
-)
-from .seeds import derive_seed, rng_for
-from .stats import (
-    CdDiagram,
-    ComparisonReport,
-    FriedmanResult,
-    ScoreMatrix,
-    WilcoxonResult,
-    average_combined_loss,
-    cd_diagram,
-    chi2_sf,
-    compare_treatments,
-    friedman_test,
-    holm_adjust,
-    loss_vs_best,
-    regularized_gamma_q,
-    wilcoxon_signed_rank,
-)
-from .trees import (
-    DecisionTree,
-    TreeConfig,
-    TreeNode,
-    default_subspace_size,
-    export_rules,
-    fit_tree,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AttributeRank",
-    "AttributeSpec",
-    "BinaryRates",
-    "CdDiagram",
-    "CfsResult",
-    "ClassifierSpec",
-    "ClusterModel",
-    "ClusterPartition",
-    "ComparisonReport",
-    "ConfusionMatrix",
-    "CvResult",
-    "DataError",
-    "Dataset",
-    "DatasetSchema",
-    "EnsembleConfig",
-    "EnsembleModel",
-    "FeatureScaler",
-    "FoldResult",
-    "FoldSplit",
-    "FriedmanResult",
-    "GroupedTrainSets",
-    "HIGH_GROUP",
-    "LOW_GROUP",
-    "METRIC_COLUMNS",
-    "MetricsReport",
-    "NOMINAL",
-    "NUMERIC",
-    "PipelineModel",
-    "SamplerSpec",
-    "ScoreMatrix",
-    "SyntheticConfig",
-    "SyntheticData",
-    "TreeConfig",
-    "TreeNode",
-    "DecisionTree",
-    "WilcoxonResult",
-    "apply_clustering_rus",
-    "apply_sampler",
-    "auc_roc",
-    "average_combined_loss",
-    "binary_rates",
-    "cd_diagram",
-    "cfs_best_first",
-    "chi2_sf",
-    "combine_reports",
-    "compare_treatments",
-    "compute_report",
-    "confusion_matrix",
-    "default_subspace_size",
-    "derive_seed",
-    "discretize",
-    "export_rules",
-    "fit_adaboost",
-    "fit_bagging",
-    "fit_classifier",
-    "fit_random_committee",
-    "fit_random_forest",
-    "fit_tree",
-    "friedman_test",
-    "g_mean",
-    "gain_ratio_rank",
-    "gen_synthetic",
-    "holm_adjust",
-    "imbalance_ratio",
-    "kmeans_fit",
-    "load_csv",
-    "load_schema",
-    "loss_vs_best",
-    "model_from_text",
-    "model_to_text",
-    "optimized_precision",
-    "plan_cluster_partition",
-    "regularized_gamma_q",
-    "rng_for",
-    "run_cv",
-    "run_cv_clustered",
-    "run_experiment",
-    "rus_undersample",
-    "save_schema",
-    "smote_oversample",
-    "stratified_kfold",
-    "suggest_threshold",
-    "symmetrical_uncertainty",
-    "theoretical_ensemble_accuracy",
-    "weighted_class_average",
-    "wilcoxon_signed_rank",
-    "write_csv",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "clustering": (
+        "ClusterModel", "FeatureScaler", "kmeans_fit",
+    ),
+    "dataset": (
+        "NOMINAL", "NUMERIC", "AttributeSpec", "DataError", "Dataset", "DatasetSchema", "FoldSplit",
+        "imbalance_ratio", "load_csv", "load_schema", "save_schema", "stratified_kfold", "write_csv",
+    ),
+    "ensembles": (
+        "EnsembleConfig", "EnsembleModel", "fit_adaboost", "fit_bagging", "fit_random_committee",
+        "fit_random_forest", "theoretical_ensemble_accuracy",
+    ),
+    "evaluation": (
+        "ClassifierSpec", "CvResult", "FoldResult", "PipelineModel", "SamplerSpec",
+        "SyntheticConfig", "SyntheticData", "apply_sampler", "fit_classifier", "gen_synthetic",
+        "run_cv", "run_cv_clustered", "run_experiment",
+    ),
+    "feature_selection": (
+        "AttributeRank", "CfsResult", "cfs_best_first", "discretize", "gain_ratio_rank",
+        "symmetrical_uncertainty",
+    ),
+    "metrics": (
+        "METRIC_COLUMNS", "BinaryRates", "ConfusionMatrix", "MetricsReport", "auc_roc",
+        "binary_rates", "combine_reports", "compute_report", "confusion_matrix", "g_mean",
+        "optimized_precision", "weighted_class_average",
+    ),
+    "modelfile": (
+        "model_from_text", "model_to_text",
+    ),
+    "resampling": (
+        "HIGH_GROUP", "LOW_GROUP", "ClusterPartition", "GroupedTrainSets", "apply_clustering_rus",
+        "plan_cluster_partition", "rus_undersample", "smote_oversample", "suggest_threshold",
+    ),
+    "seeds": (
+        "derive_seed", "rng_for",
+    ),
+    "stats": (
+        "CdDiagram", "ComparisonReport", "FriedmanResult", "ScoreMatrix", "WilcoxonResult",
+        "average_combined_loss", "cd_diagram", "chi2_sf", "compare_treatments", "friedman_test",
+        "holm_adjust", "loss_vs_best", "regularized_gamma_q", "wilcoxon_signed_rank",
+    ),
+    "trees": (
+        "DecisionTree", "TreeConfig", "TreeNode", "default_subspace_size", "export_rules", "fit_tree",
+    ),
+}
+
+__all__ = [name for names in _EXPORTS.values() for name in names]
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines a public name on its first use."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

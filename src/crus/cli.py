@@ -61,9 +61,7 @@ from .evaluation import (
     gen_synthetic,
     run_sampler,
 )
-from .feature_selection import cfs_best_first, gain_ratio_rank
 from .metrics import METRIC_COLUMNS, MetricsReport
-from .modelfile import model_from_text, model_to_text
 from .seeds import derive_seed
 
 # Not called here: the benchmark tracer (perfbench/tracer.py) patches these
@@ -72,6 +70,9 @@ from .evaluation import fit_classifier, run_experiment  # noqa: F401
 from .resampling import apply_clustering_rus, plan_cluster_partition  # noqa: F401
 from .stats import ScoreMatrix, average_combined_loss, cd_diagram, compare_treatments, loss_vs_best
 from .trees import DecisionTree, export_rules
+
+# crus.feature_selection and crus.modelfile are imported where they are
+# used, so a `crus run` without --save-models loads neither.
 
 _NAME_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*\Z")
 
@@ -92,8 +93,16 @@ _GEN_KEYS = {f.name for f in fields(SyntheticConfig)}
 _FEATSEL_KEYS = {"dataset", "schema", "max_stale"}
 
 
+class _Refusal(click.ClickException):
+    """A config, data file or path the command cannot use.  Like a usage
+    error it exits with 2, but it prints only its one `Error:` line: the
+    usage text is for mistakes in the options (click.UsageError)."""
+
+    exit_code = 2
+
+
 def _fail(msg: str) -> None:
-    raise click.UsageError(msg)
+    raise _Refusal(msg)
 
 
 def _load_yaml(path: Path, what: str) -> dict:
@@ -245,7 +254,7 @@ def _csv(header: list[str], rows) -> str:
 def _write(path: Path, content: str | Callable[[Path], None]) -> None:
     """Write content to path, making its directory first: text, or a
     function that writes the file at the path it is given.  An OSError is
-    a usage error that names path."""
+    a refusal that names path."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         if callable(content):
@@ -343,6 +352,8 @@ def _model_files(cell_name: str, pipe: PipelineModel) -> list[tuple[str, str]]:
     `{cell}.cluster.json` and one `{cell}.{group}.json` per group that has
     a model.
     """
+    from .modelfile import model_to_text
+
     if pipe.partition is None:
         return [(f"{cell_name}.json", model_to_text(group.model)) for group in pipe.groups.values()]
     files = [(f"{cell_name}.cluster.json", model_to_text(pipe.partition.model))]
@@ -440,11 +451,11 @@ def run(config_path: Path, out_dir: Path | None, seed: int | None, alpha: float 
         jobs: int, save_models: bool) -> None:
     """Evaluate a sampler x classifier grid with shared stratified folds."""
     if jobs < 1:
-        _fail(f"--jobs must be at least 1, got {jobs}")
+        raise click.UsageError(f"--jobs must be at least 1, got {jobs}")
     cfg = load_run_config(config_path, seed, alpha)
     if out_dir is None:
         if cfg.output is None:
-            _fail("no output directory: set 'output' in the config or pass --out")
+            raise click.UsageError("no output directory: set 'output' in the config or pass --out")
         out_dir = config_path.parent / cfg.output
     try:
         d = load_csv(cfg.dataset_path, cfg.schema_path)
@@ -621,6 +632,8 @@ def gen_synth(config_path: Path | None, out: Path, schema_out: Path | None,
               help="Output directory.")
 def featsel(config_path: Path, out_dir: Path) -> None:
     """Write a gain-ratio ranking and a CFS subset report."""
+    from .feature_selection import cfs_best_first, gain_ratio_rank
+
     doc = _load_yaml(config_path, "config")
     _check_keys(doc, _FEATSEL_KEYS, "config")
     for req in ("dataset", "schema"):
@@ -654,6 +667,8 @@ def featsel(config_path: Path, out_dir: Path) -> None:
               help="Write the rules here instead of stdout.")
 def rules(model_path: Path, out_path: Path | None) -> None:
     """Print the decision rules of a saved model."""
+    from .modelfile import model_from_text
+
     try:
         model = model_from_text(model_path.read_text(encoding="utf-8"))
     except KeyError as exc:
@@ -675,7 +690,3 @@ def rules(model_path: Path, out_path: Path | None) -> None:
         click.echo(f"wrote {out_path}")
     else:
         click.echo(text, nl=False)
-
-
-if __name__ == "__main__":
-    main(prog_name="crus")

@@ -267,13 +267,18 @@ def _numeric_block(
     a NaN value comes before its row's pads.
     """
     width = C.shape[1]
-    # int32 keys sort faster; int64 where a code times the width can exceed
-    # their range (the keys are distinct, so both sort them alike)
-    key = np.int32 if distinct.size * width <= 2**31 else np.int64
-    flat = np.argsort(np.multiply(C, width, dtype=key) + np.arange(width, dtype=key), axis=1)
-    flat += np.arange(0, C.size, width)[:, np.newaxis]
-    v, src = distinct.take(C.take(flat)), src.take(flat)
-    del flat
+    # each value's key is code << bits | column, sorted in place; int32 keys
+    # sort faster, int64 where a shifted code can exceed their range (the
+    # keys are distinct, so both sort them alike)
+    bits = (width - 1).bit_length()
+    key = np.int32 if distinct.size << bits <= 2**31 else np.int64
+    keys = np.left_shift(C, bits, dtype=key)
+    keys |= np.arange(width, dtype=key)
+    keys.sort(axis=1)
+    v = distinct.take(keys >> bits)
+    keys &= (1 << bits) - 1  # the column of each sorted value
+    src = src.take(keys + np.arange(0, C.size, width)[:, np.newaxis])
+    del keys
     sorted_w, cum_pos = w.take(src), w_pos.take(src)
     del src
     positive = cum_pos > 0  # rows of the positive class

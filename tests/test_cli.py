@@ -288,16 +288,14 @@ def test_run_failure_of_one_classifier_names_its_cell(tmp_path, runner, monkeypa
 
 
 def test_run_refit_failure_names_its_cell_after_the_reports(tmp_path, runner, monkeypatch):
-    import crus.cli as cli
-
-    real = cli.model_to_text
+    import crus.modelfile as modelfile
 
     def text(model):
         if not isinstance(model, DecisionTree):
             raise ValueError("ensemble refused")
-        return real(model)
+        return model_to_text(model)
 
-    monkeypatch.setattr(cli, "model_to_text", text)
+    monkeypatch.setattr(modelfile, "model_to_text", text)
     write_dataset(tmp_path)
     cfg = write_run_config(tmp_path)
     out = tmp_path / "out"
@@ -315,6 +313,17 @@ def test_worker_count_is_capped_by_tasks_and_cores():
     assert _worker_count(1, 24) == 1
 
 
+def run_probe(probe: str, env: dict[str, str] | None = None) -> str:
+    """The last line a fresh interpreter prints running probe with crus
+    imported from this checkout, in env (default: this process's)."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
 def test_run_at_one_job_never_imports_the_process_pool(tmp_path):
     write_dataset(tmp_path)
     config = write_run_config(tmp_path)
@@ -325,12 +334,44 @@ def test_run_at_one_job_never_imports_the_process_pool(tmp_path):
         " standalone_mode=False)\n"
         "print('concurrent.futures.process' in sys.modules)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
+    assert run_probe(probe) == "False"
     assert (tmp_path / "out").is_dir()
-    assert done.stdout.splitlines()[-1] == "False"
+
+
+# `python -m crus` and the console script `crus` (crus.__main__:main)
+ENTRY_POINTS = [
+    "import runpy; runpy.run_module('crus', run_name='__main__', alter_sys=True)",
+    "from crus.__main__ import main; main()",
+]
+
+
+def version_probe(entry: str) -> str:
+    """A probe that runs `crus --version` through entry, then prints the
+    process's thread count (Linux) and its OPENBLAS_NUM_THREADS."""
+    return (
+        "import os, sys\n"
+        "sys.argv = ['crus', '--version']\n"
+        "try:\n"
+        f"    {entry}\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    )
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=["python -m crus", "console script"])
+def test_the_crus_program_runs_one_thread(entry):
+    """numpy's OpenBLAS would start a thread per extra core."""
+    blas = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")  # OpenBLAS reads the first one set
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    assert run_probe(version_probe(entry), env) == "1 1"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+@pytest.mark.parametrize("entry", ENTRY_POINTS, ids=["python -m crus", "console script"])
+def test_the_crus_program_keeps_the_users_blas_threads(entry):
+    assert run_probe(version_probe(entry), {**os.environ, "OPENBLAS_NUM_THREADS": "3"}).split()[1] == "3"
 
 
 def test_fold_chunks_cover_every_fold_once():
@@ -472,6 +513,38 @@ def test_a_cell_over_the_csv_field_limit_is_one_error_line(tmp_path, runner, com
     assert result.exit_code == 2
     assert result.output.endswith(f"{prefix}row 2: field larger than field limit (131072)\n")
     assert result.output.count("Error:") == 1 and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("kind", ["config", "data", "path"])
+def test_a_refused_config_data_file_or_path_is_one_error_line(tmp_path, runner, kind):
+    """Exit 2 and one `Error:` line, without the usage text that a
+    mistake in the options gets."""
+    csv_path, _ = write_dataset(tmp_path)
+    cfg = write_run_config(tmp_path, **({"typo_key": 3} if kind == "config" else {}))
+    out = tmp_path / "out"
+    if kind == "data":
+        csv_path.write_text("a,b\n1,2\n", encoding="utf-8")
+    elif kind == "path":
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "out"
+    expected = {
+        "config": "Error: config: unknown keys ['typo_key']; ",
+        "data": "Error: cannot evaluate data.csv: ",
+        "path": f"Error: cannot write {out / 'folds.csv'}: ",
+    }[kind]
+    result = runner.invoke(main, ["run", "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2
+    [line] = result.output.splitlines()
+    assert line.startswith(expected)
+
+
+def test_a_mistake_in_the_options_shows_the_usage(tmp_path, runner):
+    write_dataset(tmp_path)
+    args = ["run", "--config", str(write_run_config(tmp_path)), "--out", str(tmp_path / "out"), "--jobs", "0"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.output.startswith("Usage: ")
+    assert result.output.endswith("Error: --jobs must be at least 1, got 0\n")
 
 
 def test_run_invalid_utf8_after_the_first_read_is_one_error_line(tmp_path, runner):

@@ -1,6 +1,7 @@
 """The package holds no public function or class that only tests call,
-it exports exactly what it imports, and one module owns the model-file
-format.
+it exports exactly the names of its lazy map, each from the module that
+defines it, `import crus` loads no numpy, and one module owns the
+model-file format.
 
 Every public top-level function or class in `src/crus/*.py` must be named
 somewhere in package code outside its own definition: called, referenced,
@@ -14,8 +15,14 @@ needs each.  Only `modelfile.py` imports json.
 from __future__ import annotations
 
 import ast
+import importlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import crus
 
@@ -91,16 +98,44 @@ def test_each_allowed_name_is_named_by_the_file_that_needs_it():
     assert unnamed == []
 
 
+def top_level_names(module: ast.Module) -> set[str]:
+    """Names a module defines at top level: functions, classes and assigned names."""
+    names = set()
+    for node in module.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 def test_all_lists_exactly_the_public_names_the_package_imports():
-    imported = [
-        alias.asname or alias.name
-        for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-    ]
-    public = [name for name in imported if not name.startswith("_")]
+    """`__all__` is the lazy map's names, each public and listed once, and
+    each resolves to the object that its mapped module defines, not to a
+    re-export."""
     assert len(crus.__all__) == len(set(crus.__all__))
-    assert sorted(crus.__all__) == sorted(public)
+    assert sorted(crus.__all__) == sorted(crus._MODULE_OF)
+    assert [name for name in crus.__all__ if name.startswith("_")] == []
+    misplaced = []
+    for name, module in crus._MODULE_OF.items():
+        source = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        owner = importlib.import_module(f"crus.{module}")
+        if name not in top_level_names(source) or getattr(crus, name) is not getattr(owner, name):
+            misplaced.append(f"{module}:{name}")
+    assert misplaced == []
+    assert set(crus.__all__) <= set(dir(crus))
+    with pytest.raises(AttributeError):
+        crus.no_such_name
+
+
+def test_import_crus_loads_no_numpy():
+    probe = "import sys, crus; print('numpy' in sys.modules, end=' '); crus.fit_tree; print('numpy' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False True\n"
 
 
 def test_only_modelfile_imports_json():
